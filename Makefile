@@ -17,7 +17,7 @@ RESULTS ?= results
 
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test experiments-quick experiments-check experiments-all regen-experiments-md fuzz-smoke chaos-smoke trace-smoke attack-smoke interference-smoke scan-smoke bench-smoke bench-baseline perf-gate equivalence-check clean-cache
+.PHONY: test experiments-quick experiments-check experiments-all regen-experiments-md fuzz-smoke chaos-smoke trace-smoke attack-smoke interference-smoke scan-smoke bench-smoke bench-baseline equivalence-check clean-cache
 
 test:
 	$(PY) -m pytest -x -q
@@ -173,27 +173,6 @@ bench-smoke:
 ## Rewrite the committed baseline from a quick run on this machine.
 bench-baseline:
 	$(PY) -m repro.bench.cli run --quick --label seed --out benchmarks/BENCH_seed.json
-
-## Engine/scheduling performance gate (docs/performance.md): a quick
-## pass over the benchmarks this family is responsible for — both
-## execution engines and batched supervisor dispatch — compared against
-## the committed baseline with the same noise-aware rule as bench-smoke,
-## plus one absolute invariant: the compiled engine must stay faster
-## than the interpreter on identical work.  The 1.1x floor is
-## deliberately below the committed full-scale ratio (>=1.4x) because
-## quick-scale spreads on a shared box reach ~15%; this gate catches
-## "compiled engine quietly stopped helping", not small drift.
-perf-gate:
-	rm -rf $(RESULTS)-perf
-	$(PY) -m repro.bench.cli run pipeline.steps pipeline.steps_compiled supervisor.batch_dispatch \
-		--quick --label perf --out $(RESULTS)-perf/BENCH_perf.json
-	$(PY) -m repro.bench.cli compare benchmarks/BENCH_seed.json $(RESULTS)-perf/BENCH_perf.json
-	$(PY) -c "import json; b = json.load(open('$(RESULTS)-perf/BENCH_perf.json'))['benchmarks']; \
-	ratio = b['pipeline.steps_compiled']['ops_per_s'] / b['pipeline.steps']['ops_per_s']; \
-	assert ratio >= 1.1, f'compiled engine only {ratio:.2f}x the interpreter (floor 1.1x at quick scale)'; \
-	print(f'compiled engine {ratio:.2f}x interpreter on identical stepped work')"
-	rm -rf $(RESULTS)-perf
-	@echo "perf-gate: no regression vs baseline; engine speedup intact"
 
 ## Behaviour-equivalence gate for interpreter optimizations: recompute
 ## experiment/corpus/trace digests and require byte-identical results

@@ -435,11 +435,6 @@ class Program:
     )
     _decoded_src: "tuple | None" = field(default=None, repr=False, compare=False)
     _decoded_base: "int | None" = field(default=None, repr=False, compare=False)
-    #: Instance cache for the closure-compiled form (owned by
-    #: :mod:`repro.cpu.compiler`): the compiled table plus the
-    #: ``(decoded identity, latency constants)`` key it was built for.
-    _compiled: "list | None" = field(default=None, repr=False, compare=False)
-    _compiled_key: "tuple | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._layout()

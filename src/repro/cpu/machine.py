@@ -20,7 +20,6 @@ import math
 
 from repro.core.config import CpuModel
 from repro.cpu.core import Core
-from repro.cpu.engine import resolve_engine
 from repro.cpu.isa import Program
 from repro.cpu.pipeline import Pipeline, RunResult
 from repro.mem.physical import PAGE_SIZE
@@ -41,7 +40,6 @@ class Machine:
         flush_ssbp_on_switch: bool = False,
         resalt_on_switch: bool = False,
         hash_salt: int = 0,
-        engine: str | None = None,
     ) -> None:
         self.core = Core(model=model, seed=seed, hash_salt=hash_salt)
         self.kernel = Kernel(
@@ -49,13 +47,8 @@ class Machine:
             flush_ssbp_on_switch=flush_ssbp_on_switch,
             resalt_on_switch=resalt_on_switch,
         )
-        #: Execution engine every pipeline dispatches with ("interpreter"
-        #: or "compiled"); ``engine=None`` resolves the process default
-        #: (:mod:`repro.cpu.engine`), frozen here for the machine's life.
-        self.engine = resolve_engine(engine)
         self._pipelines = [
-            Pipeline(self.core, thread, self.kernel, engine=self.engine)
-            for thread in self.core.threads
+            Pipeline(self.core, thread, self.kernel) for thread in self.core.threads
         ]
         #: Optional :class:`repro.interference.model.InterferenceModel`;
         #: installed via ``InterferenceModel.attach(machine)``, consulted

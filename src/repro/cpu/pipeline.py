@@ -254,37 +254,13 @@ class RunResult:
 
 
 class Pipeline:
-    """Executes programs of one process on one hardware thread.
+    """Executes programs of one process on one hardware thread."""
 
-    ``engine`` selects how instructions dispatch: ``"interpreter"`` (the
-    reference opcode-dispatch loop below) or ``"compiled"`` (the
-    closure-compilation engine, :mod:`repro.cpu.compiler`); ``None``
-    resolves the process-wide default (:mod:`repro.cpu.engine`).  The
-    two are bit-identical in every observable — the equivalence gate
-    and the engine property tests enforce it.
-    """
-
-    def __init__(
-        self,
-        core: Core,
-        thread: HardwareThread,
-        kernel: Kernel,
-        engine: str | None = None,
-    ) -> None:
-        from repro.cpu.engine import resolve_engine
-
+    def __init__(self, core: Core, thread: HardwareThread, kernel: Kernel) -> None:
         self.core = core
         self.thread = thread
         self.kernel = kernel
         self.lat = core.model.latency
-        self.engine = resolve_engine(engine)
-        if self.engine == "compiled":
-            # Imported lazily: the compiler module imports this one.
-            from repro.cpu.compiler import CompiledExecState
-
-            self._state_cls: type[_ExecState] = CompiledExecState
-        else:
-            self._state_cls = _ExecState
         #: 2-bit branch direction counters, keyed by branch IVA.
         self.branch_counters: dict[int, int] = {}
         #: Active tracer at construction time (None = telemetry off).  A
@@ -330,7 +306,7 @@ class Pipeline:
         (:meth:`repro.cpu.isa.Program.decoded`); ``regs`` is copied, so
         the caller's dict is never mutated.
         """
-        state = self._state_cls(self, process, program, dict(regs or {}))
+        state = _ExecState(self, process, program, dict(regs or {}))
         result = state.execute(max_steps)
         self.thread.advance(result.cycles)
         self._m_runs.inc()
@@ -356,7 +332,7 @@ class Pipeline:
         queue and rollback journal, so interleaved states never share
         mutable interpreter state.
         """
-        return self._state_cls(self, process, program, dict(regs or {}))
+        return _ExecState(self, process, program, dict(regs or {}))
 
     # Branch prediction: 2-bit saturating direction counters.
     def predict_branch(self, iva: int) -> bool:
@@ -422,12 +398,6 @@ class _ExecState:
     # ------------------------------------------------------------------
     # Small helpers
     # ------------------------------------------------------------------
-    def _reg(self, name: str) -> int:
-        return self.regs.get(name, 0)
-
-    def _ready_of(self, *names: str) -> int:
-        return max((self.ready.get(name, 0) for name in names), default=0)
-
     def _set_reg(self, name: str, value: int, ready: int) -> None:
         """The single register-write point: journals the previous slot
         values while any rollback point is live (delta journal)."""
@@ -495,9 +465,6 @@ class _ExecState:
         if paddr is None:
             raise SegmentationFault(iva, access="execute")
         return paddr
-
-    def _hash(self, ipa: int) -> int:
-        return ipa_hash(ipa, self.salt)
 
     def _in_speculative_context(self) -> bool:
         # O(1): _jlive counts live rollback points, which exist exactly

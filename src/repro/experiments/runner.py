@@ -78,7 +78,7 @@ from repro.experiments.base import ExperimentResult
 from repro.experiments.cache import DEFAULT_CACHE_DIR, ResultCache, cache_key
 from repro.runtime import exitcodes
 from repro.runtime.chaos import CHAOS_ENV_VAR, ChaosPlan
-from repro.runtime.cliutil import apply_engine, build_parser
+from repro.runtime.cliutil import build_parser
 from repro.runtime.quarantine import quarantine
 from repro.runtime.supervisor import (
     DEFAULT_GRACE_S,
@@ -595,7 +595,6 @@ def main(argv: list[str] | None = None) -> int:
              f"(default from ${CHAOS_ENV_VAR})",
     )
     args = parser.parse_args(argv)
-    apply_engine(args)
 
     if args.list:
         for name, spec in EXPERIMENTS.items():

@@ -1,18 +1,16 @@
-"""Bounds, eviction and invalidation of the two content-keyed LRUs.
+"""Bounds, eviction and invalidation of the content-keyed decode LRU.
 
-Campaign workloads rebuild ``Program`` objects constantly, so both the
-shared decode cache (:mod:`repro.cpu.isa`) and the compiled-closure
-cache (:mod:`repro.cpu.compiler`) are bounded LRUs keyed by program
-content.  These tests pin the contract that makes the bound safe:
-eviction never changes behaviour (an evicted entry is rebuilt, not
-lost), recency protects the working set, and in-place program edits
+Campaign workloads rebuild ``Program`` objects constantly, so the
+shared decode cache (:mod:`repro.cpu.isa`) is a bounded LRU keyed by
+program content.  These tests pin the contract that makes the bound
+safe: eviction never changes behaviour (an evicted entry is rebuilt,
+not lost), recency protects the working set, and in-place program edits
 invalidate rather than serve stale tables.
 """
 
 import pytest
 
-from repro.core.config import LatencyModel
-from repro.cpu import compiler, isa
+from repro.cpu import isa
 from repro.cpu.isa import AluImm, Halt, MovImm, Program
 from repro.cpu.machine import Machine
 
@@ -31,15 +29,6 @@ def small_decode_cache():
     yield
     isa.set_decode_cache_size(previous)
     isa.clear_decode_cache()
-
-
-@pytest.fixture
-def small_compile_cache():
-    previous = compiler.set_compile_cache_size(4)
-    compiler.clear_compile_cache()
-    yield
-    compiler.set_compile_cache_size(previous)
-    compiler.clear_compile_cache()
 
 
 class TestDecodeCacheBounds:
@@ -100,46 +89,20 @@ class TestDecodeCacheBounds:
 
 
 class TestCompileCacheBounds:
-    def test_occupancy_never_exceeds_bound(self, small_compile_cache):
-        lat = LatencyModel()
-        for value in range(10):
-            compiler.compile_program(make_program(value), lat)
-        info = compiler.compile_cache_info()
-        assert info["size"] <= info["max_size"] == 4
-        assert info["evictions"] >= 6
+    """The decode LRU as the machine sees it: the per-program tables it
+    executes from, under a bound small enough to force evictions."""
 
-    def test_fresh_instance_shares_closure_table(self, small_compile_cache):
-        lat = LatencyModel()
-        first = compiler.compile_program(make_program(3), lat)
-        second = compiler.compile_program(make_program(3), lat)
-        assert second is first
-
-    def test_instance_fast_path_hits(self, small_compile_cache):
-        lat = LatencyModel()
+    def test_inplace_edit_invalidates(self, small_decode_cache):
         program = make_program(3)
-        first = compiler.compile_program(program, lat)
-        hits = compiler.compile_cache_info()["hits"]
-        assert compiler.compile_program(program, lat) is first
-        assert compiler.compile_cache_info()["hits"] == hits + 1
-
-    def test_latency_model_is_part_of_the_key(self, small_compile_cache):
-        program = make_program(3)
-        fast = compiler.compile_program(program, LatencyModel())
-        slow = compiler.compile_program(make_program(3), LatencyModel(imul=9))
-        assert slow is not fast
-        assert compiler.compile_cache_info()["size"] == 2
-
-    def test_inplace_edit_invalidates(self, small_compile_cache):
-        lat = LatencyModel()
-        program = make_program(3)
-        first = compiler.compile_program(program, lat)
+        first = program.decoded()
         program.instructions[0] = MovImm("a", 44)
-        second = compiler.compile_program(program, lat)
+        second = program.decoded()
         assert second is not first
+        assert second.args[0] == ("a", 44)
 
-    def test_machine_run_sees_inplace_edit(self, small_compile_cache):
-        """End to end: the compiled engine must not execute stale code."""
-        machine = Machine(seed=1, engine="compiled")
+    def test_machine_run_sees_inplace_edit(self, small_decode_cache):
+        """End to end: the machine must not execute a stale decode."""
+        machine = Machine(seed=1)
         process = machine.kernel.create_process("p")
         program = machine.load_program(
             process, Program([MovImm("a", 1), Halt()], name="edit")
@@ -148,15 +111,15 @@ class TestCompileCacheBounds:
         program.instructions[0] = MovImm("a", 2)
         assert machine.run(process, program).regs["a"] == 2
 
-    def test_eviction_does_not_change_results(self, small_compile_cache):
-        machine = Machine(seed=1, engine="compiled")
+    def test_eviction_does_not_change_results(self, small_decode_cache):
+        machine = Machine(seed=1)
         process = machine.kernel.create_process("p")
         programs = [
             machine.load_program(process, make_program(value, name=f"p{value}"))
             for value in range(8)
         ]
         first = [machine.run(process, p).regs["b"] for p in programs]
-        # Round 2 re-runs every program; half were evicted and recompile.
+        # Round 2 re-runs every program; half were evicted and re-decode.
         second = [machine.run(process, p).regs["b"] for p in programs]
         assert first == second == [value + 1 for value in range(8)]
-        assert compiler.compile_cache_info()["evictions"] >= 4
+        assert isa.decode_cache_info()["evictions"] >= 4

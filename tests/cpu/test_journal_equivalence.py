@@ -14,12 +14,8 @@ windows containing speculated loads, memory squashes cancelling stale
 windows, fault windows, and repeated restores of the same rollback
 point after a replay.
 
-The property is checked under *both* execution engines: the compiled
-closure engine (:mod:`repro.cpu.compiler`) inherits the base class's
-``_snapshot``/``_restore``, so the same shadow wrap verifies that its
-dispatch closures drive the journal identically.  Every case also runs
-under a mitigation mode (cycled across ``none``/``ssbd``/``fence``) so
-mitigation-induced scheduling differences cannot hide a journal bug.
+Cases also run under each mitigation mode (``none``/``ssbd``/``fence``)
+so mitigation-induced scheduling differences cannot hide a journal bug.
 """
 
 import random
@@ -29,8 +25,6 @@ import pytest
 from repro.cpu import pipeline as pipeline_mod
 from repro.fuzz.gen import fuzz_program
 from repro.fuzz.harness import MITIGATIONS, execute_program
-
-ENGINES = ("interpreter", "compiled")
 
 
 @pytest.fixture()
@@ -60,41 +54,36 @@ def shadow_verifier(monkeypatch):
     return state
 
 
-def run_fuzz_case(seed: int, blocks: int = 12, engine: str = "interpreter",
-                  mitigation: str = "none"):
+def run_fuzz_case(seed: int, blocks: int = 12, mitigation: str = "none"):
     """One speculation-heavy program on a fresh machine (faults become
     statuses, so every case contributes its restores to the shadow)."""
     instructions = fuzz_program(random.Random(seed), blocks)
-    return execute_program(instructions, seed=seed, engine=engine,
-                           mitigation=mitigation)
+    return execute_program(instructions, seed=seed, mitigation=mitigation)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_journal_restore_matches_full_copy(shadow_verifier, engine):
+def test_journal_restore_matches_full_copy(shadow_verifier):
     for seed in range(40):
-        run_fuzz_case(seed, engine=engine)
+        run_fuzz_case(seed)
     assert shadow_verifier["failures"] == []
     # The corpus must actually have exercised rollbacks, or the property
     # was vacuous.  40 speculation-heavy programs produce hundreds.
     assert shadow_verifier["restores"] > 50
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("mitigation", MITIGATIONS)
-def test_journal_restore_under_mitigations(shadow_verifier, engine, mitigation):
+def test_journal_restore_under_mitigations(shadow_verifier, mitigation):
     """Mitigations suppress (but do not eliminate) speculation; what
     rollbacks remain must still restore exactly."""
     for seed in range(12):
-        run_fuzz_case(seed, engine=engine, mitigation=mitigation)
+        run_fuzz_case(seed, mitigation=mitigation)
     assert shadow_verifier["failures"] == []
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_journal_restore_same_snapshot_twice(shadow_verifier, engine):
+def test_journal_restore_same_snapshot_twice(shadow_verifier):
     """A replayed load can squash again: the same rollback point must
     restore correctly a second time after the journal regrew."""
     for seed in (97, 98, 99, 100, 101):
-        run_fuzz_case(seed, blocks=20, engine=engine)
+        run_fuzz_case(seed, blocks=20)
     assert shadow_verifier["failures"] == []
 
 

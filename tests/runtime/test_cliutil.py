@@ -9,20 +9,13 @@ same ``--version`` format and the same documented 0/1/2/3 contract.
 new entry point cannot ship without joining the shared surface.
 """
 
-import os
 import re
 from pathlib import Path
 
 import pytest
 
 from repro import __version__
-from repro.cpu import engine as engine_mod
-from repro.runtime.cliutil import (
-    EXIT_CODE_EPILOG,
-    apply_engine,
-    build_parser,
-    version_string,
-)
+from repro.runtime.cliutil import EXIT_CODE_EPILOG, build_parser, version_string
 
 _CLIS = {
     "repro-experiments": "repro.experiments.runner",
@@ -80,38 +73,13 @@ class TestUnifiedSurface:
             assert line in out
 
     def test_engine_flag_rejects_unknown_engine(self, prog, module, capsys):
-        """Every CLI shares the --engine flag; argparse validates the
-        choice before any subcommand logic runs."""
+        """There is one execution engine and no flag to choose it: a
+        leftover ``--engine`` is a usage error, never silently ignored,
+        and no CLI advertises it."""
         with pytest.raises(SystemExit) as exc:
             self._main(module)(["--engine", "bogus"])
         assert exc.value.code == 2
-        assert "--engine" in capsys.readouterr().err
-
-
-@pytest.fixture
-def restore_engine_default():
-    yield
-    engine_mod.set_default_engine(None)
-
-
-class TestEngineFlag:
-    def test_parser_offers_registered_engines(self):
-        parser = build_parser("x", "desc")
-        args = parser.parse_args(["--engine", "compiled"])
-        assert args.engine == "compiled"
-        assert parser.parse_args([]).engine is None
-
-    def test_apply_engine_sets_process_default(self, restore_engine_default):
-        parser = build_parser("x", "desc")
-        apply_engine(parser.parse_args(["--engine", "compiled"]))
-        assert engine_mod.default_engine() == "compiled"
-        # Mirrored into the environment so pool workers inherit it.
-        assert os.environ.get(engine_mod.ENGINE_ENV_VAR) == "compiled"
-
-    def test_apply_engine_without_flag_keeps_default(
-        self, restore_engine_default
-    ):
-        engine_mod.set_default_engine(None)
-        parser = build_parser("x", "desc")
-        apply_engine(parser.parse_args([]))
-        assert engine_mod.default_engine() == engine_mod.ENGINES[0]
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            self._main(module)(["--help"])
+        assert "--engine" not in capsys.readouterr().out
