@@ -16,16 +16,20 @@ every observable output the repo already pins:
   internals, so they catch timing changes the architectural outputs
   would forgive).
 
-``GOLDEN.json`` (committed at ``benchmarks/GOLDEN.json``) records the
-digests produced by the unoptimized code; ``make equivalence-check``
-and ``tests/bench/test_equivalence.py`` recompute and compare.  Any
-mismatch means an optimization changed behaviour and must be fixed —
-there is deliberately no tolerance knob here, unlike the throughput
-comparison in :mod:`repro.bench.artifact`.
+The committed golden files record the digests produced by the
+unoptimized code, one per tier.  Any mismatch means an optimization
+changed behaviour and must be fixed — there is deliberately no
+tolerance knob here, unlike the throughput comparison in
+:mod:`repro.bench.artifact`.
 
-Two tiers keep the gate usable: ``fast`` (sub-cheap experiments +
-full corpus + traces, ~15 s — runs in the test suite) and ``full``
-(all 21 experiments, ~6 min — run before committing core changes).
+Two tiers keep the gate usable:
+
+* ``fast`` — the cheap experiments + full corpus + traces, ~10 s; its
+  golden is ``benchmarks/GOLDEN_fast.json`` and
+  ``tests/bench/test_equivalence.py`` checks it in the test suite;
+* ``full`` — every experiment, several minutes; its golden is
+  ``benchmarks/GOLDEN.json``, checked by ``make equivalence-check``
+  before committing core changes.
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ from repro.fuzz.corpus import DEFAULT_CORPUS_DIR, Corpus, CorpusEntry
 from repro.fuzz.findings import Finding, write_findings
 from repro.fuzz.shrink import shrink_report
 from repro.runtime import exitcodes
-from repro.runtime.atomic import atomic_write_json
+from repro.runtime.atomic import atomic_write_text
 from repro.runtime.chaos import CHAOS_ENV_VAR, ChaosPlan
 from repro.runtime.cliutil import build_parser
 from repro.runtime.quarantine import quarantine
@@ -321,6 +321,23 @@ def _campaign_fingerprint(tasks: list[dict]) -> str:
     return content_key({"schema": CHECKPOINT_SCHEMA, "tasks": tasks})
 
 
+def _checkpoint_text(fingerprint: str, fragments: dict[int, str]) -> str:
+    """The checkpoint document, built from per-task findings JSON.
+
+    ``json.loads`` of the result is ``{"schema", "fingerprint",
+    "completed": {str(task_id): findings}}``, the same document
+    ``_recover_fuzz_checkpoint`` has always read.
+    """
+    completed = ", ".join(
+        f'"{task_id}": {fragments[task_id]}' for task_id in sorted(fragments)
+    )
+    return (
+        f'{{"completed": {{{completed}}}, '
+        f'"fingerprint": {json.dumps(fingerprint)}, '
+        f'"schema": {CHECKPOINT_SCHEMA}}}\n'
+    )
+
+
 def _recover_fuzz_checkpoint(
     path: Path, fingerprint: str, say: Callable[[str], None]
 ) -> tuple[dict[int, list[dict]], int]:
@@ -417,22 +434,22 @@ def run_fuzz_campaign(
         if resumed:
             say(f"resumed {resumed} completed task(s) from {checkpoint}")
 
+    # Each task's findings are serialized once, when they land; a
+    # checkpoint write only joins the cached fragments.
+    fragments = {
+        task_id: json.dumps(found, sort_keys=True)
+        for task_id, found in results.items()
+    }
+
     def write_checkpoint() -> None:
         if checkpoint is not None:
-            atomic_write_json(
-                checkpoint,
-                {
-                    "schema": CHECKPOINT_SCHEMA,
-                    "fingerprint": fingerprint,
-                    "completed": {
-                        str(task_id): results[task_id]
-                        for task_id in sorted(results)
-                    },
-                },
+            atomic_write_text(
+                checkpoint, _checkpoint_text(fingerprint, fragments)
             )
 
     def on_result(task_id: int, found: list[dict]) -> None:
         results[task_id] = found
+        fragments[task_id] = json.dumps(found, sort_keys=True)
         write_checkpoint()
         task = by_id[task_id]
         verdict = f"{len(found)} finding(s)" if found else "clean"

@@ -5,6 +5,12 @@ which level?" and to support ``clflush`` — the Flush+Reload covert channel
 (:mod:`repro.attacks.flush_reload`) is built from exactly those two
 operations.  Data correctness is the job of
 :class:`repro.mem.physical.PhysicalMemory`.
+
+Sets are allocated on first fill, not up front: a 32 MiB L3 has 32,768
+sets, and building all of them made cache construction most of the
+cost of a fresh :class:`repro.cpu.machine.Machine` — while a typical
+program touches a few dozen lines.  A set that was never filled reads
+as empty, so hit/miss results, LRU order and stats are unchanged.
 """
 
 from __future__ import annotations
@@ -68,9 +74,8 @@ class Cache:
         self.sets = size_bytes // (ways * line_size)
         if self.sets & (self.sets - 1):
             raise ConfigError(f"{name}: set count must be a power of two")
-        self._lines: list[OrderedDict[int, None]] = [
-            OrderedDict() for _ in range(self.sets)
-        ]
+        # set index -> LRU-ordered lines; a set exists once filled.
+        self._lines: dict[int, OrderedDict[int, None]] = {}
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -84,8 +89,10 @@ class Cache:
         A miss fills the line (evicting LRU if the set is full).
         """
         set_index, line = self._index(paddr)
-        bucket = self._lines[set_index]
-        if line in bucket:
+        bucket = self._lines.get(set_index)
+        if bucket is None:
+            bucket = self._lines[set_index] = OrderedDict()
+        elif line in bucket:
             bucket.move_to_end(line)
             self.stats.hits += 1
             return True
@@ -99,25 +106,25 @@ class Cache:
     def contains(self, paddr: int) -> bool:
         """Presence probe that does not disturb recency or stats."""
         set_index, line = self._index(paddr)
-        return line in self._lines[set_index]
+        bucket = self._lines.get(set_index)
+        return bucket is not None and line in bucket
 
     def flush_line(self, paddr: int) -> bool:
         """``clflush``: drop the line if present; returns whether it was."""
         set_index, line = self._index(paddr)
-        bucket = self._lines[set_index]
+        bucket = self._lines.get(set_index)
         self.stats.flushes += 1
-        if line in bucket:
+        if bucket is not None and line in bucket:
             del bucket[line]
             return True
         return False
 
     def flush_all(self) -> None:
-        for bucket in self._lines:
-            bucket.clear()
+        self._lines.clear()
 
     @property
     def occupancy(self) -> int:
-        return sum(len(bucket) for bucket in self._lines)
+        return sum(len(bucket) for bucket in self._lines.values())
 
     def __repr__(self) -> str:
         return (

@@ -52,9 +52,10 @@ def atomic_write_text(path: str | Path, text: str, *, encoding: str = "utf-8") -
 def atomic_write_json(path: str | Path, payload: Any, *, indent: int | None = 2) -> Path:
     """Serialize ``payload`` canonically (sorted keys) and write it atomically.
 
-    The one JSON persistence primitive: the result cache, the corpus,
-    experiment artifacts, campaign manifests and checkpoints all call
-    this, so their durability guarantees cannot diverge.
+    The JSON persistence primitive: the result cache, the corpus,
+    experiment artifacts and campaign manifests all call this.  The fuzz
+    checkpoint, which joins per-task JSON fragments itself, calls
+    :func:`atomic_write_text` — the same durability path.
     """
     text = json.dumps(payload, indent=indent, sort_keys=True) + "\n"
     return atomic_write_text(path, text)

@@ -40,11 +40,14 @@ resulting invariant against the dynamic oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
+from typing import NamedTuple
 
 from repro.cpu.isa import DecodedProgram, Instruction, Program
-from repro.fuzz.gen import BUF_BYTES, REGS
-from repro.static.ir import IRProgram, lift
-from repro.static.taint import TaintResult, analyze_taint
+from repro.fuzz.gen import REGS
+from repro.static.ir import OPS, IRProgram, lift
+from repro.static.taint import EMPTY, TaintResult, analyze_taint
 from repro.static.windows import (
     BranchWindow,
     BypassEdge,
@@ -52,6 +55,7 @@ from repro.static.windows import (
     bypass_edges,
     bypass_preconditions,
     psf_preconditions,
+    window_nodes,
 )
 from repro.telemetry.metrics import registry
 
@@ -73,9 +77,12 @@ _BRANCH_PRECONDITION = (
 )
 
 
-@dataclass(frozen=True)
-class StaticGadget:
-    """One finding: a transmitting instruction plus its secret sources."""
+class StaticGadget(NamedTuple):
+    """One finding: a transmitting instruction plus its secret sources.
+
+    A named tuple rather than a frozen dataclass: cheaper to build, and
+    a scan builds one per finding.
+    """
 
     kind: str                      # one of GADGET_KINDS
     node: int                      # index of the transmitting instruction
@@ -138,53 +145,105 @@ class ScanReport:
         }
 
 
+_KIND_RANK = {kind: rank for rank, kind in enumerate(GADGET_KINDS)}
+
+
 def _gadget_order(gadget: StaticGadget) -> tuple:
-    return (gadget.node, GADGET_KINDS.index(gadget.kind), gadget.sources)
+    return (gadget.node, _KIND_RANK[gadget.kind], gadget.sources)
 
 
 def _preconditions_for(
-    taint: TaintResult,
     sources: frozenset[int],
     node: int,
-    maybe: list[bool],
+    stale: frozenset[int],
+    in_window: frozenset[int],
 ) -> tuple[str, ...]:
-    lines: list[str] = []
-    if any(taint.sources.get(index) == "stale-bypass" for index in sources):
-        lines.extend(bypass_preconditions() + psf_preconditions())
-    if maybe[node] or any(index < len(maybe) and maybe[index] for index in sources):
-        lines.append(_BRANCH_PRECONDITION)
-    return tuple(lines)
+    """TABLE I and branch preconditions for one finding.
+
+    ``stale`` holds the stale-bypass source nodes, ``in_window`` the
+    nodes inside some branch's transient window.
+    """
+    lines: tuple[str, ...] = ()
+    if not stale.isdisjoint(sources):
+        lines = bypass_preconditions() + psf_preconditions()
+    if node in in_window or not in_window.isdisjoint(sources):
+        lines += (_BRANCH_PRECONDITION,)
+    return lines
 
 
-def _killed_by(taint: TaintResult, channel: str, sources: frozenset[int]) -> tuple[str, ...]:
-    if channel == "spec" and all(
-        taint.sources.get(index) == "stale-bypass" for index in sources
-    ):
+def _killed_by(channel: str, sources: frozenset[int], stale: frozenset[int]) -> tuple[str, ...]:
+    if channel == "spec" and sources <= stale:
         # Purely bypass-fed: both the chicken bit and the fence transform
         # remove every edge, so the taint never arises.
         return ("ssbd", "fence")
     return ()
 
 
-def _may_alias(ir: IRProgram, taint: TaintResult, store: int, load: int) -> bool:
+def _may_alias(store: tuple[int, int] | None, load: tuple[int, int] | None) -> bool:
     """Whether a store/load pair may touch overlapping buffer bytes.
 
     Known, disjoint ``buf+const`` ranges provably cannot interact; any
-    unknown or tainted address may alias (conservative).
+    unknown or out-of-bounds address may alias (conservative).
     """
-    ranges = []
-    for index in (store, load):
-        node = ir[index]
-        value = taint.values.get(index)
-        if value is None or value[0] != "buf":
-            return True
-        lo = value[1] + node.offset
-        hi = lo + max(1, node.width)
-        if lo < 0 or hi > BUF_BYTES:
-            return True
-        ranges.append((lo, hi))
-    (store_lo, store_hi), (load_lo, load_hi) = ranges
-    return store_lo < load_hi and load_lo < store_hi
+    if store is None or load is None:
+        return True
+    return store[0] < load[1] and load[0] < store[1]
+
+
+def _classify(
+    ir: IRProgram,
+    edges: list[BypassEdge],
+    windows: list[BranchWindow],
+    taint: TaintResult,
+    tracked_regs: tuple[str, ...],
+) -> list[StaticGadget]:
+    """Turn one program's taint facts into its findings, in report order."""
+    in_window = window_nodes(len(ir), windows)
+    stale = frozenset(
+        index for index, kind in taint.sources.items() if kind == "stale-bypass"
+    )
+    gadgets: list[StaticGadget] = []
+
+    def add(kind: str, node: int, arch: frozenset[int], spec: frozenset[int],
+            detail: str) -> None:
+        channel = "arch" if arch else "spec"
+        sources = arch or spec
+        gadgets.append(StaticGadget(
+            kind,
+            node,
+            channel,
+            tuple(sorted(sources)),
+            ir.reprs(sources | {node} if node >= 0 else sources),
+            _preconditions_for(sources, max(node, 0), stale, in_window),
+            _killed_by(channel, sources, stale),
+            detail,
+        ))
+
+    for index, (arch, spec) in taint.address.items():
+        if arch or spec:
+            cls = type(ir.instructions[index])
+            add(f"transmit-{OPS[cls].kind}", index, arch, spec,
+                f"tainted address in {cls.__name__}")
+    for index, (arch, spec) in taint.condition.items():
+        if arch or spec:
+            add("transmit-branch", index, arch, spec,
+                "secret-dependent branch condition")
+    ranges = taint.ranges
+    for edge in edges:
+        if _may_alias(ranges.get(edge.store), ranges.get(edge.load)):
+            add("stale-value-probe", edge.load, EMPTY, frozenset((edge.load,)),
+                f"bypass of store@{edge.store} makes squash-on-mismatch depend "
+                "on stale (secret) data")
+    halt = len(ir) - 1
+    regs = taint.regs
+    for reg in tracked_regs:
+        value = regs.get(reg)
+        if value is not None and value.arch:
+            add("architectural-secret-value", halt, value.arch, value.spec,
+                f"tracked register {reg} holds secret-derived data at halt")
+
+    gadgets.sort(key=_gadget_order)
+    return gadgets
 
 
 def scan_program(
@@ -208,68 +267,7 @@ def scan_program(
     edges = bypass_edges(ir, mitigation)
     windows = branch_windows(ir)
     taint = analyze_taint(ir, edges, windows)
-    maybe = [False] * len(ir)
-    for window in windows:
-        for index in range(window.start, min(window.end, len(ir))):
-            maybe[index] = True
-
-    gadgets: list[StaticGadget] = []
-
-    def add(kind: str, node: int, arch: frozenset[int], spec: frozenset[int],
-            detail: str = "") -> None:
-        channel = "arch" if arch else "spec"
-        sources = arch or spec
-        if not sources:
-            return
-        span_nodes = sorted(set(sources) | {node} if node >= 0 else set(sources))
-        gadgets.append(
-            StaticGadget(
-                kind=kind,
-                node=node,
-                channel=channel,
-                sources=tuple(sorted(sources)),
-                span=ir.reprs(span_nodes),
-                preconditions=_preconditions_for(
-                    taint, sources, max(node, 0), maybe
-                ),
-                killed_by=_killed_by(taint, channel, sources),
-                detail=detail,
-            )
-        )
-
-    transmit_kind = {"load": "transmit-load", "store": "transmit-store",
-                     "flush": "transmit-flush"}
-    for index, (arch, spec) in sorted(taint.address.items()):
-        kind = transmit_kind[ir[index].kind]
-        add(kind, index, arch, spec, detail=f"tainted address in {ir[index].op}")
-    for index, (arch, spec) in sorted(taint.condition.items()):
-        add("transmit-branch", index, arch, spec,
-            detail="secret-dependent branch condition")
-    for edge in edges:
-        if _may_alias(ir, taint, edge.store, edge.load):
-            add(
-                "stale-value-probe",
-                edge.load,
-                frozenset(),
-                frozenset({edge.load}),
-                detail=(
-                    f"bypass of store@{edge.store} makes squash-on-"
-                    "mismatch depend on stale (secret) data"
-                ),
-            )
-    halt = len(ir) - 1
-    for reg in tracked_regs:
-        value = taint.regs.get(reg)
-        if value is not None and value.arch:
-            add(
-                "architectural-secret-value",
-                halt,
-                value.arch,
-                value.spec,
-                detail=f"tracked register {reg} holds secret-derived data at halt",
-            )
-
-    gadgets.sort(key=_gadget_order)
+    gadgets = _classify(ir, edges, windows, taint, tracked_regs)
     metrics = registry()
     metrics.counter("scan.programs").inc()
     metrics.counter("scan.gadgets").inc(len(gadgets))
@@ -284,5 +282,5 @@ def scan_program(
         gadgets=gadgets,
         edges=edges,
         windows=windows,
-        sources=dict(taint.sources),
+        sources=taint.sources,
     )

@@ -43,10 +43,24 @@ The known imprecision sources are catalogued in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
+from repro.cpu.isa import (
+    Alu,
+    AluImm,
+    Clflush,
+    Imul,
+    ImulImm,
+    Jz,
+    Load,
+    Mov,
+    MovImm,
+    Rdpru,
+    Store,
+)
 from repro.fuzz.gen import BUF_BYTES
 from repro.static.ir import IRProgram
-from repro.static.windows import BranchWindow, BypassEdge
+from repro.static.windows import BranchWindow, BypassEdge, window_nodes
 
 __all__ = ["EMPTY", "RegVal", "TaintResult", "analyze_taint"]
 
@@ -57,8 +71,7 @@ EMPTY: frozenset[int] = frozenset()
 _CONST, _BUF, _UNKNOWN = "const", "buf", "unknown"
 
 
-@dataclass(frozen=True)
-class RegVal:
+class RegVal(NamedTuple):
     """Abstract register value: a region/offset plus taint source sets."""
 
     region: str = _UNKNOWN          # "const" | "buf" | "unknown"
@@ -70,18 +83,15 @@ class RegVal:
     def tainted(self) -> bool:
         return bool(self.spec)
 
-    def merged(self, other: "RegVal") -> "RegVal":
-        """Join with another possible value (branch-window def merge)."""
-        same = self.region == other.region and self.offset == other.offset
-        return RegVal(
-            region=self.region if same else _UNKNOWN,
-            offset=self.offset if same else 0,
-            arch=self.arch | other.arch,
-            spec=self.spec | other.spec,
-        )
 
+#: A :class:`RegVal`'s fields as a plain tuple — the pass's working form
+#: (a plain tuple is several times cheaper to build than a named one).
+_Value = tuple[str, int, frozenset[int], frozenset[int]]
 
-_UNKNOWN_VAL = RegVal()
+_UNKNOWN_VAL: _Value = (_UNKNOWN, 0, EMPTY, EMPTY)
+
+#: The coverage cells of a load that is not wholly in covered bounds.
+_UNCOVERED = frozenset({None})
 
 
 @dataclass
@@ -95,6 +105,9 @@ class TaintResult:
     #: memory-op node index -> abstract base-register value
     #: ("const"|"buf"|"unknown", offset) — alias reasoning and the advisor.
     values: dict[int, tuple[str, int]] = field(default_factory=dict)
+    #: load/store node index -> the ``[lo, hi)`` buffer bytes it touches,
+    #: for accesses at a known ``buf+const`` address inside the buffer.
+    ranges: dict[int, tuple[int, int]] = field(default_factory=dict)
     #: branch node index -> (arch, spec) source sets of its condition.
     condition: dict[int, tuple[frozenset[int], frozenset[int]]] = field(
         default_factory=dict
@@ -106,52 +119,40 @@ class TaintResult:
     sources: dict[int, str] = field(default_factory=dict)
 
 
-def _alu_value(op_name: str, node_op: str, a: RegVal, b: RegVal | None,
-               imm: int | None) -> tuple[str, int]:
-    """Constant/offset folding for the ALU family (value part only)."""
-    if node_op in ("Mov",):
-        return a.region, a.offset
-    if node_op == "AluImm":
-        if op_name == "add" and a.region in (_CONST, _BUF):
-            return a.region, a.offset + imm
-        if op_name == "sub" and a.region in (_CONST, _BUF):
-            return a.region, a.offset - imm
-        if a.region == _CONST and op_name in ("xor", "and", "or"):
-            fn = {"xor": int.__xor__, "and": int.__and__, "or": int.__or__}[op_name]
-            return _CONST, fn(a.offset, imm)
+_BITWISE = {"xor": int.__xor__, "and": int.__and__, "or": int.__or__}
+_PLACED = (_CONST, _BUF)
+
+
+def _two_operand_value(cls: type, op: str, a: _Value, b: _Value) -> tuple[str, int]:
+    """Constant/offset folding for ``Alu`` and ``Imul`` (value part only)."""
+    a_region, a_offset = a[0], a[1]
+    b_region, b_offset = b[0], b[1]
+    if cls is Alu:
+        if op == "add":
+            if a_region == _CONST and b_region in _PLACED:
+                return b_region, a_offset + b_offset
+            if b_region == _CONST and a_region in _PLACED:
+                return a_region, a_offset + b_offset
+        if op == "sub" and a_region in _PLACED and b_region == _CONST:
+            return a_region, a_offset - b_offset
+        if a_region == _CONST and b_region == _CONST and op in _BITWISE:
+            return _CONST, _BITWISE[op](a_offset, b_offset)
         return _UNKNOWN, 0
-    if node_op == "Alu":
-        if op_name == "add":
-            if a.region == _CONST and b.region in (_CONST, _BUF):
-                return b.region, a.offset + b.offset
-            if b.region == _CONST and a.region in (_CONST, _BUF):
-                return a.region, a.offset + b.offset
-        if op_name == "sub":
-            if a.region in (_CONST, _BUF) and b.region == _CONST:
-                return a.region, a.offset - b.offset
-            if a.region == _CONST and b.region == _CONST:
-                return _CONST, a.offset - b.offset
-        if a.region == _CONST and b.region == _CONST and op_name in (
-            "xor", "and", "or"
-        ):
-            fn = {"xor": int.__xor__, "and": int.__and__, "or": int.__or__}[op_name]
-            return _CONST, fn(a.offset, b.offset)
-        return _UNKNOWN, 0
-    if node_op == "ImulImm":
-        if imm == 1:
-            return a.region, a.offset
-        if a.region == _CONST:
-            return _CONST, a.offset * imm
-        return _UNKNOWN, 0
-    if node_op == "Imul":
-        if a.region == _CONST and b.region == _CONST:
-            return _CONST, a.offset * b.offset
-        if a.region == _CONST and a.offset == 1:
-            return b.region, b.offset
-        if b.region == _CONST and b.offset == 1:
-            return a.region, a.offset
-        return _UNKNOWN, 0
+    # Imul
+    if a_region == _CONST and b_region == _CONST:
+        return _CONST, a_offset * b_offset
+    if a_region == _CONST and a_offset == 1:
+        return b_region, b_offset
+    if b_region == _CONST and b_offset == 1:
+        return a_region, a_offset
     return _UNKNOWN, 0
+
+
+def _join(prior: _Value, value: _Value) -> _Value:
+    """Join two possible values of one register (branch-window def merge)."""
+    if prior[0] == value[0] and prior[1] == value[1]:
+        return (prior[0], prior[1], prior[2] | value[2], prior[3] | value[3])
+    return (_UNKNOWN, 0, prior[2] | value[2], prior[3] | value[3])
 
 
 def analyze_taint(
@@ -162,112 +163,155 @@ def analyze_taint(
     buffer_reg: str = "buf",
     buffer_bytes: int = BUF_BYTES,
 ) -> TaintResult:
-    """One forward pass: abstract values, coverage and taint sources."""
-    result = TaintResult()
-    regs: dict[str, RegVal] = {buffer_reg: RegVal(region=_BUF, offset=0)}
+    """One forward pass: abstract values, coverage and taint sources.
+
+    The pass reads ``ir.instructions`` and dispatches on the instruction
+    class, most frequent first, keeping register values as plain tuples;
+    it builds no per-node object.  Each class's rule reads and writes
+    exactly the registers :data:`repro.static.ir.OPS` names for it.
+    """
+    address: dict[int, tuple[frozenset[int], frozenset[int]]] = {}
+    values: dict[int, tuple[str, int]] = {}
+    ranges: dict[int, tuple[int, int]] = {}
+    condition: dict[int, tuple[frozenset[int], frozenset[int]]] = {}
+    sources: dict[int, str] = {}
+    regs: dict[str, _Value] = {buffer_reg: (_BUF, 0, EMPTY, EMPTY)}
+    get = regs.get
     #: definitely-overwritten buffer byte -> (arch, spec) taint of its data.
     coverage: dict[int, tuple[frozenset[int], frozenset[int]]] = {}
     bypassed = {edge.load for edge in edges}
-    maybe = [False] * len(ir)
-    for window in windows:
-        for index in range(window.start, min(window.end, len(ir))):
-            maybe[index] = True
+    in_window = window_nodes(len(ir), windows)
 
-    def read(name: str) -> RegVal:
-        return regs.get(name, _UNKNOWN_VAL)
-
-    def write(index: int, name: str, value: RegVal) -> None:
-        if maybe[index] and name in regs:
-            regs[name] = regs[name].merged(value)
-        else:
-            regs[name] = value
-
-    for node in ir.nodes:
-        kind = node.kind
-        if kind == "alu":
-            uses = [read(name) for name in node.uses]
-            a = uses[0] if uses else _UNKNOWN_VAL
-            b = uses[1] if len(uses) > 1 else None
-            arch = frozenset().union(*(u.arch for u in uses)) if uses else EMPTY
-            spec = frozenset().union(*(u.spec for u in uses)) if uses else EMPTY
-            if node.op == "MovImm":
-                value = RegVal(region=_CONST, offset=node.imm or 0)
+    for index, ins in enumerate(ir.instructions):
+        cls = type(ins)
+        if cls is ImulImm:
+            src = ins.src
+            imm = ins.imm
+            if imm == 1:
+                if src == ins.dst and src in regs:
+                    continue                     # a no-op: the delay chains
+                value = get(src, _UNKNOWN_VAL)   # ``imul x, y, 1`` copies
             else:
-                region, offset = _alu_value(
-                    node.alu_op or "add", node.op, a, b, node.imm
-                )
-                value = RegVal(region=region, offset=offset, arch=arch, spec=spec)
-            for name in node.defs:
-                write(node.index, name, value)
-        elif kind == "timer":
-            for name in node.defs:
-                write(node.index, name, RegVal())
-        elif kind == "load":
-            base = read(node.base)
-            result.address[node.index] = (base.arch, base.spec)
-            result.values[node.index] = (base.region, base.offset)
+                region, offset, arch, spec = get(src, _UNKNOWN_VAL)
+                if region == _CONST:
+                    value = (_CONST, offset * imm, arch, spec)
+                else:
+                    value = (_UNKNOWN, 0, arch, spec)
+        elif cls is AluImm:
+            region, offset, arch, spec = get(ins.src, _UNKNOWN_VAL)
+            op = ins.op or "add"
+            if region in _PLACED and op == "add":
+                value = (region, offset + ins.imm, arch, spec)
+            elif region in _PLACED and op == "sub":
+                value = (region, offset - ins.imm, arch, spec)
+            elif region == _CONST and op in _BITWISE:
+                value = (_CONST, _BITWISE[op](offset, ins.imm), arch, spec)
+            else:
+                value = (_UNKNOWN, 0, arch, spec)
+        elif cls is Mov:
+            value = get(ins.src, _UNKNOWN_VAL)
+        elif cls is MovImm:
+            value = (_CONST, ins.value or 0, EMPTY, EMPTY)
+        elif cls is Alu or cls is Imul:
+            a = get(ins.a, _UNKNOWN_VAL)
+            b = get(ins.b, _UNKNOWN_VAL)
+            op = (ins.op or "add") if cls is Alu else ""
+            region, offset = _two_operand_value(cls, op, a, b)
+            value = (region, offset, a[2] | b[2], a[3] | b[3])
+        elif cls is Load:
+            region, offset, base_arch, base_spec = get(ins.base, _UNKNOWN_VAL)
+            address[index] = (base_arch, base_spec)
+            values[index] = (region, offset)
             arch: frozenset[int]
             spec: frozenset[int]
-            lo = base.offset + node.offset
-            hi = lo + max(1, node.width)
-            if base.region == _BUF and 0 <= lo and hi <= buffer_bytes and all(
-                off in coverage for off in range(lo, hi)
-            ):
-                arch = frozenset().union(*(coverage[o][0] for o in range(lo, hi)))
-                spec = frozenset().union(*(coverage[o][1] for o in range(lo, hi)))
-            elif base.region == _BUF:
-                result.sources[node.index] = "uncovered-load"
-                arch = spec = frozenset({node.index})
+            if region == _BUF:
+                lo = offset + ins.offset
+                hi = lo + max(1, ins.width)
+                if 0 <= lo and hi <= buffer_bytes:
+                    ranges[index] = (lo, hi)
+                # The distinct coverage cells under the loaded bytes
+                # (None: some byte is not definitely overwritten); an
+                # uncovered first byte settles it without the set.
+                cells = (
+                    set(map(coverage.get, range(lo, hi)))
+                    if index in ranges and lo in coverage
+                    else _UNCOVERED
+                )
+                if None in cells:
+                    sources[index] = "uncovered-load"
+                    arch = spec = frozenset((index,))
+                elif len(cells) == 1:            # one store covered it all
+                    arch, spec = cells.pop()
+                else:
+                    arch = frozenset().union(*[cell[0] for cell in cells])
+                    spec = frozenset().union(*[cell[1] for cell in cells])
             else:
-                result.sources[node.index] = "foreign-load"
-                arch = spec = frozenset({node.index})
-            if node.index in bypassed:
+                sources[index] = "foreign-load"
+                arch = spec = frozenset((index,))
+            if index in bypassed:
                 # A bypass/PSF edge lets this load transiently observe
                 # stale memory — the initial (secret) fill — even when
                 # it is architecturally covered.
-                result.sources.setdefault(node.index, "stale-bypass")
-                spec = spec | frozenset({node.index})
+                sources.setdefault(index, "stale-bypass")
+                spec = spec.union((index,))
             # The address itself being tainted also taints the value
             # (the load reads an attacker-unintended, secret-named slot).
-            arch = arch | base.arch
-            spec = spec | base.spec
-            write(node.index, node.defs[0], RegVal(arch=arch, spec=spec))
-        elif kind == "store":
-            base = read(node.base)
-            data = read(node.uses[1])
-            result.address[node.index] = (base.arch, base.spec)
-            result.values[node.index] = (base.region, base.offset)
-            lo = base.offset + node.offset
-            hi = lo + max(1, node.width)
-            placeable = (
-                base.region == _BUF and not base.tainted
-                and 0 <= lo and hi <= buffer_bytes
-            )
-            if placeable and not maybe[node.index]:
-                for off in range(lo, hi):
-                    coverage[off] = (data.arch, data.spec)
-            elif placeable:
-                # Maybe-executed store at a known offset: it cannot add
-                # coverage, but tainted data may land on covered bytes.
-                for off in range(lo, hi):
-                    if off in coverage:
-                        coverage[off] = (
-                            coverage[off][0] | data.arch,
-                            coverage[off][1] | data.spec,
-                        )
-            elif data.arch or data.spec:
+            if base_arch or base_spec:
+                arch, spec = arch | base_arch, spec | base_spec
+            value = (_UNKNOWN, 0, arch, spec)
+        elif cls is Store:
+            region, offset, base_arch, base_spec = get(ins.base, _UNKNOWN_VAL)
+            _, _, data_arch, data_spec = get(ins.src, _UNKNOWN_VAL)
+            address[index] = (base_arch, base_spec)
+            values[index] = (region, offset)
+            lo = offset + ins.offset
+            hi = lo + max(1, ins.width)
+            placed = region == _BUF and 0 <= lo and hi <= buffer_bytes
+            if placed:
+                ranges[index] = (lo, hi)
+            if placed and not base_spec:
+                if index not in in_window:
+                    cell = (data_arch, data_spec)
+                    for off in range(lo, hi):
+                        coverage[off] = cell
+                else:
+                    # Maybe-executed store at a known offset: it cannot
+                    # add coverage, but tainted data may land on covered
+                    # bytes.
+                    for off in range(lo, hi):
+                        if off in coverage:
+                            coverage[off] = (
+                                coverage[off][0] | data_arch,
+                                coverage[off][1] | data_spec,
+                            )
+            elif data_arch or data_spec:
                 # Unplaceable store with tainted data: it may overwrite
                 # any covered byte, so every entry inherits the taint.
                 for off, (arch_d, spec_d) in coverage.items():
-                    coverage[off] = (arch_d | data.arch, spec_d | data.spec)
-        elif kind == "flush":
-            base = read(node.base)
-            result.address[node.index] = (base.arch, base.spec)
-            result.values[node.index] = (base.region, base.offset)
-        elif kind == "branch":
-            cond = read(node.uses[0])
-            result.condition[node.index] = (cond.arch, cond.spec)
-        # fence / halt / nop: no dataflow.
+                    coverage[off] = (arch_d | data_arch, spec_d | data_spec)
+            continue
+        elif cls is Clflush:
+            region, offset, base_arch, base_spec = get(ins.base, _UNKNOWN_VAL)
+            address[index] = (base_arch, base_spec)
+            values[index] = (region, offset)
+            continue
+        elif cls is Jz:
+            cond = get(ins.cond, _UNKNOWN_VAL)
+            condition[index] = (cond[2], cond[3])
+            continue
+        elif cls is Rdpru:
+            value = _UNKNOWN_VAL
+        else:
+            continue                             # fence / halt / nop
 
-    result.regs = dict(regs)
-    return result
+        # Every class that reaches here defines exactly one register.  A
+        # def inside a branch window merges with the prior value
+        # (architecturally it may be skipped).
+        name = ins.dst
+        if index in in_window and name in regs:
+            regs[name] = _join(regs[name], value)
+        else:
+            regs[name] = value
+
+    final = {name: RegVal(*value) for name, value in regs.items()}
+    return TaintResult(address, values, ranges, condition, final, sources)

@@ -30,8 +30,10 @@ below observes directly.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from repro.core.counters import CounterState
 from repro.core.state_machine import (
@@ -49,6 +51,7 @@ __all__ = [
     "branch_windows",
     "bypass_preconditions",
     "psf_preconditions",
+    "window_nodes",
 ]
 
 
@@ -89,9 +92,12 @@ def psf_preconditions() -> tuple[str, ...]:
     )
 
 
-@dataclass(frozen=True)
-class BypassEdge:
-    """One potential store→load transient interaction."""
+class BypassEdge(NamedTuple):
+    """One potential store→load transient interaction.
+
+    A named tuple rather than a frozen dataclass: a scan builds one per
+    unfenced store/load pair, and a tuple is several times cheaper.
+    """
 
     store: int                     # node index of the older store
     load: int                      # node index of the younger load
@@ -133,31 +139,19 @@ def bypass_edges(ir: IRProgram, mitigation: str = "none") -> list[BypassEdge]:
     """
     if mitigation in ("ssbd", "fence"):
         return []
-    # fence_before[i] = index of the nearest Mfence at or before node i
-    # (-1 if none) — lets the store/load pairing run in O(pairs).
-    fence_before: list[int] = []
-    last = -1
-    for node in ir.nodes:
-        if node.kind == "fence":
-            last = node.index
-        fence_before.append(last)
-    stl = bypass_preconditions()
-    psf = psf_preconditions()
+    fences = ir.fences
+    kinds = ("stl-bypass", "psf-forward")
+    preconditions = bypass_preconditions() + psf_preconditions()
     edges: list[BypassEdge] = []
     for load in ir.loads:
-        barrier = fence_before[load]
+        # The nearest Mfence at or before the load (-1 if none).
+        nearest = bisect_right(fences, load) - 1
+        barrier = fences[nearest] if nearest >= 0 else -1
         for store in ir.stores:
             if store >= load:
                 break
             if store > barrier:
-                edges.append(
-                    BypassEdge(
-                        store=store,
-                        load=load,
-                        kinds=("stl-bypass", "psf-forward"),
-                        preconditions=stl + psf,
-                    )
-                )
+                edges.append(BypassEdge(store, load, kinds, preconditions))
     return edges
 
 
@@ -171,8 +165,21 @@ def branch_windows(ir: IRProgram) -> list[BranchWindow]:
     """
     windows = []
     for branch in ir.branches:
-        target = ir[branch].target
+        target = ir.labels.get(ir.instructions[branch].label)
         end = len(ir) if target is None else target
         if end > branch + 1:
             windows.append(BranchWindow(branch=branch, start=branch + 1, end=end))
     return windows
+
+
+def window_nodes(length: int, windows: list[BranchWindow]) -> frozenset[int]:
+    """The nodes inside some branch's transient window.
+
+    Such a node may be skipped architecturally, so its effects are only
+    *possible*: the taint pass merges its defs, the gadget layer cites
+    the branch precondition.
+    """
+    nodes: set[int] = set()
+    for window in windows:
+        nodes.update(range(window.start, min(window.end, length)))
+    return frozenset(nodes)

@@ -1,14 +1,16 @@
-"""Cheap contract tests for the equivalence gate.
+"""The equivalence gate in the unit suite.
 
-The gate's real work — recomputing behaviour digests over experiments,
-corpus and traces — runs minutes, so it is exercised by ``python -m
-repro.bench.equivalence`` before committing core changes (see
-docs/performance.md), not by the unit suite.  What belongs here are the
-guards: tier validation and the golden-file schema check, which protect
-against silently comparing incompatible digests.
+The fast tier (``benchmarks/GOLDEN_fast.json``) is recomputed here, so
+any drift in a simulator observable the fast experiments, the corpus or
+the golden traces expose fails the default test command.  The full tier
+(``benchmarks/GOLDEN.json``, all experiments, minutes) stays a manual
+gate: ``make equivalence-check`` (see docs/performance.md).  The other
+tests are the guards — tier validation and the golden-file schema check
+— that protect against silently comparing incompatible digests.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,12 @@ from repro.bench.equivalence import (
     check_golden,
     compute_digest,
 )
+
+FAST_GOLDEN = Path(__file__).resolve().parents[2] / "benchmarks" / "GOLDEN_fast.json"
+
+
+def test_fast_tier_matches_golden():
+    assert check_golden(FAST_GOLDEN) == []
 
 
 def test_unknown_tier_rejected():

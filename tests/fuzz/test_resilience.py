@@ -12,7 +12,15 @@ import json
 import pytest
 
 from repro.errors import CampaignInterrupted
-from repro.fuzz.cli import checkpoint_path, main, run_fuzz_campaign
+from repro.fuzz.cli import (
+    _campaign_fingerprint,
+    _run_task,
+    build_tasks,
+    checkpoint_path,
+    main,
+    run_fuzz_campaign,
+)
+from repro.fuzz.corpus import replay_order
 from repro.runtime.quarantine import QUARANTINE_DIR
 
 # 8 built-in regression replays + 1 generated case x (differential +
@@ -76,6 +84,28 @@ class TestCheckpointResume:
         assert campaign.quarantined == 0
 
 
+class TestCheckpointLayout:
+    def test_checkpoint_loads_to_the_documented_document(self, tmp_path):
+        ckpt = checkpoint_path(tmp_path / "f.jsonl")
+        with pytest.raises(CampaignInterrupted):
+            _campaign(jobs=2, checkpoint=ckpt, chaos="interrupt@0")
+        data = json.loads(ckpt.read_text())
+        assert data["completed"], "interrupt left an empty checkpoint"
+        tasks = build_tasks(
+            budget=1, seed=1, mitigations=["none"], model_name=None,
+            replay=replay_order(), shrink=False,
+        )
+        completed = {
+            task_id: _run_task(tasks[int(task_id)]) for task_id in data["completed"]
+        }
+        # What the whole-document dump of the same results loaded to.
+        assert data == json.loads(json.dumps({
+            "schema": 1,
+            "fingerprint": _campaign_fingerprint(tasks),
+            "completed": completed,
+        }))
+
+
 class TestMainExitCodes:
     def _args(self, out, *extra):
         return [
@@ -95,6 +125,20 @@ class TestMainExitCodes:
         code = main(self._args(out, "--resume"))
         assert code == 0
         assert not checkpoint_path(out).exists()
+        assert out.read_bytes() == clean.read_bytes()
+
+    def test_indented_checkpoint_still_resumes(self, tmp_path, capsys):
+        clean = tmp_path / "clean.jsonl"
+        assert main(self._args(clean)) == 0
+        out = tmp_path / "f.jsonl"
+        assert main(self._args(out, "--chaos", "interrupt@0")) == 3
+        ckpt = checkpoint_path(out)
+        # Rewrite in the indented layout earlier versions wrote.
+        data = json.loads(ckpt.read_text())
+        ckpt.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        capsys.readouterr()
+        assert main(self._args(out, "--resume")) == 0
+        assert "resumed" in capsys.readouterr().out
         assert out.read_bytes() == clean.read_bytes()
 
     def test_exhausted_task_exits_1(self, tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Unit tests for the set-associative cache model."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.mem.cache import Cache
@@ -117,3 +119,96 @@ class TestFlush:
         before = cache.stats.accesses
         cache.contains(0)
         assert cache.stats.accesses == before
+
+
+class TestLazySets:
+    def test_untouched_set_reads_empty(self):
+        cache = small_cache()
+        assert cache.contains(0x40) is False
+        assert cache.flush_line(0x40) is False
+        assert cache.occupancy == 0
+        assert cache.stats.flushes == 1
+
+    def test_fresh_l3_is_empty(self):
+        l3 = Cache("L3", size_bytes=32 << 20, ways=16)
+        assert l3.sets == 32768
+        assert l3.occupancy == 0
+        assert l3.contains(0) is False
+
+
+class ReferenceLru:
+    """Per-set lists, least recently used first: the model being pinned."""
+
+    def __init__(self, ways: int, sets: int, line: int) -> None:
+        self.ways, self.sets, self.line = ways, sets, line
+        self.buckets: list[list[int]] = [[] for _ in range(sets)]
+        self.hits = self.misses = self.evictions = self.flushes = 0
+
+    def _bucket(self, paddr: int) -> tuple[list[int], int]:
+        line = paddr // self.line
+        return self.buckets[line % self.sets], line
+
+    def access(self, paddr: int) -> bool:
+        bucket, line = self._bucket(paddr)
+        if line in bucket:
+            bucket.remove(line)
+            bucket.append(line)
+            self.hits += 1
+            return True
+        self.misses += 1
+        if len(bucket) >= self.ways:
+            bucket.pop(0)
+            self.evictions += 1
+        bucket.append(line)
+        return False
+
+    def contains(self, paddr: int) -> bool:
+        bucket, line = self._bucket(paddr)
+        return line in bucket
+
+    def flush_line(self, paddr: int) -> bool:
+        bucket, line = self._bucket(paddr)
+        self.flushes += 1
+        if line in bucket:
+            bucket.remove(line)
+            return True
+        return False
+
+    def flush_all(self) -> None:
+        for bucket in self.buckets:
+            bucket.clear()
+
+    @property
+    def occupancy(self) -> int:
+        return sum(len(bucket) for bucket in self.buckets)
+
+
+# Weighted towards fills and probes, so sets fill up and evict between
+# the (rarer) whole-cache flushes; 6 lines make the sets conflict.
+_OPS = st.tuples(
+    st.sampled_from(
+        ["access"] * 6 + ["contains"] * 3 + ["flush_line", "occupancy", "flush_all"]
+    ),
+    st.integers(min_value=0, max_value=6 * 64 - 1),
+)
+
+
+@given(
+    ways=st.sampled_from([1, 2, 3]),
+    sets=st.sampled_from([1, 2, 4]),
+    ops=st.lists(_OPS, min_size=10, max_size=80),
+)
+def test_cache_matches_reference_lru(ways, sets, ops):
+    cache, model = small_cache(ways=ways, sets=sets), ReferenceLru(ways, sets, 64)
+    for op, paddr in ops:
+        if op == "flush_all":
+            assert cache.flush_all() is model.flush_all()
+        elif op == "occupancy":
+            assert cache.occupancy == model.occupancy
+        else:
+            assert getattr(cache, op)(paddr) is getattr(model, op)(paddr)
+        stats = cache.stats
+        assert (stats.hits, stats.misses, stats.evictions, stats.flushes) == (
+            model.hits, model.misses, model.evictions, model.flushes
+        )
+    assert cache.occupancy == model.occupancy

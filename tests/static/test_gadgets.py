@@ -148,6 +148,31 @@ class TestReportShape:
             == scan_program(program).to_dict()
         )
 
+    def test_reports_match_the_recorded_digest(self):
+        """Every report field over generated programs, pinned as one digest.
+
+        The scanner's speed work must not move its output.  Change the
+        constant only with a deliberate change to what the scanner
+        reports, and say so in the change's notes.
+        """
+        import hashlib
+        import json
+
+        from repro.fuzz.gen import GENERATORS
+
+        digest = hashlib.sha256()
+        for generator in sorted(GENERATORS):
+            for seed in range(12):
+                program = build_program(generator, seed, 8)
+                for mitigation in ("none", "ssbd", "fence"):
+                    report = scan_program(program, mitigation=mitigation)
+                    digest.update(
+                        json.dumps(report.to_dict(), sort_keys=True).encode()
+                    )
+        assert digest.hexdigest() == (
+            "4b1dbc12aaab8cc46e523376fbf90cd8f0416bf4099ce2e12c651c0ad82e5f00"
+        )
+
     def test_name_defaults(self):
         assert scan_program([Halt()]).name == "program"
         assert scan_program(Program([Halt()], name="x")).name == "x"

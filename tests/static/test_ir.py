@@ -64,6 +64,14 @@ class TestLift:
         assert (ir[7].base, ir[7].offset, ir[7].width) == ("buf", 16, 8)
         assert (ir[8].base, ir[8].offset) == ("buf", 64)
 
+    def test_operators_and_immediates(self):
+        ir = lift(_program())
+        assert (ir[0].imm, ir[0].alu_op) == (7, "")
+        assert (ir[2].imm, ir[2].alu_op) == (None, "xor")
+        assert (ir[3].imm, ir[3].alu_op) == (3, "add")
+        assert (ir[5].imm, ir[5].alu_op) == (2, "")
+        assert (ir[6].imm, ir[6].alu_op) == (None, "")
+
     def test_branch_target_resolved_through_label(self):
         ir = lift(_program())
         assert ir[11].target == 13
@@ -104,3 +112,13 @@ class TestLift:
         assert len(ir) == 15
         assert sum(1 for _ in ir) == 15
         assert ir[14].kind == "halt"
+
+    def test_nodes_are_built_on_first_access_and_kept(self):
+        ir = lift(_program())
+        assert ir[-1] is ir[14] is ir[14]
+        assert ir[6] == ir.nodes[6]
+
+    def test_a_repeated_label_resolves_to_its_last_position(self):
+        ir = lift([Jz("c", "x"), Label("x"), Pad(), Label("x"), Halt()])
+        assert ir.labels == {"x": 3}
+        assert ir[0].target == 3

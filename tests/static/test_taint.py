@@ -1,9 +1,14 @@
 """Taint-propagation semantics: coverage, sources, merges, folding."""
 
+import dataclasses
+import inspect
+
+from repro.cpu import isa
 from repro.cpu.isa import (
     Alu,
     AluImm,
     Halt,
+    ImulImm,
     Jz,
     Label,
     Load,
@@ -12,7 +17,7 @@ from repro.cpu.isa import (
     MovImm,
     Store,
 )
-from repro.static.ir import lift
+from repro.static.ir import OPS, lift
 from repro.static.taint import analyze_taint
 from repro.static.windows import branch_windows, bypass_edges
 
@@ -105,6 +110,18 @@ class TestPropagation:
         assert arch == frozenset({0})
         assert frozenset({0}) <= taint.regs["r0"].arch
 
+    def test_speculatively_tainted_pointer_taints_the_value_speculatively(self):
+        taint = _analyze([
+            MovImm("v", 7),
+            Store(base="buf", src="v"),     # 1: covers bytes 0..8
+            Load("p", base="buf"),          # 2: covered, but bypassable
+            Load("r0", base="p"),           # 3: through a transient-only pointer
+            Halt(),
+        ])
+        assert taint.address[3] == (frozenset(), frozenset({2}))
+        assert taint.regs["r0"].arch == frozenset({3})
+        assert taint.regs["r0"].spec == frozenset({2, 3})
+
     def test_branch_condition_taint_is_recorded(self):
         taint = _analyze([
             Load("s", base="buf"),
@@ -136,6 +153,17 @@ class TestBranchWindowMerge:
         # Architecturally the Mov may or may not happen — both the clean
         # const and the secret flow into r0's final taint.
         assert taint.regs["r0"].arch == frozenset({1})
+
+    def test_self_copy_of_an_unset_register_still_defines_it(self):
+        taint = _analyze([
+            ImulImm("x", "x", 1),           # 0: defines x (unknown value)
+            MovImm("c", 1),                 # 1
+            Jz("c", "skip"),                # 2
+            MovImm("x", 64),                # 3: maybe-executed def merges
+            Label("skip"),                  # 4
+            Halt(),                         # 5
+        ])
+        assert taint.regs["x"].region == "unknown"
 
     def test_def_outside_any_window_replaces(self):
         taint = _analyze([
@@ -212,3 +240,81 @@ class TestValueFolding:
             Halt(),
         ])
         assert taint.values[1] == ("unknown", 0)
+
+
+#: ``str`` fields of an instruction that do not name a register.
+_NOT_REGISTERS = {"op", "label", "name"}
+
+#: Values for the non-register fields of a probe instruction.
+_OPERANDS = {"value": 3, "imm": 3, "offset": 0, "width": 8, "op": "add",
+             "label": "end", "name": "here"}
+
+
+def _isa_classes():
+    return [cls for _, cls in inspect.getmembers(isa, inspect.isclass)
+            if issubclass(cls, isa.Instruction)]
+
+
+def _register_fields(cls):
+    return sorted(field.name for field in dataclasses.fields(cls)
+                  if field.type == "str" and field.name not in _NOT_REGISTERS)
+
+
+def _probe(cls):
+    """An instance whose register fields name distinct registers."""
+    kwargs = {}
+    for field in dataclasses.fields(cls):
+        if field.name in _NOT_REGISTERS or field.type != "str":
+            kwargs[field.name] = _OPERANDS[field.name]
+        else:
+            kwargs[field.name] = f"x_{field.name}"
+    return cls(**kwargs)
+
+
+def _observed_reads_and_writes(instruction):
+    """The registers the taint pass reads and writes for one instruction.
+
+    Every register the instruction names is first loaded through its own
+    unknown pointer, so it carries a distinct taint source.  A register
+    is *read* when its source reaches anything the instruction produces
+    (the address, the branch condition, a written register, or buffer
+    bytes a later load reads back); it is *written* when its final value
+    no longer carries its own source.
+    """
+    names = [getattr(instruction, field) for field in _register_fields(type(instruction))]
+    prefix = [MovImm("c", 0), Store(base="buf", src="c")]   # covers buf[0:8]
+    prefix += [Load(name, base=f"p_{name}") for name in names]
+    index = len(prefix)
+    program = prefix + [instruction, Load("probe", base="buf"), Label("end"), Halt()]
+    taint = analyze_taint(lift(program), [], [])
+    source = {name: prefix.index(Load(name, base=f"p_{name}")) for name in names}
+    written = {name for name in names if source[name] not in taint.regs[name].arch}
+    produced = set(taint.address.get(index, (frozenset(),))[0])
+    produced |= taint.condition.get(index, (frozenset(),))[0]
+    produced |= taint.regs["probe"].arch
+    for name in written:
+        produced |= taint.regs[name].arch
+    read = {name for name in names if source[name] in produced}
+    return read, written
+
+
+class TestRulesMatchTheIR:
+    """The taint pass's per-class rules against the IR's register facts."""
+
+    def test_every_isa_class_is_modelled_or_has_no_registers(self):
+        for cls in _isa_classes():
+            fields = _register_fields(cls)
+            if cls in OPS:
+                info = OPS[cls]
+                assert sorted(info.defs + info.uses) == fields, cls
+                assert info.base is None or info.base in info.uses, cls
+            else:
+                assert fields == [], f"{cls.__name__} names registers but is not in OPS"
+
+    def test_taint_reads_and_writes_exactly_the_lifted_uses_and_defs(self):
+        for cls in _isa_classes():
+            instruction = _probe(cls)
+            node = lift([instruction])[0]
+            read, written = _observed_reads_and_writes(instruction)
+            assert read == set(node.uses), cls.__name__
+            assert written == set(node.defs), cls.__name__

@@ -3,10 +3,12 @@
 from repro.cpu.isa import Halt, Jz, Label, Load, Mfence, MovImm, Store
 from repro.static.ir import lift
 from repro.static.windows import (
+    BranchWindow,
     branch_windows,
     bypass_edges,
     bypass_preconditions,
     psf_preconditions,
+    window_nodes,
 )
 
 
@@ -103,3 +105,15 @@ class TestBranchWindows:
     def test_empty_span_yields_no_window(self):
         ir = lift([Jz("c", "here"), Label("here"), Halt()])
         assert branch_windows(ir) == []
+
+
+class TestWindowNodes:
+    def test_union_of_the_spans_clipped_to_the_program(self):
+        windows = [
+            BranchWindow(branch=0, start=1, end=3),
+            BranchWindow(branch=2, start=3, end=9),
+        ]
+        assert window_nodes(5, windows) == frozenset({1, 2, 3, 4})
+
+    def test_no_windows_no_nodes(self):
+        assert window_nodes(4, []) == frozenset()
