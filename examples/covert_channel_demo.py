@@ -9,7 +9,7 @@ each bit as a stall-vs-bypass timing difference.
 Run:  python examples/covert_channel_demo.py
 """
 
-from repro.attacks.covert_channel import SsbpCovertChannel
+from repro.attacks.channels import StlPredictorChannel
 
 MESSAGE = b"hi"
 
@@ -26,7 +26,7 @@ def from_bits(bits: list[int]) -> bytes:
 
 
 def main() -> None:
-    channel = SsbpCovertChannel()
+    channel = StlPredictorChannel(width=1)
     sender_frames = {
         m.frame for m in channel.sender_process.address_space.pages().values()
     }
@@ -36,15 +36,19 @@ def main() -> None:
     print(f"shared physical frames between the processes: "
           f"{len(sender_frames & receiver_frames)}")
 
-    attempts = channel.handshake()
+    (attempts,) = channel.handshake()
     print(f"handshake: receiver collided with the sender's entry after "
           f"{attempts} slide attempts (bound: 4096)")
 
-    report = channel.transmit(to_bits(MESSAGE))
-    decoded = from_bits(report.received)
-    print(f"sent {MESSAGE!r}, received {decoded!r}")
-    print(f"bit errors: {report.errors}/{len(report.sent)}; "
-          f"bandwidth {report.bits_per_second:,.0f} bit/s (simulated time)")
+    sent = to_bits(MESSAGE)
+    thread = channel.machine.core.thread(0)
+    start = thread.cycles
+    received = channel.transfer(sent)
+    seconds = (thread.cycles - start) / (channel.machine.core.model.clock_ghz * 1e9)
+    errors = sum(a != b for a, b in zip(sent, received))
+    print(f"sent {MESSAGE!r}, received {from_bits(received)!r}")
+    print(f"bit errors: {errors}/{len(sent)}; "
+          f"bandwidth {len(sent) / seconds:,.0f} bit/s (simulated time)")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ from repro.attacks.channels import (
     StlPredictorChannel,
 )
 from repro.attacks.collision import CollisionResult, SsbpCollisionFinder
-from repro.attacks.covert_channel import ChannelReport, SsbpCovertChannel
 from repro.attacks.extraction import ExtractionReport, SecretExtraction, run_suite
 from repro.attacks.fingerprint import SsbpFingerprinter, collect_dataset
 from repro.attacks.flush_reload import FlushReloadChannel
@@ -46,7 +45,6 @@ __all__ = [
     "CacheLineChannel",
     "CapacityConfig",
     "CapacityReport",
-    "ChannelReport",
     "CollisionResult",
     "CtlLeakReport",
     "ExtractionReport",
@@ -62,7 +60,6 @@ __all__ = [
     "SpectreSTL",
     "SpectreSTLInPlace",
     "SsbpCollisionFinder",
-    "SsbpCovertChannel",
     "SsbpFingerprinter",
     "StlPredictorChannel",
     "build_channel",

@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 from repro.attacks.runtime import AttackerStld
-from repro.core.exec_types import TimingClass
 from repro.core.hashfn import ipa_hash
 from repro.cpu.isa import Program
 from repro.cpu.machine import Machine
@@ -51,8 +50,6 @@ from repro.revng.stld import (
 from repro.telemetry.metrics import registry
 
 __all__ = ["AslrReport", "AslrDerandomizer"]
-
-_STALL = (TimingClass.STALL_CACHE, TimingClass.STALL_FORWARD)
 
 #: Known in-page offset of the reference routines (part of the victim
 #: binary's layout, which the attacker has).
@@ -233,11 +230,11 @@ class AslrDerandomizer:
         """
         self.probes += 1
         probe = self._probe_at(placement)
-        if self.attacker.observe(probe, aliasing=False) not in _STALL:
+        if not self.attacker.stalls(probe):
             return False
         self.attacker.drain_c3(probe)
         self._charge(site)
-        return self.attacker.observe(probe, aliasing=False) in _STALL
+        return self.attacker.stalls(probe)
 
     def _page_span(self, page: int) -> range:
         base = page * PAGE_SIZE

@@ -1,14 +1,15 @@
 """Symbol transports over the two side channels the paper exposes.
 
 Both transports move ``width``-bit symbols between a sender process and
-a receiver process in lockstep (the half-duplex scheduling the covert
-channel of Section IV-D already uses — every hand-over is a context
-switch, which flushes PSFP; neither channel relies on it):
+a receiver process in lockstep (half-duplex scheduling on one hardware
+thread — every hand-over is a context switch, which flushes PSFP;
+neither channel relies on it):
 
-* :class:`StlPredictorChannel` — ``width`` parallel SSBP bit lanes, the
-  multi-entry generalization of :class:`~repro.attacks.covert_channel.
-  SsbpCovertChannel`.  No shared memory, no cache lines: each lane is a
-  sender stld whose predictor entry the receiver found by code sliding.
+* :class:`StlPredictorChannel` — ``width`` parallel SSBP bit lanes; at
+  ``width=1`` it is the paper's Vulnerability 4 covert channel (Section
+  IV-D).  No shared memory, no cache lines: each lane is a sender stld
+  whose predictor entry the receiver found by code sliding (at most
+  4096 attempts per lane, Vulnerability 2).
 * :class:`CacheLineChannel` — a Flush+Reload transport over a shared
   mapping with ``2**width`` page-strided slots; one victim-free cache
   transmission per symbol.
@@ -26,7 +27,6 @@ from typing import Protocol
 from repro.attacks.collision import SsbpCollisionFinder
 from repro.attacks.flush_reload import FlushReloadChannel
 from repro.attacks.runtime import AttackerStld
-from repro.core.exec_types import TimingClass
 from repro.cpu.isa import Halt, Load, Program
 from repro.cpu.machine import Machine
 from repro.errors import AttackError
@@ -40,9 +40,6 @@ __all__ = [
     "CacheLineChannel",
     "NoisyChannel",
 ]
-
-_STALL = (TimingClass.STALL_CACHE, TimingClass.STALL_FORWARD)
-
 
 class SymbolChannel(Protocol):
     """What the capacity harness needs from a transport."""
@@ -132,9 +129,7 @@ class StlPredictorChannel:
     def _receive(self) -> int:
         symbol = 0
         for lane, rx in enumerate(self.rx_programs):
-            if self.receiver.observe(rx, aliasing=False) in _STALL:
-                self.receiver.drain_c3(rx)
-                symbol |= 1 << lane
+            symbol |= self.receiver.read_bit(rx) << lane
         return symbol
 
     def transfer(self, symbols: list[int]) -> list[int]:

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.core.exec_types import TimingClass
 from repro.cpu.isa import Program
 from repro.errors import CollisionNotFound
 from repro.mem.physical import PAGE_SIZE
@@ -103,17 +102,10 @@ class SsbpCollisionFinder:
             offset = found.iva - self.attacker.slide_base + step
         return results
 
-    _STALL_CLASSES = (TimingClass.STALL_CACHE, TimingClass.STALL_FORWARD)
-
     def _is_sticky(self, program: Program) -> bool:
-        # The probe's own PSFP pair is untrained, so any stall observed
-        # on a non-aliasing run is C3-driven; accepting both stall
-        # flavours also tolerates coarse timers that cannot separate
-        # them (the browser case).
         if not self.majority:
             for _ in range(self.verify_runs):
-                observed = self.attacker.observe(program, aliasing=False)
-                if observed not in self._STALL_CLASSES:
+                if not self.attacker.stalls(program):
                     return False
             # Verification drained C3; restore it for the next consumer.
             self.recharge()
@@ -122,7 +114,7 @@ class SsbpCollisionFinder:
         # non-colliding offset is unchanged) but confirms a screened hit
         # by vote, tolerating garbled reads in either direction.  C3
         # holds enough charge (<= 32) to absorb the extra drains.
-        if self.attacker.observe(program, aliasing=False) not in self._STALL_CLASSES:
+        if not self.attacker.stalls(program):
             return False
         needed = self.verify_runs
         stalls = 1
@@ -131,9 +123,8 @@ class SsbpCollisionFinder:
         while reads < budget and stalls < needed:
             if budget - reads < needed - stalls:
                 return False
-            observed = self.attacker.observe(program, aliasing=False)
             reads += 1
-            if observed in self._STALL_CLASSES:
+            if self.attacker.stalls(program):
                 stalls += 1
         if stalls < needed:
             return False

@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+from repro.attacks.leak_report import TimedSecretLeak
 from repro.attacks.spectre_stl import SpectreSTL
 from repro.cpu.isa import Program
 from repro.cpu.machine import Machine
@@ -52,14 +53,10 @@ DEFAULT_COLLISION_BUDGET = 8500
 
 
 @dataclass
-class ExtractionReport:
+class ExtractionReport(TimedSecretLeak):
     """Measured outcome of one extraction campaign."""
 
     mitigation: str
-    expected: bytes
-    recovered: bytes
-    cycles: int
-    clock_ghz: float
     redundancy: int
     validation_attempts: int
     failure: str | None = None
@@ -79,13 +76,6 @@ class ExtractionReport:
     CONFIDENCE_FLOOR = 0.5
 
     @property
-    def accuracy(self) -> float:
-        if not self.expected:
-            return 1.0
-        good = sum(a == b for a, b in zip(self.recovered, self.expected))
-        return good / len(self.expected)
-
-    @property
     def byte_errors(self) -> int:
         return len(self.expected) - round(self.accuracy * len(self.expected))
 
@@ -95,11 +85,8 @@ class ExtractionReport:
 
     @property
     def bytes_per_second(self) -> float:
-        seconds = self.cycles / (self.clock_ghz * 1e9)
-        if not seconds:
-            return float("inf")
-        good = round(self.accuracy * len(self.expected))
-        return good / seconds
+        """Goodput: only correctly recovered bytes count."""
+        return self._per_second(round(self.accuracy * len(self.expected)))
 
     @property
     def mean_confidence(self) -> float:

@@ -27,6 +27,12 @@ from repro.revng.timing import CALIBRATION_SEQUENCE, CalibrationResult, Centroid
 
 __all__ = ["AttackerStld"]
 
+#: What a non-aliasing probe shows while its SSBP entry's C3 is charged.
+#: The probe's own PSFP pair is untrained, so either stall flavour is
+#: C3-driven; accepting both also tolerates coarse timers that cannot
+#: separate them (the browser case).
+_STALL_CLASSES = (TimingClass.STALL_CACHE, TimingClass.STALL_FORWARD)
+
 
 class AttackerStld:
     """An attacker's stld probe kit inside one process.
@@ -151,6 +157,18 @@ class AttackerStld:
 
     def observe(self, program: Program, aliasing: bool) -> TimingClass:
         return self.classifier.classify(self.run(program, aliasing))
+
+    def stalls(self, program: Program) -> bool:
+        """One non-aliasing probe: does the entry read as charged (C3 > 0)?"""
+        return self.observe(program, aliasing=False) in _STALL_CLASSES
+
+    def read_bit(self, program: Program) -> int:
+        """The SSBP covert read: a stall is a 1 (then drain C3 so the
+        next read starts clean), a bypass is a 0."""
+        if self.stalls(program):
+            self.drain_c3(program)
+            return 1
+        return 0
 
     def observe_with_confidence(
         self, program: Program, aliasing: bool

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.attacks.collision import CollisionResult, SsbpCollisionFinder
+from repro.attacks.leak_report import TimedSecretLeak
 from repro.attacks.victim_gadgets import spectre_ctl_gadget
 from repro.attacks.runtime import AttackerStld
 from repro.core.exec_types import TimingClass
@@ -44,28 +45,12 @@ _KNOWN_BYTE = 0xA7
 
 
 @dataclass
-class CtlLeakReport:
+class CtlLeakReport(TimedSecretLeak):
     """Outcome of a Spectre-CTL leak campaign."""
 
-    recovered: bytes
-    expected: bytes
-    cycles: int
-    clock_ghz: float
     load1_collision: CollisionResult | None = None
     load3_collision: CollisionResult | None = None
     missed_bytes: list[int] = field(default_factory=list)
-
-    @property
-    def accuracy(self) -> float:
-        if not self.expected:
-            return 1.0
-        good = sum(a == b for a, b in zip(self.recovered, self.expected))
-        return good / len(self.expected)
-
-    @property
-    def bytes_per_second(self) -> float:
-        seconds = self.cycles / (self.clock_ghz * 1e9)
-        return len(self.recovered) / seconds if seconds else float("inf")
 
 
 class SpectreCTL:
@@ -227,16 +212,6 @@ class SpectreCTL:
     # ------------------------------------------------------------------
     # Phase 2+3: leak
     # ------------------------------------------------------------------
-    def _covert_hit(self) -> bool:
-        assert self.load3_collision is not None
-        observed = self.attacker.observe(
-            self.load3_collision.program, aliasing=False
-        )
-        if observed in (TimingClass.STALL_CACHE, TimingClass.STALL_FORWARD):
-            self.attacker.drain_c3(self.load3_collision.program)
-            return True
-        return False
-
     def _trial(self, idx: int, planted: int) -> bool:
         """One guess: mistrain, plant, open the window, run, probe."""
         assert self.load1_collision is not None
@@ -245,7 +220,8 @@ class SpectreCTL:
         self._plant(idx, planted)
         self._flush_idx()
         self.run_victim(idx2_off=idx)
-        return self._covert_hit()
+        assert self.load3_collision is not None
+        return bool(self.attacker.read_bit(self.load3_collision.program))
 
     def _leak_byte(self, victim_va: int) -> int | None:
         assert self.load3_collision is not None

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 from repro.attacks.collision import CollisionResult, SsbpCollisionFinder
 from repro.attacks.flush_reload import FlushReloadChannel
+from repro.attacks.leak_report import TimedSecretLeak
 from repro.attacks.victim_gadgets import spectre_stl_gadget
 from repro.attacks.runtime import AttackerStld
 from repro.cpu.isa import Clflush, Halt, MovImm, Program
@@ -49,28 +50,12 @@ _DECOY_SLOT = 0
 
 
 @dataclass
-class LeakReport:
+class LeakReport(TimedSecretLeak):
     """Outcome of a leak campaign."""
 
-    recovered: bytes
-    expected: bytes
-    cycles: int
-    clock_ghz: float
     collision: CollisionResult | None = None
     validation_attempts: int = 0
     per_byte_errors: list[int] = field(default_factory=list)
-
-    @property
-    def accuracy(self) -> float:
-        if not self.expected:
-            return 1.0
-        good = sum(a == b for a, b in zip(self.recovered, self.expected))
-        return good / len(self.expected)
-
-    @property
-    def bytes_per_second(self) -> float:
-        seconds = self.cycles / (self.clock_ghz * 1e9)
-        return len(self.recovered) / seconds if seconds else float("inf")
 
 
 class SpectreSTL:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.attacks.flush_reload import FlushReloadChannel
+from repro.attacks.leak_report import SecretLeak
 from repro.attacks.victim_gadgets import spectre_stl_gadget
 from repro.cpu.isa import Clflush, Halt, MovImm, Program
 from repro.cpu.machine import Machine
@@ -32,17 +33,8 @@ _DRAIN_RUNS = 34
 
 
 @dataclass
-class InPlaceLeakReport:
-    recovered: bytes
-    expected: bytes
+class InPlaceLeakReport(SecretLeak):
     victim_invocations: int
-
-    @property
-    def accuracy(self) -> float:
-        if not self.expected:
-            return 1.0
-        good = sum(a == b for a, b in zip(self.recovered, self.expected))
-        return good / len(self.expected)
 
     @property
     def invocations_per_byte(self) -> float:

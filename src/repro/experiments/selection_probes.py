@@ -18,9 +18,6 @@ from repro.revng.stld import build_stld
 
 __all__ = ["SelectionObserver"]
 
-_STALL = (TimingClass.STALL_CACHE, TimingClass.STALL_FORWARD)
-
-
 class SelectionObserver:
     """Per-process timing observers over shared stld code."""
 
@@ -64,8 +61,7 @@ class SelectionObserver:
 
     def reads_charged(self, process: Process, program: Program) -> bool:
         """Does a non-aliasing probe through this view stall (C3 > 0)?"""
-        observed = self.observer_for(process).observe(program, aliasing=False)
-        return observed in _STALL
+        return self.observer_for(process).stalls(program)
 
     # ------------------------------------------------------------------
     # PSFP probes

@@ -50,9 +50,16 @@ class TestStlPredictorChannel:
         assert len(channel.rx_programs) == channel.width
         assert all(attempts > 0 for attempts in channel.handshake_attempts)
 
+    def test_handshake_within_vulnerability_2_bound(self, channel):
+        assert all(1 <= attempts <= 4096 for attempts in channel.handshake_attempts)
+
     def test_round_trip_without_shared_memory(self, channel):
         symbols = [1, 0, 1, 1, 0, 0, 1, 0]
         assert channel.transfer(symbols) == symbols
+
+    def test_all_zeros_and_all_ones(self, channel):
+        assert channel.transfer([0] * 8) == [0] * 8
+        assert channel.transfer([1] * 8) == [1] * 8
 
     def test_processes_share_no_mappings(self, channel):
         sender_frames = {

@@ -1,53 +1,9 @@
-"""Tests for the covert channel, in-place baseline, and VA->PA leak."""
+"""Tests for the in-place baseline and the VA->PA leak."""
 
 import pytest
 
 from repro.attacks.address_leak import AddressMappingLeak
-from repro.attacks.covert_channel import ChannelReport, SsbpCovertChannel
 from repro.attacks.spectre_stl_inplace import SpectreSTLInPlace
-
-
-@pytest.fixture(scope="module")
-def channel():
-    chan = SsbpCovertChannel()
-    chan.handshake()
-    return chan
-
-
-class TestCovertChannel:
-    def test_handshake_within_vulnerability_2_bound(self, channel):
-        assert 1 <= channel.handshake_attempts <= 4096
-
-    def test_no_shared_mappings(self, channel):
-        sender_frames = {
-            m.frame for m in channel.sender_process.address_space.pages().values()
-        }
-        receiver_frames = {
-            m.frame for m in channel.receiver_process.address_space.pages().values()
-        }
-        assert not sender_frames & receiver_frames
-
-    def test_transmits_bits_exactly(self, channel):
-        bits = [1, 0, 1, 1, 0, 0, 1, 0, 0, 1, 1, 1, 0, 1, 0, 0]
-        report = channel.transmit(bits)
-        assert report.received == bits
-        assert report.error_rate == 0.0
-
-    def test_all_zeros_and_all_ones(self, channel):
-        assert channel.transmit([0] * 8).received == [0] * 8
-        assert channel.transmit([1] * 8).received == [1] * 8
-
-    def test_bandwidth_positive(self, channel):
-        report = channel.transmit([1, 0, 1])
-        assert report.bits_per_second > 0
-
-    def test_report_math(self):
-        report = ChannelReport(
-            sent=[1, 0, 1], received=[1, 1, 1], cycles=3_700_000_000, clock_ghz=3.7
-        )
-        assert report.errors == 1
-        assert report.error_rate == pytest.approx(1 / 3)
-        assert report.bits_per_second == pytest.approx(3.0)
 
 
 class TestInPlaceBaseline:

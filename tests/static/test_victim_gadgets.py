@@ -3,16 +3,10 @@
 The attacks package carries the paper's Listing 2/3 victim functions
 (:mod:`repro.attacks.victim_gadgets`); if the scanner cannot flag the
 very gadget templates the exploitation layer leaks through, it is not
-scanning for the right thing.  Also pins the ``repro.attacks.gadgets``
-compatibility shim left behind by the module rename.
+scanning for the right thing.
 """
 
-from repro.attacks.victim_gadgets import (
-    CTL_REGS,
-    STL_REGS,
-    spectre_ctl_gadget,
-    spectre_stl_gadget,
-)
+from repro.attacks.victim_gadgets import spectre_ctl_gadget, spectre_stl_gadget
 from repro.static.gadgets import scan_program
 
 
@@ -47,14 +41,6 @@ class TestScannerFlagsTheAttackTemplates:
 
 
 class TestRenameShim:
-    def test_old_module_path_still_exports_everything(self):
-        from repro.attacks import gadgets as shim
-
-        assert shim.spectre_stl_gadget is spectre_stl_gadget
-        assert shim.spectre_ctl_gadget is spectre_ctl_gadget
-        assert shim.STL_REGS is STL_REGS
-        assert shim.CTL_REGS is CTL_REGS
-
     def test_attacks_package_reexports_from_the_new_home(self):
         import repro.attacks as attacks
 
