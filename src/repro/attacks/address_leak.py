@@ -47,8 +47,9 @@ class AddressMappingLeak:
         self.attacker = AttackerStld(
             self.machine, self.process, slide_pages=pages
         )
-        self._load_offset = self.attacker.template.relocate(0).iva(
-            load_instruction_index(self.attacker.template)
+        template = self.attacker.template
+        self._load_offset = (
+            template.iva(load_instruction_index(template)) - template.base_iva
         )
 
     def _page_base(self, page: int) -> int:

@@ -65,7 +65,6 @@ __all__ = [
     "DECODE_CACHE_SIZE",
     "decode_cache_info",
     "clear_decode_cache",
-    "set_decode_cache_size",
 ]
 
 
@@ -301,71 +300,74 @@ class DecodedProgram:
     * ``args[i]`` — a per-opcode operand tuple (see :func:`_decode_args`);
     * ``names[i]`` — the instruction class name (trace events);
     * ``insts[i]`` — the original instruction object (error messages);
-    * ``ivas[i]`` — the instruction virtual address.
+    * ``offsets[i]`` — the byte offset from ``base_iva``, so the
+      instruction virtual address is ``base_iva + offsets[i]``.
 
     The decoded form carries no execution state; it is immutable in
     practice and safely shared by concurrent interpreter states (SMT).
+    Its lists are also shared by every program with the same
+    instructions, relocated copies included, so nothing may mutate them.
     """
 
     ops: list[int]
     args: list[tuple]
     names: list[str]
     insts: list[Instruction]
-    ivas: list[int]
+    offsets: list[int]
+    base_iva: int
     n: int
 
+    @property
+    def ivas(self) -> list[int]:
+        """Every instruction's virtual address (a new list per access)."""
+        base = self.base_iva
+        return [base + offset for offset in self.offsets]
+
 
 # ----------------------------------------------------------------------
-# Global content-keyed decode cache
+# Shared base-independent bodies
 # ----------------------------------------------------------------------
-# Campaign workloads rebuild Program *objects* constantly — every fuzz
-# task, every corpus replay, every oracle fill constructs a fresh
-# Program around content the process has decoded before.  The instance
-# cache on Program (see :meth:`Program.decoded`) cannot help there, so
-# this bounded LRU shares decoded forms across instances by content
-# (instruction tuple + base IVA; frozen instruction dataclasses hash by
-# value).  The bound matters: a long campaign cycles thousands of
+# Everything derived from a program except its IVAs depends on the
+# instruction sequence alone: byte offsets, labels, size and the decoded
+# ops/args/names.  That part is a _Body, shared by every Program around
+# the same instructions.  Code sliding (Section III-C) places one
+# template at thousands of bases; :meth:`Program.relocate` hands the
+# template's body to each copy, so a copy owns nothing but its base.
+#
+# Campaign workloads also rebuild Program *objects* around content the
+# process has seen before (every fuzz task, corpus replay and oracle
+# fill), so bodies are shared across fresh instances through a bounded
+# LRU keyed by the instruction tuple (frozen instruction dataclasses hash
+# by value).  The bound matters: a long campaign cycles thousands of
 # distinct generated programs through one warm worker, and an unbounded
 # map would pin every one of them forever.
 
-#: Default bound on the shared decode LRU (distinct program contents).
+#: Bound on the shared body LRU (distinct instruction sequences).
 DECODE_CACHE_SIZE = 512
 
-_decode_cache: "OrderedDict[tuple, DecodedProgram]" = OrderedDict()
-_decode_cache_size = DECODE_CACHE_SIZE
+_decode_cache: "OrderedDict[tuple, _Body]" = OrderedDict()
 _decode_stats = {"hits": 0, "misses": 0, "evictions": 0}
 
 
 def decode_cache_info() -> dict[str, int]:
-    """Current decode-cache occupancy and hit/miss/eviction counters."""
+    """Current body-LRU occupancy and hit/miss/eviction counters."""
     return {
         "size": len(_decode_cache),
-        "max_size": _decode_cache_size,
+        "max_size": DECODE_CACHE_SIZE,
         **_decode_stats,
     }
 
 
 def clear_decode_cache() -> None:
-    """Drop every shared decoded form and reset the counters.
+    """Drop every shared body and reset the counters.
 
     Program instances keep their own references, so anything a live
-    Program already decoded stays valid — only cross-instance sharing
+    Program already laid out stays valid — only cross-instance sharing
     restarts cold.
     """
     _decode_cache.clear()
     for name in _decode_stats:
         _decode_stats[name] = 0
-
-
-def set_decode_cache_size(size: int) -> int:
-    """Rebound the LRU (evicting down if needed); returns the old size."""
-    global _decode_cache_size
-    previous = _decode_cache_size
-    _decode_cache_size = max(1, int(size))
-    while len(_decode_cache) > _decode_cache_size:
-        _decode_cache.popitem(last=False)
-        _decode_stats["evictions"] += 1
-    return previous
 
 
 def _decode_args(instruction: Instruction, labels: dict[str, int]) -> tuple:
@@ -414,6 +416,65 @@ def _decode_args(instruction: Instruction, labels: dict[str, int]) -> tuple:
     return ()
 
 
+@dataclass(slots=True, eq=False)
+class _Body:
+    """The base-independent layout of one instruction sequence.
+
+    Built once per distinct sequence and never mutated afterwards,
+    except that the decoded lists are filled on the first
+    :meth:`Program.decoded` of any program sharing it.  ``insts`` is the
+    sequence itself, which programs compare their (mutable) instruction
+    list against to notice in-place edits.
+    """
+
+    insts: list[Instruction]
+    offsets: list[int]
+    labels: dict[str, int]
+    byte_size: int
+    ops: "list[int] | None" = None
+    args: "list[tuple] | None" = None
+    names: "list[str] | None" = None
+
+    @classmethod
+    def lay_out(cls, src: tuple) -> "_Body":
+        offsets = []
+        labels: dict[str, int] = {}
+        cursor = 0
+        for index, instruction in enumerate(src):
+            offsets.append(cursor)
+            if isinstance(instruction, Label):
+                if instruction.name in labels:
+                    raise ConfigError(f"duplicate label {instruction.name!r}")
+                labels[instruction.name] = index
+            cursor += instruction.size
+        return cls(list(src), offsets, labels, cursor)
+
+    def decode(self) -> None:
+        labels = self.labels
+        self.ops = [_OPCODES.get(type(i), OP_UNKNOWN) for i in self.insts]
+        self.args = [_decode_args(i, labels) for i in self.insts]
+        self.names = [type(i).__name__ for i in self.insts]
+
+
+def _shared_body(instructions: list[Instruction]) -> _Body:
+    """The body for ``instructions``, from the LRU when it has one."""
+    src = tuple(instructions)
+    try:
+        body = _decode_cache.get(src)
+    except TypeError:
+        return _Body.lay_out(src)  # unhashable instruction subclass: skip sharing
+    if body is not None:
+        _decode_cache.move_to_end(src)
+        _decode_stats["hits"] += 1
+        return body
+    _decode_stats["misses"] += 1
+    body = _decode_cache[src] = _Body.lay_out(src)
+    while len(_decode_cache) > DECODE_CACHE_SIZE:
+        _decode_cache.popitem(last=False)
+        _decode_stats["evictions"] += 1
+    return body
+
+
 @dataclass
 class Program:
     """An assembled instruction sequence with label resolution.
@@ -423,119 +484,96 @@ class Program:
     encoded sizes.  The pipeline translates IVAs to IPAs through the page
     tables, so physical placement — what the predictors actually hash —
     is controlled by the kernel's frame allocator.
+
+    Derived state (offsets, labels, size, decoded form) follows in-place
+    edits of ``instructions`` and rebinding of ``base_iva``: every
+    accessor first checks the instruction list against the laid-out
+    body, an element-wise sweep that short-circuits on object identity.
     """
 
     instructions: list[Instruction]
     base_iva: int = 0
     name: str = "program"
-    _ivas: list[int] = field(default_factory=list, repr=False)
-    _labels: dict[str, int] = field(default_factory=dict, repr=False)
+    _body: _Body = field(init=False, repr=False, compare=False)
     _decoded: "DecodedProgram | None" = field(
-        default=None, repr=False, compare=False
+        init=False, default=None, repr=False, compare=False
     )
-    _decoded_src: "tuple | None" = field(default=None, repr=False, compare=False)
-    _decoded_base: "int | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._layout()
 
     def _layout(self) -> None:
-        self._ivas = []
-        self._labels = {}
-        cursor = self.base_iva
-        for index, instruction in enumerate(self.instructions):
-            self._ivas.append(cursor)
-            if isinstance(instruction, Label):
-                if instruction.name in self._labels:
-                    raise ConfigError(f"duplicate label {instruction.name!r}")
-                self._labels[instruction.name] = index
-            cursor += instruction.size
+        """Re-derive the body from the current instructions."""
+        self._body = _shared_body(self.instructions)
+        self._decoded = None
+
+    def _current(self) -> _Body:
+        if self.instructions != self._body.insts:
+            self._layout()
+        return self._body
 
     def relocate(self, base_iva: int) -> "Program":
-        """A copy of this program laid out at a different base address."""
-        return Program(list(self.instructions), base_iva, self.name)
+        """A copy of this program laid out at a different base address.
+
+        The copy shares this program's body, so it is neither laid out
+        nor decoded again; editing either program's instructions in
+        place re-derives that program's body only.
+        """
+        body = self._current()
+        copy = Program.__new__(Program)
+        copy.instructions = list(self.instructions)
+        copy.base_iva = base_iva
+        copy.name = self.name
+        copy._body = body
+        copy._decoded = None
+        return copy
 
     def decoded(self) -> DecodedProgram:
         """The dense decoded form, cached on the instance.
 
-        The cache key is the program *content* — the instruction sequence
-        and base address (the same inputs :func:`repro.experiments.cache.
-        content_key` would hash) — so mutating ``instructions`` in place
-        or rebinding ``base_iva`` invalidates the cache and triggers a
-        re-layout + re-decode; returning the same objects hits.  The
-        content check is an element-wise tuple comparison, which
-        short-circuits on object identity, so a cache hit costs one
-        O(n) pointer sweep rather than a full re-decode.
-
-        On an instance miss, the process-wide content-keyed LRU is
-        consulted before re-decoding, so a *fresh* Program around
-        already-seen content (the campaign pattern: every fuzz task
-        rebuilds its program) shares the existing decoded form instead
-        of paying decode again.  The LRU is bounded
-        (:data:`DECODE_CACHE_SIZE`); see :func:`decode_cache_info`.
+        All its lists are the shared body's; only ``base_iva`` belongs
+        to this program, so a relocated copy decodes in O(1).  An
+        in-place edit of ``instructions`` swaps in the body of the new
+        sequence (shared through the LRU, see :func:`decode_cache_info`)
+        and rebinding ``base_iva`` rebases it; otherwise repeated calls
+        return the same object.
         """
-        src = tuple(self.instructions)
-        if (
-            self._decoded is not None
-            and self._decoded_base == self.base_iva
-            and self._decoded_src == src
-        ):
-            return self._decoded
-        self._layout()  # re-derive IVAs/labels in case of in-place mutation
-        try:
-            shared = _decode_cache.get((src, self.base_iva))
-        except TypeError:
-            shared = None  # unhashable instruction subclass: skip sharing
-        else:
-            if shared is not None:
-                _decode_cache.move_to_end((src, self.base_iva))
-                _decode_stats["hits"] += 1
-                self._decoded = shared
-                self._decoded_src = src
-                self._decoded_base = self.base_iva
-                return shared
-            _decode_stats["misses"] += 1
-        labels = self._labels
-        ops = []
-        args = []
-        names = []
-        for instruction in src:
-            ops.append(_OPCODES.get(type(instruction), OP_UNKNOWN))
-            args.append(_decode_args(instruction, labels))
-            names.append(type(instruction).__name__)
+        body = self._current()
+        decoded = self._decoded
+        if decoded is not None and decoded.base_iva == self.base_iva:
+            return decoded
+        if body.ops is None:
+            body.decode()
         self._decoded = DecodedProgram(
-            ops=ops,
-            args=args,
-            names=names,
-            insts=list(src),
-            ivas=list(self._ivas),
-            n=len(src),
+            body.ops,
+            body.args,
+            body.names,
+            body.insts,
+            body.offsets,
+            self.base_iva,
+            len(body.insts),
         )
-        self._decoded_src = src
-        self._decoded_base = self.base_iva
-        try:
-            _decode_cache[(src, self.base_iva)] = self._decoded
-        except TypeError:
-            pass  # unhashable content stays instance-cached only
-        else:
-            while len(_decode_cache) > _decode_cache_size:
-                _decode_cache.popitem(last=False)
-                _decode_stats["evictions"] += 1
         return self._decoded
 
     def iva(self, index: int) -> int:
         """Instruction virtual address of the instruction at ``index``."""
-        return self._ivas[index]
+        return self.base_iva + self._current().offsets[index]
 
     def label_index(self, name: str) -> int:
         try:
-            return self._labels[name]
+            return self._current().labels[name]
         except KeyError:
             raise InvalidInstruction(f"unknown label {name!r}") from None
 
     @property
+    def fault_handler(self) -> "int | None":
+        """Index of the ``fault_handler`` label, where a faulting
+        program resumes architecturally, or None if it has none."""
+        return self._current().labels.get("fault_handler")
+
+    @property
     def byte_size(self) -> int:
-        return sum(instruction.size for instruction in self.instructions)
+        return self._current().byte_size
 
     def encode(self) -> bytes:
         """Synthetic machine code: a stable byte pattern per instruction.

@@ -460,7 +460,8 @@ class _ExecState:
         return self.kernel.translate(self.process, vaddr, access, self.thread)
 
     def _ipa_of_instruction(self, index: int) -> int:
-        iva = self.dec.ivas[index]
+        dec = self.dec
+        iva = dec.base_iva + dec.offsets[index]
         paddr = self.process.address_space.translate_nofault(iva)
         if paddr is None:
             raise SegmentationFault(iva, access="execute")
@@ -1014,7 +1015,8 @@ class _ExecState:
     # ------------------------------------------------------------------
     def _exec_branch(self, index: int, args: tuple, d: int) -> None:
         cond, target, label = args
-        iva = self.dec.ivas[index]
+        dec = self.dec
+        iva = dec.base_iva + dec.offsets[index]
         taken = self.regs.get(cond, 0) == 0
         predicted = self.pipe.predict_branch(iva)
         rc = self.ready.get(cond, 0)
@@ -1130,7 +1132,7 @@ class _ExecState:
             if self.trace is not None:
                 self._trace_restore()
             return
-        handler = window.fault and self.program._labels.get("fault_handler")
+        handler = window.fault and self.program.fault_handler
         if handler is None:
             self.result.fault = window.fault
             self.result.cycles = self.dispatch

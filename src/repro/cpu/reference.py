@@ -106,7 +106,7 @@ class ReferenceInterpreter:
                 try:
                     paddr = self.kernel.translate(self.process, vaddr, Perm.R)
                 except SegmentationFault:
-                    handler = program._labels.get("fault_handler")
+                    handler = program.fault_handler
                     if handler is None:
                         raise
                     index = handler

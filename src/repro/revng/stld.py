@@ -142,19 +142,10 @@ class StldHarness:
         assert mapping is not None
         return mapping.frame
 
-    def _hashes_at(self, base_iva: int) -> tuple[int, int, int, int]:
-        program = self._template.relocate(base_iva)
-        load_iva = program.iva(load_instruction_index(program))
-        store_iva = program.iva(store_instruction_index(program))
-        load_ipa = self.process.address_space.translate_nofault(load_iva)
-        store_ipa = self.process.address_space.translate_nofault(store_iva)
-        assert load_ipa is not None and store_ipa is not None
-        return (
-            load_iva,
-            store_iva,
-            ipa_hash(load_ipa, self.salt),
-            ipa_hash(store_ipa, self.salt),
-        )
+    def _hash_at(self, iva: int) -> int:
+        ipa = self.process.address_space.translate_nofault(iva)
+        assert ipa is not None
+        return ipa_hash(ipa, self.salt)
 
     def _ensure_variant(self, token: StldToken) -> StldVariant:
         key = (token.load_id, token.store_id)
@@ -199,12 +190,9 @@ class StldHarness:
         other_stores = {
             h for i, h in self._store_hash_by_id.items() if i != store_id
         }
-        load_off = self._template.relocate(0).iva(
-            load_instruction_index(self._template)
-        )
-        store_off = self._template.relocate(0).iva(
-            store_instruction_index(self._template)
-        )
+        template = self._template
+        load_off = template.iva(load_instruction_index(template)) - template.base_iva
+        store_off = template.iva(store_instruction_index(template)) - template.base_iva
         for _ in range(max_attempts):
             region = self.kernel.map_anonymous(
                 self.process, pages=3, perms=Perm.RX, kind="code"
@@ -219,11 +207,14 @@ class StldHarness:
                 base_iva = anchor_page + offset - store_off
             else:
                 base_iva = anchor_page
-            if base_iva < region or base_iva + self._template.byte_size > (
+            if base_iva < region or base_iva + template.byte_size > (
                 region + 3 * PAGE_SIZE
             ):
                 continue
-            load_iva, store_iva, load_hash, store_hash = self._hashes_at(base_iva)
+            load_iva = base_iva + load_off
+            store_iva = base_iva + store_off
+            load_hash = self._hash_at(load_iva)
+            store_hash = self._hash_at(store_iva)
             if want_load is not None and load_hash != want_load:
                 continue
             if want_store is not None and store_hash != want_store:
@@ -232,9 +223,7 @@ class StldHarness:
                 continue
             if want_store is None and store_hash in other_stores:
                 continue
-            program = self.machine.place_program(
-                self.process, self._template, base_iva
-            )
+            program = self.machine.place_program(self.process, template, base_iva)
             return StldVariant(
                 program=program,
                 load_iva=load_iva,

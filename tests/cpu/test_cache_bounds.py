@@ -2,7 +2,7 @@
 
 Campaign workloads rebuild ``Program`` objects constantly, so the
 shared decode cache (:mod:`repro.cpu.isa`) is a bounded LRU keyed by
-program content.  These tests pin the contract that makes the bound
+the instruction sequence.  These tests pin the contract that makes the bound
 safe: eviction never changes behaviour (an evicted entry is rebuilt,
 not lost), recency protects the working set, and in-place program edits
 invalidate rather than serve stale tables.
@@ -23,11 +23,10 @@ def make_program(value, name="cache-test"):
 
 
 @pytest.fixture
-def small_decode_cache():
-    previous = isa.set_decode_cache_size(4)
+def small_decode_cache(monkeypatch):
+    monkeypatch.setattr(isa, "DECODE_CACHE_SIZE", 4)
     isa.clear_decode_cache()
     yield
-    isa.set_decode_cache_size(previous)
     isa.clear_decode_cache()
 
 
@@ -40,11 +39,19 @@ class TestDecodeCacheBounds:
         assert info["evictions"] == 6
 
     def test_fresh_instance_hits_shared_cache(self, small_decode_cache):
-        make_program(7).decoded()
+        template = make_program(7)
+        first = template.decoded()
         before = isa.decode_cache_info()["hits"]
-        # A brand-new Program around the same content must share.
-        assert make_program(7).decoded() is make_program(7).decoded()
+        # A brand-new Program around the same content, and a relocated
+        # copy, share the template's decoded body; only the IVAs move.
+        fresh = make_program(7).decoded()
+        moved = template.relocate(0x3000).decoded()
         assert isa.decode_cache_info()["hits"] > before
+        for dec in (fresh, moved):
+            assert dec.ops is first.ops
+            assert dec.args is first.args
+            assert dec.names is first.names
+        assert moved.ivas == [0x3000 + iva for iva in first.ivas]
 
     def test_eviction_is_lru_ordered(self, small_decode_cache):
         programs = [make_program(value) for value in range(4)]
@@ -78,14 +85,12 @@ class TestDecodeCacheBounds:
         assert info["size"] == 0
         assert info["hits"] == info["misses"] == info["evictions"] == 0
 
-    def test_shrinking_evicts_down(self, small_decode_cache):
+    def test_shrinking_evicts_down(self, small_decode_cache, monkeypatch):
         for value in range(4):
             make_program(value).decoded()
-        isa.set_decode_cache_size(2)
-        try:
-            assert isa.decode_cache_info()["size"] <= 2
-        finally:
-            isa.set_decode_cache_size(4)
+        monkeypatch.setattr(isa, "DECODE_CACHE_SIZE", 2)
+        make_program(99).decoded()  # the next insert evicts down to the bound
+        assert isa.decode_cache_info()["size"] <= 2
 
 
 class TestCompileCacheBounds:
