@@ -17,7 +17,7 @@ RESULTS ?= results
 
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test experiments-quick experiments-check experiments-all regen-experiments-md fuzz-smoke chaos-smoke trace-smoke attack-smoke interference-smoke scan-smoke bench-smoke bench-baseline equivalence-check clean-cache
+.PHONY: test experiments-quick experiments-check experiments-all regen-experiments-md fuzz-smoke chaos-smoke trace-smoke attack-smoke interference-smoke scan-smoke equivalence-check clean-cache
 
 test:
 	$(PY) -m pytest -x -q
@@ -156,23 +156,6 @@ scan-smoke:
 	$(PY) -m repro.static.cli crossval --no-corpus --budget 4 --seed 1 --jobs $(JOBS)
 	rm -rf $(RESULTS)-scan
 	@echo "scan-smoke: findings byte-identical across reruns and job counts; cross-validation sound"
-
-## Performance regression gate (docs/performance.md): a quick benchmark
-## pass compared against the committed baseline benchmarks/BENCH_seed.json.
-## Fails (exit 1) only on a >25% throughput drop that also exceeds both
-## runs' measured spread, so scheduler noise alone cannot fail the gate.
-## Re-baseline with `make bench-baseline` after a deliberate perf change
-## (policy: docs/performance.md "Updating the baseline").
-bench-smoke:
-	rm -rf $(RESULTS)-bench
-	$(PY) -m repro.bench.cli run --quick --label smoke --out $(RESULTS)-bench/BENCH_smoke.json
-	$(PY) -m repro.bench.cli compare benchmarks/BENCH_seed.json $(RESULTS)-bench/BENCH_smoke.json
-	rm -rf $(RESULTS)-bench
-	@echo "bench-smoke: no benchmark regressed beyond the noise-adjusted 25% gate"
-
-## Rewrite the committed baseline from a quick run on this machine.
-bench-baseline:
-	$(PY) -m repro.bench.cli run --quick --label seed --out benchmarks/BENCH_seed.json
 
 ## Behaviour-equivalence gate for interpreter optimizations: recompute
 ## experiment/corpus/trace digests and require byte-identical results

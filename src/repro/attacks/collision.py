@@ -91,17 +91,6 @@ class SsbpCollisionFinder:
             f"({span // PAGE_SIZE + 1} pages scanned)"
         )
 
-    def find_many(self, count: int, step: int = 1) -> list[CollisionResult]:
-        """Collect several distinct collisions (one per page at most)."""
-        results: list[CollisionResult] = []
-        offset = 0
-        for _ in range(count):
-            found = self.find(start_offset=offset, step=step)
-            results.append(found)
-            # Resume the scan just past the hit.
-            offset = found.iva - self.attacker.slide_base + step
-        return results
-
     def _is_sticky(self, program: Program) -> bool:
         if not self.majority:
             for _ in range(self.verify_runs):

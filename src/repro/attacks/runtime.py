@@ -170,14 +170,6 @@ class AttackerStld:
             return 1
         return 0
 
-    def observe_with_confidence(
-        self, program: Program, aliasing: bool
-    ) -> tuple[TimingClass, float]:
-        """One observation plus its per-read classification confidence."""
-        return self.classifier.classify_with_confidence(
-            self.run(program, aliasing)
-        )
-
     # ------------------------------------------------------------------
     # Self-calibration (no privileged placement: any offsets will do,
     # because the state machine is the same whatever the entry)

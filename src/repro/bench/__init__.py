@@ -1,53 +1,9 @@
-"""Performance benchmarking for the simulated core (``repro-bench``).
+"""Behaviour-preservation gate for performance work on the core.
 
-The ROADMAP's north star — "as fast as the hardware allows" — is only
-meaningful if the repo can *measure* itself.  This package provides:
-
-* :mod:`repro.bench.timing` — a small measurement harness (warmup,
-  repeats, best-of-N) tuned for the noise profile of short Python
-  workloads;
-* :mod:`repro.bench.micro` — the curated microbenchmark set covering
-  every layer a campaign funnels through: raw pipeline stepping,
-  snapshot/rollback machinery, predictor updates, the selection hash,
-  dual-execution fuzz throughput and experiment-campaign wall-clock;
-* :mod:`repro.bench.artifact` — schema-versioned ``BENCH_<label>.json``
-  artifacts (written via :func:`repro.runtime.atomic.atomic_write_json`)
-  and the noise-aware comparison used by ``repro-bench compare`` and the
-  ``make bench-smoke`` CI gate;
-* :mod:`repro.bench.equivalence` — the behaviour-preservation gate: a
-  digest of every observable output (experiment artifacts, the pinned
-  fuzz corpus replayed under every mitigation, golden telemetry traces)
-  that must stay byte-identical across performance work on the core;
-* :mod:`repro.bench.cli` — the ``repro-bench`` console script
-  (``run`` / ``compare`` / ``list``), sharing the 0/1/2/3 exit-code
-  contract of the other repro CLIs.
-
-See ``docs/performance.md`` for the workflow (profiling recipes,
-baseline-update policy, regression triage).
+:mod:`repro.bench.equivalence` digests every observable output
+(experiment artifacts, the pinned fuzz corpus replayed under every
+mitigation, golden telemetry traces) and requires the digests to stay
+byte-identical to ``benchmarks/GOLDEN.json`` / ``GOLDEN_fast.json``.
+Throughput is measured end to end by ``benchmarks/e2e`` (see
+``docs/performance.md``).
 """
-
-from repro.bench.artifact import (
-    BENCH_SCHEMA,
-    BenchComparison,
-    compare_artifacts,
-    load_artifact,
-    make_artifact,
-    write_artifact,
-)
-from repro.bench.micro import BENCHMARKS, QUICK_SCALE, BenchSpec, run_benchmarks
-from repro.bench.timing import Measurement, measure
-
-__all__ = [
-    "BENCH_SCHEMA",
-    "BENCHMARKS",
-    "QUICK_SCALE",
-    "BenchComparison",
-    "BenchSpec",
-    "Measurement",
-    "compare_artifacts",
-    "load_artifact",
-    "make_artifact",
-    "measure",
-    "run_benchmarks",
-    "write_artifact",
-]

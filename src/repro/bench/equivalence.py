@@ -19,8 +19,7 @@ every observable output the repo already pins:
 The committed golden files record the digests produced by the
 unoptimized code, one per tier.  Any mismatch means an optimization
 changed behaviour and must be fixed — there is deliberately no
-tolerance knob here, unlike the throughput comparison in
-:mod:`repro.bench.artifact`.
+tolerance knob here.
 
 Two tiers keep the gate usable:
 

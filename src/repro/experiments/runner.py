@@ -206,17 +206,17 @@ def _execute(
     pid) so artifacts and manifests become byte-comparable across runs —
     the mode the chaos/resume convergence checks rely on.  ``metrics``
     attaches this task's telemetry-registry delta (counters/histograms
-    only — wall-clock timers are excluded, so the rollup is exactly as
+    driven by simulated quantities, so the rollup is exactly as
     deterministic as the result rows).
     """
     from repro.telemetry import registry
 
     started = time.perf_counter()
-    before = registry().snapshot(timers=False) if metrics else None
+    before = registry().snapshot() if metrics else None
     result = run_experiment(name, seed)
     result.seed = effective_seed(name, seed)
     if metrics:
-        result.telemetry = registry().delta_since(before, timers=False)
+        result.telemetry = registry().delta_since(before)
     if stable_meta:
         result.wall_time_s = 0.0
         result.worker = "-"

@@ -164,7 +164,7 @@ def _run_task(task: dict) -> list[dict]:
     model = task["cpu_model"] or None
     # Per-task metrics are a registry *delta*, so they come out identical
     # whether the worker process is fresh (--jobs N) or reused (inline).
-    before = registry().snapshot(timers=False) if task.get("metrics") else None
+    before = registry().snapshot() if task.get("metrics") else None
     found: list[dict] = []
     with harness.chaos(*hooks):
         for mitigation in task["mitigations"]:
@@ -173,7 +173,7 @@ def _run_task(task: dict) -> list[dict]:
             else:
                 found.extend(_oracle_findings(task, model, mitigation))
     if before is not None and found:
-        delta = registry().delta_since(before, timers=False)
+        delta = registry().delta_since(before)
         for data in found:
             data["metrics"] = delta
     return found

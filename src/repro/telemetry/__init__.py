@@ -8,8 +8,8 @@ Three layers:
   (dispatch, branch predict/resolve, STLD predict/forward/stall/bypass,
   squash/restore, fault, commit) and by the PSFP/SSBP predictor unit
   (TABLE I state transitions, observed live).
-* **Metrics** (:mod:`.metrics`) — process-local counters/histograms/
-  timers instrumenting the pipeline, fuzz harness and runtime
+* **Metrics** (:mod:`.metrics`) — process-local counters and
+  histograms instrumenting the pipeline, fuzz harness and runtime
   supervisor; rolled up per task into campaign manifests and findings.
 * **Tools** (:mod:`.export`, :mod:`.diff`, :mod:`.record`, :mod:`.cli`)
   — Chrome trace-event/Perfetto export, plain-text timelines,

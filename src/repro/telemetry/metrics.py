@@ -1,20 +1,19 @@
-"""Process-local metrics registry: counters, histograms, timers.
+"""Process-local metrics registry: counters and histograms.
 
 The observability counterpart of the event layer (:mod:`.events`): where
 traces answer "what exactly happened, in order", metrics answer "how
 much of it happened" at near-zero cost.  Instrumented call sites hold a
-:class:`Counter`/:class:`Histogram`/:class:`Timer` object directly (one
-attribute access + integer add per update, no name lookup), so metrics
-stay cheap enough to leave enabled everywhere — the pipeline, the fuzz
-harness and the runtime supervisor all update the process-global
-registry unconditionally.
+:class:`Counter`/:class:`Histogram` object directly (one attribute
+access + integer add per update, no name lookup), so metrics stay cheap
+enough to leave enabled everywhere — the pipeline, the fuzz harness and
+the runtime supervisor all update the process-global registry
+unconditionally.
 
 Determinism contract: counters and histograms are driven exclusively by
 simulated quantities (instruction counts, cycles, rollbacks), so their
 snapshots are byte-comparable across runs and across ``--jobs`` fan-out.
-Timers measure wall time and are therefore *excluded* from any artifact
-that must be deterministic (``snapshot(timers=False)``); the campaign
-runners drop them under ``--stable-meta``.
+Wall-clock time is never recorded here; per-layer wall-clock attribution
+comes from ``benchmarks/e2e/run.py --trace``.
 
 Workers roll metrics up per task by snapshotting around the task and
 shipping :func:`MetricsRegistry.delta_since` across the process
@@ -24,13 +23,11 @@ boundary — see ``repro.experiments.runner`` (``--metrics``) and
 
 from __future__ import annotations
 
-import time
 from typing import Any
 
 __all__ = [
     "Counter",
     "Histogram",
-    "Timer",
     "MetricsRegistry",
     "registry",
     "merge_snapshots",
@@ -104,38 +101,6 @@ class Histogram:
         return f"Histogram({self.name}: n={self.count}, mean={self.mean:.1f})"
 
 
-class Timer:
-    """Accumulated wall time over a code region (context manager).
-
-    Wall times are inherently nondeterministic; timers are reported for
-    humans and dropped from byte-comparable artifacts.
-    """
-
-    __slots__ = ("name", "count", "total_s", "_started")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0
-        self.total_s = 0.0
-        self._started: float | None = None
-
-    def __enter__(self) -> "Timer":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self._started is not None:
-            self.total_s += time.perf_counter() - self._started
-            self._started = None
-        self.count += 1
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"count": self.count, "total_s": round(self.total_s, 6)}
-
-    def __repr__(self) -> str:
-        return f"Timer({self.name}: n={self.count}, {self.total_s:.3f}s)"
-
-
 class MetricsRegistry:
     """A namespace of metrics, snapshot-able and diff-able.
 
@@ -147,7 +112,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._timers: dict[str, Timer] = {}
 
     # ------------------------------------------------------------------
     # Instrument acquisition (idempotent; call sites cache the object)
@@ -164,22 +128,12 @@ class MetricsRegistry:
             found = self._histograms[name] = Histogram(name)
         return found
 
-    def timer(self, name: str) -> Timer:
-        found = self._timers.get(name)
-        if found is None:
-            found = self._timers[name] = Timer(name)
-        return found
-
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
-    def snapshot(self, timers: bool = True) -> dict[str, Any]:
-        """Serialize current values (sorted keys, JSON-safe).
-
-        ``timers=False`` omits the wall-time section — the form embedded
-        in deterministic artifacts.
-        """
-        data: dict[str, Any] = {
+    def snapshot(self) -> dict[str, Any]:
+        """Serialize current values (sorted keys, JSON-safe)."""
+        return {
             "counters": {
                 name: c.value for name, c in sorted(self._counters.items()) if c.value
             },
@@ -189,13 +143,8 @@ class MetricsRegistry:
                 if h.count
             },
         }
-        if timers:
-            data["timers"] = {
-                name: t.to_dict() for name, t in sorted(self._timers.items()) if t.count
-            }
-        return data
 
-    def delta_since(self, snapshot: dict[str, Any], timers: bool = True) -> dict[str, Any]:
+    def delta_since(self, snapshot: dict[str, Any]) -> dict[str, Any]:
         """Difference of the current state against an earlier snapshot.
 
         The per-task rollup primitive: zero-valued counters and empty
@@ -232,30 +181,16 @@ class MetricsRegistry:
                     )
                 ],
             }
-        data: dict[str, Any] = {"counters": counters, "histograms": histograms}
-        if timers:
-            base_timers = snapshot.get("timers", {})
-            deltas = {}
-            for name, timer in sorted(self._timers.items()):
-                base = base_timers.get(name, {})
-                count = timer.count - base.get("count", 0)
-                if count:
-                    deltas[name] = {
-                        "count": count,
-                        "total_s": round(timer.total_s - base.get("total_s", 0.0), 6),
-                    }
-            data["timers"] = deltas
-        return data
+        return {"counters": counters, "histograms": histograms}
 
     def reset(self) -> None:
         self._counters.clear()
         self._histograms.clear()
-        self._timers.clear()
 
     def __repr__(self) -> str:
         return (
             f"MetricsRegistry(counters={len(self._counters)}, "
-            f"histograms={len(self._histograms)}, timers={len(self._timers)})"
+            f"histograms={len(self._histograms)})"
         )
 
 
@@ -273,12 +208,11 @@ def merge_snapshots(snapshots: list[dict[str, Any]]) -> dict[str, Any]:
 
     Counters and histogram counts/sums add; histogram min/max combine
     when present (per-task deltas omit them, see
-    :meth:`MetricsRegistry.delta_since`); timers add.  Used by the
+    :meth:`MetricsRegistry.delta_since`).  Used by the
     campaign manifest writer.
     """
     counters: dict[str, int] = {}
     histograms: dict[str, dict[str, Any]] = {}
-    timers: dict[str, dict[str, Any]] = {}
     for snap in snapshots:
         for name, value in snap.get("counters", {}).items():
             counters[name] = counters.get(name, 0) + value
@@ -308,19 +242,12 @@ def merge_snapshots(snapshots: list[dict[str, Any]]) -> dict[str, Any]:
                     into["buckets"][index] += value
                 else:
                     into["buckets"].append(value)
-        for name, timer in snap.get("timers", {}).items():
-            into = timers.setdefault(name, {"count": 0, "total_s": 0.0})
-            into["count"] += timer["count"]
-            into["total_s"] = round(into["total_s"] + timer["total_s"], 6)
     for hist in histograms.values():
         if hist.get("min") is None:
             hist.pop("min", None)
         if hist.get("max") is None:
             hist.pop("max", None)
-    merged: dict[str, Any] = {
+    return {
         "counters": dict(sorted(counters.items())),
         "histograms": dict(sorted(histograms.items())),
     }
-    if timers:
-        merged["timers"] = dict(sorted(timers.items()))
-    return merged

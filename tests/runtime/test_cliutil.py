@@ -1,9 +1,9 @@
 """The shared CLI surface: one --version string, one exit-code epilog.
 
 Every console script in ``pyproject.toml`` — ``repro-experiments``,
-``repro-fuzz``, ``repro-trace``, ``repro-bench``, ``repro-attack`` and
-``repro-scan`` — builds its parser through
-:func:`repro.runtime.cliutil.build_parser`, so all six tools present the
+``repro-fuzz``, ``repro-trace``, ``repro-attack`` and ``repro-scan`` —
+builds its parser through
+:func:`repro.runtime.cliutil.build_parser`, so all five tools present the
 same ``--version`` format and the same documented 0/1/2/3 contract.
 ``_CLIS`` is cross-checked against the ``[project.scripts]`` table so a
 new entry point cannot ship without joining the shared surface.
@@ -21,7 +21,6 @@ _CLIS = {
     "repro-experiments": "repro.experiments.runner",
     "repro-fuzz": "repro.fuzz.cli",
     "repro-trace": "repro.telemetry.cli",
-    "repro-bench": "repro.bench.cli",
     "repro-attack": "repro.attacks.cli",
     "repro-scan": "repro.static.cli",
 }

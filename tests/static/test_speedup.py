@@ -1,9 +1,8 @@
 """The prefilter's economic argument: scanning beats executing by >=10x.
 
-The ``static.scan`` microbenchmark reports the same ratio informally;
-this test pins it as a contract on the exact workload the prefilter
-replaces — the programs ``fuzz.dual``-style campaigns would otherwise
-run through the dynamic two-fill oracle.
+This test pins the ratio as a contract on the exact workload the
+prefilter replaces — the generated programs a fuzz campaign would
+otherwise run through the dynamic two-fill oracle.
 """
 
 import time

@@ -49,20 +49,13 @@ class TestRegistry:
         snap = reg.snapshot()
         assert snap["counters"] == {"touched": 1}
 
-    def test_snapshot_can_exclude_timers(self):
-        reg = MetricsRegistry()
-        with reg.timer("t"):
-            pass
-        assert "timers" in reg.snapshot()
-        assert "timers" not in reg.snapshot(timers=False)
-
     def test_delta_since_names_only_window_activity(self):
         reg = MetricsRegistry()
         reg.counter("before").inc(3)
-        snap = reg.snapshot(timers=False)
+        snap = reg.snapshot()
         reg.counter("during").inc(2)
         reg.counter("before").inc()
-        delta = reg.delta_since(snap, timers=False)
+        delta = reg.delta_since(snap)
         assert delta["counters"] == {"before": 1, "during": 2}
 
     def test_histogram_delta_has_no_extremes(self):
@@ -71,9 +64,9 @@ class TestRegistry:
         # across worker layouts).
         reg = MetricsRegistry()
         reg.histogram("h").observe(1000)
-        snap = reg.snapshot(timers=False)
+        snap = reg.snapshot()
         reg.histogram("h").observe(4)
-        delta = reg.delta_since(snap, timers=False)
+        delta = reg.delta_since(snap)
         hist = delta["histograms"]["h"]
         assert hist["count"] == 1 and hist["sum"] == 4
         assert "min" not in hist and "max" not in hist
