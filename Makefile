@@ -83,7 +83,7 @@ chaos-smoke:
 ## same seeded targets must record byte-identical traces twice serially
 ## AND across --jobs 1 / --jobs $(JOBS); then the overhead guard proves
 ## tracing-disabled runs stay in budget while instrumentation stays live.
-TRACE_TARGETS = stl case:fuzz-v1:5:12 fig4
+TRACE_TARGETS = stl case:fuzz-v1:5:12 sec4-transient
 trace-smoke:
 	rm -rf $(RESULTS)-trace
 	$(PY) -m repro.telemetry.cli record $(TRACE_TARGETS) --jobs 1       --out $(RESULTS)-trace/serial

@@ -68,7 +68,7 @@ FAST_EXPERIMENTS = (
 )
 
 #: The golden-trace targets (same set ``make trace-smoke`` pins).
-TRACE_TARGETS = ("stl", "case:fuzz-v1:5:12", "fig4")
+TRACE_TARGETS = ("stl", "case:fuzz-v1:5:12", "sec4-transient")
 
 
 def _experiments_digest(names: tuple[str, ...]) -> str:

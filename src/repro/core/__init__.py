@@ -22,7 +22,6 @@ from repro.core.counters import (
     C3_MAX,
     C4_MAX,
     CounterState,
-    SaturatingCounter,
 )
 from repro.core.exec_types import (
     PMC_PROFILE,
@@ -84,7 +83,6 @@ __all__ = [
     "SSBP_SETS",
     "SSBP_WAYS",
     "STRIDE",
-    "SaturatingCounter",
     "SpecCtrl",
     "Ssbp",
     "SsbpEntry",

@@ -42,7 +42,6 @@ __all__ = [
     "C3_MAX",
     "C4_MAX",
     "CounterState",
-    "SaturatingCounter",
     "clamp",
 ]
 
@@ -63,62 +62,6 @@ def clamp(value: int, lo: int, hi: int) -> int:
     if value > hi:
         return hi
     return value
-
-
-class SaturatingCounter:
-    """A mutable saturating counter with inclusive bounds.
-
-    >>> c = SaturatingCounter(maximum=4)
-    >>> c.add(10).value
-    4
-    >>> c.sub(99).value
-    0
-    """
-
-    __slots__ = ("_value", "minimum", "maximum")
-
-    def __init__(self, value: int = 0, *, minimum: int = 0, maximum: int) -> None:
-        if minimum > maximum:
-            raise ValueError(f"minimum {minimum} exceeds maximum {maximum}")
-        self.minimum = minimum
-        self.maximum = maximum
-        self._value = clamp(value, minimum, maximum)
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    @value.setter
-    def value(self, new: int) -> None:
-        self._value = clamp(new, self.minimum, self.maximum)
-
-    def add(self, amount: int = 1) -> "SaturatingCounter":
-        self.value = self._value + amount
-        return self
-
-    def sub(self, amount: int = 1) -> "SaturatingCounter":
-        self.value = self._value - amount
-        return self
-
-    def reset(self) -> "SaturatingCounter":
-        self._value = clamp(0, self.minimum, self.maximum)
-        return self
-
-    def __int__(self) -> int:
-        return self._value
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, SaturatingCounter):
-            return self._value == other._value
-        if isinstance(other, int):
-            return self._value == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._value)
-
-    def __repr__(self) -> str:
-        return f"SaturatingCounter({self._value}, max={self.maximum})"
 
 
 @dataclass(frozen=True, slots=True)

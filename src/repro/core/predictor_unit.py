@@ -32,7 +32,6 @@ from repro.core.state_machine import (
     predict as predict_state,
     transition,
 )
-from repro.telemetry.events import PredictorTransitionEvent
 
 __all__ = ["AccessResult", "PredictorUnit"]
 
@@ -192,18 +191,17 @@ class PredictorUnit:
     ) -> None:
         """Emit one TABLE I edge as observed live (cold path)."""
         self.trace.emit(
-            PredictorTransitionEvent(
-                cycle=self.trace_cycle,
-                thread=self.trace_thread,
-                store_hash=store_hash,
-                load_hash=load_hash,
-                aliasing=aliasing,
-                exec_type=exec_type.name,
-                state_before=state_before.value,
-                state_after=state_after.value,
-                counters_before=before.as_tuple(),
-                counters_after=after.as_tuple(),
-            )
+            "predictor-transition",
+            cycle=self.trace_cycle,
+            thread=self.trace_thread,
+            store_hash=store_hash,
+            load_hash=load_hash,
+            aliasing=aliasing,
+            exec_type=exec_type.name,
+            state_before=state_before.value,
+            state_after=state_after.value,
+            counters_before=list(before.as_tuple()),
+            counters_after=list(after.as_tuple()),
         )
 
     # ------------------------------------------------------------------
@@ -230,12 +228,6 @@ class PredictorUnit:
         self.psfp.flush()
         self.ssbp.flush()
         self.exec_type_counts.clear()
-
-    # ------------------------------------------------------------------
-    # Introspection used by experiments
-    # ------------------------------------------------------------------
-    def state_name_for(self, store_hash: int, load_hash: int) -> StateName:
-        return classify_state(self.state_for(store_hash, load_hash))
 
     def __repr__(self) -> str:
         return (

@@ -84,19 +84,6 @@ from repro.osm.address_space import Perm
 from repro.osm.kernel import Kernel
 from repro.osm.process import Process
 from repro.telemetry import current_tracer, registry
-from repro.telemetry.events import (
-    BranchPredictEvent,
-    BranchResolveEvent,
-    CommitEvent,
-    DispatchEvent,
-    FaultEvent,
-    RestoreEvent,
-    SquashEvent,
-    StldBypassEvent,
-    StldForwardEvent,
-    StldPredictEvent,
-    StldStallEvent,
-)
 
 __all__ = ["StldEvent", "RunResult", "Pipeline", "FAULT_WINDOW", "CHAOS_HOOKS"]
 
@@ -601,12 +588,11 @@ class _ExecState:
         d = self.dispatch
         if self.trace is not None:
             self.trace.emit(
-                DispatchEvent(
-                    cycle=d,
-                    thread=self.tid,
-                    index=index,
-                    op=dec.names[index],
-                )
+                "dispatch",
+                cycle=d,
+                thread=self.tid,
+                index=index,
+                op=dec.names[index],
             )
         args = dec.args[index]
         # Opcode chain ordered roughly by dynamic frequency in the fuzz
@@ -737,13 +723,12 @@ class _ExecState:
 
     def _trace_commit(self, index: int, opname: str, cycle: int) -> None:
         self.trace.emit(
-            CommitEvent(
-                cycle=cycle,
-                thread=self.tid,
-                index=index,
-                op=opname,
-                retired=self.retired,
-            )
+            "commit",
+            cycle=cycle,
+            thread=self.tid,
+            index=index,
+            op=opname,
+            retired=self.retired,
         )
 
     def _exec_mfence(self) -> None:
@@ -819,17 +804,16 @@ class _ExecState:
         covers = pending.covers(paddr, width)
         if self.trace is not None:
             self.trace.emit(
-                StldPredictEvent(
-                    cycle=addr_ready,
-                    thread=self.tid,
-                    index=index,
-                    store_ipa=pending.store_ipa,
-                    load_ipa=load_ipa,
-                    aliasing=prediction.aliasing,
-                    psf_forward=prediction.psf_forward,
-                    sticky=prediction.sticky,
-                    covers=covers,
-                )
+                "stld-predict",
+                cycle=addr_ready,
+                thread=self.tid,
+                index=index,
+                store_ipa=pending.store_ipa,
+                load_ipa=load_ipa,
+                aliasing=prediction.aliasing,
+                psf_forward=prediction.psf_forward,
+                sticky=prediction.sticky,
+                covers=covers,
             )
 
         # Other unresolved older stores the load will read around: if any
@@ -857,13 +841,12 @@ class _ExecState:
             self.pmc.add(PmcEvent.STLF)
             if self.trace is not None:
                 self.trace.emit(
-                    StldForwardEvent(
-                        cycle=complete,
-                        thread=self.tid,
-                        index=index,
-                        value=value,
-                        correct=covers,
-                    )
+                    "stld-forward",
+                    cycle=complete,
+                    thread=self.tid,
+                    index=index,
+                    value=value,
+                    correct=covers,
                 )
         elif prediction.aliasing:
             # Stall until address generation of *every* older unresolved
@@ -900,12 +883,11 @@ class _ExecState:
                 complete = stall_until + latency + self.lat.post_stall_replay
             if self.trace is not None:
                 self.trace.emit(
-                    StldStallEvent(
-                        cycle=stall_until,
-                        thread=self.tid,
-                        index=index,
-                        ready_cycle=complete,
-                    )
+                    "stld-stall",
+                    cycle=stall_until,
+                    thread=self.tid,
+                    index=index,
+                    ready_cycle=complete,
                 )
         else:
             # Speculative store bypass: stale read around the store (H/G).
@@ -916,13 +898,12 @@ class _ExecState:
             complete = addr_ready + latency
             if self.trace is not None:
                 self.trace.emit(
-                    StldBypassEvent(
-                        cycle=complete,
-                        thread=self.tid,
-                        index=index,
-                        value=value,
-                        correct=not truth,
-                    )
+                    "stld-bypass",
+                    cycle=complete,
+                    thread=self.tid,
+                    index=index,
+                    value=value,
+                    correct=not truth,
                 )
 
         record = _SpecLoad(
@@ -1000,13 +981,12 @@ class _ExecState:
         )
         if self.trace is not None:
             self.trace.emit(
-                FaultEvent(
-                    cycle=addr_ready,
-                    thread=self.tid,
-                    index=self.index,
-                    vaddr=fault.address,
-                    window_stop=self.window.stop,
-                )
+                "fault",
+                cycle=addr_ready,
+                thread=self.tid,
+                index=self.index,
+                vaddr=fault.address,
+                window_stop=self.window.stop,
             )
         self._set_reg(dst, 0, addr_ready + self.lat.l1_hit)
 
@@ -1024,23 +1004,21 @@ class _ExecState:
         self.pipe.train_branch(iva, taken)
         if self.trace is not None:
             self.trace.emit(
-                BranchPredictEvent(
-                    cycle=d,
-                    thread=self.tid,
-                    index=index,
-                    iva=iva,
-                    predicted_taken=predicted,
-                )
+                "branch-predict",
+                cycle=d,
+                thread=self.tid,
+                index=index,
+                iva=iva,
+                predicted_taken=predicted,
             )
             self.trace.emit(
-                BranchResolveEvent(
-                    cycle=resolve,
-                    thread=self.tid,
-                    index=index,
-                    iva=iva,
-                    taken=taken,
-                    mispredicted=predicted != taken,
-                )
+                "branch-resolve",
+                cycle=resolve,
+                thread=self.tid,
+                index=index,
+                iva=iva,
+                taken=taken,
+                mispredicted=predicted != taken,
             )
         if target is None:
             raise InvalidInstruction(f"unknown label {label!r}")
@@ -1119,13 +1097,12 @@ class _ExecState:
         self.pmc.add(PmcEvent.ROLLBACK)
         if self.trace is not None:
             self.trace.emit(
-                SquashEvent(
-                    cycle=window.stop,
-                    thread=self.tid,
-                    reason="fault" if window.fault is not None else "branch",
-                    from_index=window.snapshot.index,
-                    penalty=self.lat.rollback,
-                )
+                "squash",
+                cycle=window.stop,
+                thread=self.tid,
+                reason="fault" if window.fault is not None else "branch",
+                from_index=window.snapshot.index,
+                penalty=self.lat.rollback,
             )
         if window.fault is None:
             self.index = window.resume_index
@@ -1217,13 +1194,12 @@ class _ExecState:
         self.pmc.add(PmcEvent.ROLLBACK)
         if self.trace is not None:
             self.trace.emit(
-                SquashEvent(
-                    cycle=now,
-                    thread=self.tid,
-                    reason="memory",
-                    from_index=record.load_index,
-                    penalty=penalty,
-                )
+                "squash",
+                cycle=now,
+                thread=self.tid,
+                reason="memory",
+                from_index=record.load_index,
+                penalty=penalty,
             )
             self._trace_restore()
         # The store is resolved by now (addr_ready <= dispatch), so the
@@ -1231,10 +1207,9 @@ class _ExecState:
 
     def _trace_restore(self) -> None:
         self.trace.emit(
-            RestoreEvent(
-                cycle=self.dispatch,
-                thread=self.tid,
-                index=self.index,
-                retired=self.retired,
-            )
+            "restore",
+            cycle=self.dispatch,
+            thread=self.tid,
+            index=self.index,
+            retired=self.retired,
         )

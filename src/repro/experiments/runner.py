@@ -8,7 +8,8 @@ The runner is a campaign engine, not a loop:
 
 * **parallel scheduling** — every driver builds its own ``Machine``, so
   experiments are embarrassingly parallel; ``--jobs N`` fans them out
-  across a :class:`concurrent.futures.ProcessPoolExecutor`;
+  across the supervised worker pool
+  (:func:`repro.runtime.supervisor.run_supervised`);
 * **result cache** — results are content-addressed by (experiment name,
   seed, :class:`CpuModel`, package version) under ``.repro-cache/``;
   unchanged experiments are replayed from disk (``--no-cache`` opts out);

@@ -12,7 +12,8 @@ A campaign is a deterministic function of ``(--seed, --budget,
 3. architectural divergences are minimized by the shrinker and appended
    to the corpus; everything lands in a schema-versioned findings JSONL.
 
-``--jobs N`` fans tasks out over a :class:`ProcessPoolExecutor`; findings
+``--jobs N`` fans tasks out over the supervised worker pool
+(:func:`repro.runtime.supervisor.run_supervised`); findings
 are emitted in task order whatever the completion order, so ``--jobs 8``
 and ``--jobs 1`` write **byte-identical** findings files — the same
 determinism contract the experiment campaign runner keeps.

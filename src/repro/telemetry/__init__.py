@@ -3,11 +3,13 @@
 The observability substrate for the simulator (docs/observability.md).
 Three layers:
 
-* **Events** (:mod:`.events`, :mod:`.sinks`) — typed, zero-overhead-
-  when-disabled trace events emitted by ``repro.cpu.pipeline.Pipeline``
-  (dispatch, branch predict/resolve, STLD predict/forward/stall/bypass,
-  squash/restore, fault, commit) and by the PSFP/SSBP predictor unit
-  (TABLE I state transitions, observed live).
+* **Events** (:mod:`.events`, :mod:`.sinks`) — zero-overhead-when-
+  disabled trace events, plain dicts whose kinds and fields
+  :data:`~.events.EVENT_FIELDS` names, emitted by
+  ``repro.cpu.pipeline.Pipeline`` (dispatch, branch predict/resolve,
+  STLD predict/forward/stall/bypass, squash/restore, fault, commit) and
+  by the PSFP/SSBP predictor unit (TABLE I state transitions, observed
+  live).
 * **Metrics** (:mod:`.metrics`) — process-local counters and
   histograms instrumenting the pipeline, fuzz harness and runtime
   supervisor; rolled up per task into campaign manifests and findings.
@@ -24,7 +26,7 @@ Recording is opt-in via an explicit tracer activation::
 
 When nothing is recording, ``current_tracer()`` is ``None`` and every
 instrumented site reduces to one ``is not None`` test — no event
-objects are built, no sink is touched.  ``make trace-smoke`` holds both
+dicts are built, no sink is touched.  ``make trace-smoke`` holds both
 halves of that contract (byte-identical traces across ``--jobs``,
 bounded overhead with telemetry off).
 """
@@ -34,42 +36,12 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator
 
-from .events import (
-    TRACE_SCHEMA,
-    BranchPredictEvent,
-    BranchResolveEvent,
-    CommitEvent,
-    DispatchEvent,
-    FaultEvent,
-    PredictorTransitionEvent,
-    RestoreEvent,
-    SquashEvent,
-    StldBypassEvent,
-    StldForwardEvent,
-    StldPredictEvent,
-    StldStallEvent,
-    TraceEvent,
-    event_from_dict,
-)
+from .events import TRACE_SCHEMA
 from .metrics import MetricsRegistry, merge_snapshots, registry
 from .sinks import JsonlSink, RingBufferSink, Tracer, TraceSink, read_trace, trace_header
 
 __all__ = [
     "TRACE_SCHEMA",
-    "TraceEvent",
-    "DispatchEvent",
-    "CommitEvent",
-    "BranchPredictEvent",
-    "BranchResolveEvent",
-    "StldPredictEvent",
-    "StldForwardEvent",
-    "StldStallEvent",
-    "StldBypassEvent",
-    "SquashEvent",
-    "RestoreEvent",
-    "FaultEvent",
-    "PredictorTransitionEvent",
-    "event_from_dict",
     "TraceSink",
     "Tracer",
     "RingBufferSink",

@@ -1,320 +1,64 @@
-"""Typed trace events emitted by the pipeline and predictor units.
+"""The trace wire format: event kinds and their payload fields.
 
-Every event is a frozen dataclass with a stable ``kind`` string and a
-hand-written :meth:`to_dict` (no ``dataclasses.asdict`` reflection on
-the hot path).  The serialized form is the trace wire format:
+Every event is a plain dict, built by :meth:`~repro.telemetry.sinks.Tracer.emit`
+straight from the instrumented call site's keyword arguments:
 
-    {"seq": N, "cycle": C, "thread": T, "kind": "...", ...payload}
+    {"cycle": C, "thread": T, "kind": "...", ...payload, "seq": N}
 
 ``seq`` is a per-trace monotonic sequence number assigned by the
-:class:`~repro.telemetry.sinks.Tracer`; ``cycle`` is the simulated
-pipeline cycle at emission.  Both are fully deterministic, which is
-what makes byte-identical traces across ``--jobs`` and first-divergence
-diffing (:mod:`repro.telemetry.diff`) possible.
+tracer; ``cycle`` is the simulated pipeline cycle at emission.  Both are
+fully deterministic, which is what makes byte-identical traces across
+``--jobs`` and first-divergence diffing (:mod:`repro.telemetry.diff`)
+possible.
 
-Schema changes bump :data:`TRACE_SCHEMA`; readers refuse newer schemas.
+:data:`EVENT_FIELDS` is the one place the kinds and their payload fields
+are named (a conformance test holds every emitter to it).  Schema
+changes bump :data:`TRACE_SCHEMA`; readers refuse newer schemas.
 docs/observability.md documents every kind and field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, ClassVar
-
-__all__ = [
-    "TRACE_SCHEMA",
-    "TraceEvent",
-    "DispatchEvent",
-    "CommitEvent",
-    "BranchPredictEvent",
-    "BranchResolveEvent",
-    "StldPredictEvent",
-    "StldForwardEvent",
-    "StldStallEvent",
-    "StldBypassEvent",
-    "SquashEvent",
-    "RestoreEvent",
-    "FaultEvent",
-    "PredictorTransitionEvent",
-    "EVENT_KINDS",
-    "event_from_dict",
-]
+__all__ = ["TRACE_SCHEMA", "EVENT_FIELDS"]
 
 #: Bump when an event gains/loses/renames fields.
 TRACE_SCHEMA = 1
 
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """Base class: common envelope fields shared by every event."""
-
-    kind: ClassVar[str] = "event"
-
-    cycle: int
-    thread: int
-
-    def payload(self) -> dict[str, Any]:  # pragma: no cover - overridden
-        return {}
-
-    def to_dict(self) -> dict[str, Any]:
-        data: dict[str, Any] = {
-            "cycle": self.cycle,
-            "thread": self.thread,
-            "kind": self.kind,
-        }
-        data.update(self.payload())
-        return data
-
-
-@dataclass(frozen=True)
-class DispatchEvent(TraceEvent):
-    """An instruction entered the execution window."""
-
-    kind: ClassVar[str] = "dispatch"
-
-    index: int
-    op: str
-
-    def payload(self) -> dict[str, Any]:
-        return {"index": self.index, "op": self.op}
-
-
-@dataclass(frozen=True)
-class CommitEvent(TraceEvent):
-    """An instruction retired architecturally."""
-
-    kind: ClassVar[str] = "commit"
-
-    index: int
-    op: str
-    retired: int
-
-    def payload(self) -> dict[str, Any]:
-        return {"index": self.index, "op": self.op, "retired": self.retired}
-
-
-@dataclass(frozen=True)
-class BranchPredictEvent(TraceEvent):
-    """Direction prediction at branch dispatch (2-bit counter read)."""
-
-    kind: ClassVar[str] = "branch-predict"
-
-    index: int
-    iva: int
-    predicted_taken: bool
-
-    def payload(self) -> dict[str, Any]:
-        return {
-            "index": self.index,
-            "iva": self.iva,
-            "predicted_taken": self.predicted_taken,
-        }
-
-
-@dataclass(frozen=True)
-class BranchResolveEvent(TraceEvent):
-    """Branch outcome known; mispredicts open a transient window."""
-
-    kind: ClassVar[str] = "branch-resolve"
-
-    index: int
-    iva: int
-    taken: bool
-    mispredicted: bool
-
-    def payload(self) -> dict[str, Any]:
-        return {
-            "index": self.index,
-            "iva": self.iva,
-            "taken": self.taken,
-            "mispredicted": self.mispredicted,
-        }
-
-
-@dataclass(frozen=True)
-class StldPredictEvent(TraceEvent):
-    """STLD predictor consulted for a load with an older in-flight store.
-
-    ``covers`` is the ground truth (store range covers the load);
-    ``aliasing``/``psf_forward`` are the PSFP/SSBP outputs that decide
-    which of the three execution paths (forward / stall / bypass) runs.
-    """
-
-    kind: ClassVar[str] = "stld-predict"
-
-    index: int
-    store_ipa: int
-    load_ipa: int
-    aliasing: bool
-    psf_forward: bool
-    sticky: bool
-    covers: bool
-
-    def payload(self) -> dict[str, Any]:
-        return {
-            "index": self.index,
-            "store_ipa": self.store_ipa,
-            "load_ipa": self.load_ipa,
-            "aliasing": self.aliasing,
-            "psf_forward": self.psf_forward,
-            "sticky": self.sticky,
-            "covers": self.covers,
-        }
-
-
-@dataclass(frozen=True)
-class StldForwardEvent(TraceEvent):
-    """PSF forwarded store data to a dependent load speculatively."""
-
-    kind: ClassVar[str] = "stld-forward"
-
-    index: int
-    value: int
-    correct: bool
-
-    def payload(self) -> dict[str, Any]:
-        return {"index": self.index, "value": self.value, "correct": self.correct}
-
-
-@dataclass(frozen=True)
-class StldStallEvent(TraceEvent):
-    """Load stalled until older store addresses resolved (predict-alias)."""
-
-    kind: ClassVar[str] = "stld-stall"
-
-    index: int
-    ready_cycle: int
-
-    def payload(self) -> dict[str, Any]:
-        return {"index": self.index, "ready_cycle": self.ready_cycle}
-
-
-@dataclass(frozen=True)
-class StldBypassEvent(TraceEvent):
-    """Load speculatively bypassed older stores and read memory (SSB)."""
-
-    kind: ClassVar[str] = "stld-bypass"
-
-    index: int
-    value: int
-    correct: bool
-
-    def payload(self) -> dict[str, Any]:
-        return {"index": self.index, "value": self.value, "correct": self.correct}
-
-
-@dataclass(frozen=True)
-class SquashEvent(TraceEvent):
-    """A transient window closed with a flush (mispredict or fault)."""
-
-    kind: ClassVar[str] = "squash"
-
-    reason: str  # "branch" | "fault" | "memory"
-    from_index: int
-    penalty: int
-
-    def payload(self) -> dict[str, Any]:
-        return {
-            "reason": self.reason,
-            "from_index": self.from_index,
-            "penalty": self.penalty,
-        }
-
-
-@dataclass(frozen=True)
-class RestoreEvent(TraceEvent):
-    """Architectural state restored after a squash; refetch resumes."""
-
-    kind: ClassVar[str] = "restore"
-
-    index: int
-    retired: int
-
-    def payload(self) -> dict[str, Any]:
-        return {"index": self.index, "retired": self.retired}
-
-
-@dataclass(frozen=True)
-class FaultEvent(TraceEvent):
-    """A load faulted; transient successors execute until the window stops."""
-
-    kind: ClassVar[str] = "fault"
-
-    index: int
-    vaddr: int
-    window_stop: int
-
-    def payload(self) -> dict[str, Any]:
-        return {"index": self.index, "vaddr": self.vaddr, "window_stop": self.window_stop}
-
-
-@dataclass(frozen=True)
-class PredictorTransitionEvent(TraceEvent):
-    """A PSFP/SSBP access moved the TABLE I counter state machine.
-
-    One event per predictor access: ``state_before``/``state_after`` are
-    TABLE I state names, ``counters_*`` the live (c0..c4) tuples, and
-    ``exec_type`` the A–H classification of the access.  Replaying a
-    trace's transition events reproduces the TABLE I edge list.
-    """
-
-    kind: ClassVar[str] = "predictor-transition"
-
-    store_hash: int
-    load_hash: int
-    aliasing: bool
-    exec_type: str
-    state_before: str
-    state_after: str
-    counters_before: tuple[int, ...]
-    counters_after: tuple[int, ...]
-
-    def payload(self) -> dict[str, Any]:
-        return {
-            "store_hash": self.store_hash,
-            "load_hash": self.load_hash,
-            "aliasing": self.aliasing,
-            "exec_type": self.exec_type,
-            "state_before": self.state_before,
-            "state_after": self.state_after,
-            "counters_before": list(self.counters_before),
-            "counters_after": list(self.counters_after),
-        }
-
-
-#: kind -> event class, for readers.
-EVENT_KINDS: dict[str, type[TraceEvent]] = {
-    cls.kind: cls
-    for cls in (
-        DispatchEvent,
-        CommitEvent,
-        BranchPredictEvent,
-        BranchResolveEvent,
-        StldPredictEvent,
-        StldForwardEvent,
-        StldStallEvent,
-        StldBypassEvent,
-        SquashEvent,
-        RestoreEvent,
-        FaultEvent,
-        PredictorTransitionEvent,
-    )
+#: kind -> payload fields, in emission order (the envelope ``cycle``,
+#: ``thread``, ``kind`` and ``seq`` are common to every kind).
+EVENT_FIELDS: dict[str, tuple[str, ...]] = {
+    # An instruction entered the execution window.
+    "dispatch": ("index", "op"),
+    # An instruction retired architecturally.
+    "commit": ("index", "op", "retired"),
+    # Direction prediction at branch dispatch (2-bit counter read).
+    "branch-predict": ("index", "iva", "predicted_taken"),
+    # Branch outcome known; mispredicts open a transient window.
+    "branch-resolve": ("index", "iva", "taken", "mispredicted"),
+    # STLD predictor consulted for a load with an older in-flight store:
+    # ``covers`` is the ground truth (store range covers the load),
+    # ``aliasing``/``psf_forward`` the PSFP/SSBP outputs that pick the
+    # forward / stall / bypass path.
+    "stld-predict": (
+        "index", "store_ipa", "load_ipa", "aliasing", "psf_forward", "sticky", "covers",
+    ),
+    # PSF forwarded store data to a dependent load speculatively.
+    "stld-forward": ("index", "value", "correct"),
+    # Load stalled until older store addresses resolved (predict-alias).
+    "stld-stall": ("index", "ready_cycle"),
+    # Load speculatively bypassed older stores and read memory (SSB).
+    "stld-bypass": ("index", "value", "correct"),
+    # A transient window closed with a flush; reason is branch|fault|memory.
+    "squash": ("reason", "from_index", "penalty"),
+    # Architectural state restored after a squash; refetch resumes.
+    "restore": ("index", "retired"),
+    # A load faulted; transient successors execute until the window stops.
+    "fault": ("index", "vaddr", "window_stop"),
+    # A PSFP/SSBP access moved the TABLE I counter state machine: state
+    # names, live (c0..c4) counter lists and the A-H execution type.
+    # Replaying these reproduces the TABLE I edge list.
+    "predictor-transition": (
+        "store_hash", "load_hash", "aliasing", "exec_type",
+        "state_before", "state_after", "counters_before", "counters_after",
+    ),
 }
-
-
-def event_from_dict(data: dict[str, Any]) -> TraceEvent:
-    """Rehydrate a serialized event (inverse of ``to_dict``).
-
-    Unknown kinds raise ``ValueError`` — a schema guard, not a silent
-    skip, because diffing against partially-understood traces would
-    report bogus divergences.
-    """
-    kind = data.get("kind")
-    cls = EVENT_KINDS.get(kind)  # type: ignore[arg-type]
-    if cls is None:
-        raise ValueError(f"unknown trace event kind: {kind!r}")
-    fields = {k: v for k, v in data.items() if k not in ("kind", "seq")}
-    if cls is PredictorTransitionEvent:
-        fields["counters_before"] = tuple(fields["counters_before"])
-        fields["counters_after"] = tuple(fields["counters_after"])
-    return cls(**fields)

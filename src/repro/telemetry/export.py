@@ -13,7 +13,6 @@ text table for terminals and diffs in bug reports.
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 __all__ = ["to_chrome_trace", "to_timeline", "summarize_events"]
@@ -213,8 +212,3 @@ def summarize_events(events: list[dict[str, Any]]) -> dict[str, Any]:
         "last_cycle": last.get("cycle", 0) if last else 0,
     }
 
-
-def write_chrome_trace(path: str, header: dict[str, Any], events: list[dict[str, Any]]) -> None:
-    from ..runtime import atomic_write_text
-
-    atomic_write_text(path, json.dumps(to_chrome_trace(header, events), indent=2) + "\n")

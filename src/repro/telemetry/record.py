@@ -20,10 +20,11 @@ run and under any ``--jobs`` fan-out; ``make trace-smoke`` enforces it.
 
 from __future__ import annotations
 
+from functools import partial
 from pathlib import Path
 from typing import Any, Sequence
 
-from . import deactivate, activate
+from . import recording
 from .sinks import JsonlSink, trace_header
 
 __all__ = [
@@ -66,6 +67,22 @@ def _parse_case(target: str) -> tuple[str, int, int]:
         )
     _, generator, seed, blocks = parts
     return generator, int(seed), int(blocks)
+
+
+def _run_case(
+    generator: str, seed: int, blocks: int, model: str | None, mitigation: str
+) -> None:
+    """Run one generated fuzz program through the pipeline executor."""
+    from ..fuzz.gen import build_program
+    from ..fuzz.harness import execute_program
+
+    execute_program(
+        build_program(generator, seed, blocks),
+        seed=seed,
+        model=model,
+        mitigation=mitigation,
+        use_pipeline=True,
+    )
 
 
 def _run_stl_demo(seed: int, mitigation: str) -> None:
@@ -139,41 +156,20 @@ def record_target(
         context.update(generator=generator, seed=used_seed, blocks=blocks)
         if model is not None:
             context["model"] = model
-        sink = JsonlSink(path, trace_header(**context))
-        tracer = activate(sink)
-        try:
-            from ..fuzz.harness import execute_program
-            from ..fuzz.gen import build_program
-
-            execute_program(
-                build_program(generator, used_seed, blocks),
-                seed=used_seed,
-                model=model,
-                mitigation=mitigation,
-                use_pipeline=True,
-            )
-        finally:
-            deactivate()
+        run = partial(_run_case, generator, used_seed, blocks, model, mitigation)
     elif target in RECORD_BUILTINS:
         used_seed = 1337 if seed is None else seed
         context["seed"] = used_seed
-        sink = JsonlSink(path, trace_header(**context))
-        tracer = activate(sink)
-        try:
-            _run_stl_demo(used_seed, mitigation)
-        finally:
-            deactivate()
+        run = partial(_run_stl_demo, used_seed, mitigation)
     else:
         from ..experiments.runner import effective_seed, run_experiment
 
         used_seed = effective_seed(target, seed)  # raises on unknown names
         context["seed"] = used_seed
-        sink = JsonlSink(path, trace_header(**context))
-        tracer = activate(sink)
-        try:
-            run_experiment(target, used_seed)
-        finally:
-            deactivate()
+        run = partial(run_experiment, target, used_seed)
+
+    with recording(JsonlSink(path, trace_header(**context))) as tracer:
+        run()
 
     return {
         "target": target,

@@ -1,11 +1,13 @@
 """Trace sinks: where emitted events go.
 
-A :class:`Tracer` wraps one sink and assigns the per-trace monotonic
-``seq`` number.  The pipeline holds at most one tracer reference
-(``Pipeline.trace``); when no tracer is active the reference is ``None``
-and instrumented call sites skip event construction entirely — that is
-the zero-overhead-when-disabled contract (no event objects, no sink
-dispatch, one ``is not None`` test per site).
+A :class:`Tracer` wraps one sink: it builds each event's wire dict from
+the call site's keyword arguments (the fields named in
+:data:`~repro.telemetry.events.EVENT_FIELDS`) and assigns the per-trace
+monotonic ``seq`` number.  The pipeline holds at most one tracer
+reference (``Pipeline.trace``); when no tracer is active the reference
+is ``None`` and instrumented call sites skip the ``emit`` call entirely —
+that is the zero-overhead-when-disabled contract (no dicts built, no
+sink dispatch, one ``is not None`` test per site).
 
 Two sinks ship:
 
@@ -25,10 +27,10 @@ from __future__ import annotations
 import json
 from collections import deque
 from pathlib import Path
-from typing import Any, Iterable, Protocol
+from typing import Any, Protocol
 
 from ..runtime import atomic_write_text
-from .events import TRACE_SCHEMA, TraceEvent, event_from_dict
+from .events import TRACE_SCHEMA
 
 __all__ = [
     "TraceSink",
@@ -41,10 +43,10 @@ __all__ = [
 
 
 class TraceSink(Protocol):
-    """Anything that can accept serialized trace events."""
+    """Anything that can accept trace events as wire dicts."""
 
     def emit(self, event: dict[str, Any]) -> None:
-        """Accept one serialized event (the dict already carries seq)."""
+        """Accept one event's wire dict (it already carries seq)."""
 
     def close(self) -> None:
         """Flush/finalize.  Must be idempotent."""
@@ -76,9 +78,13 @@ class Tracer:
         self.seq = 0
         self.events_emitted = 0
 
-    def emit(self, event: TraceEvent) -> None:
-        data = event.to_dict()
-        data["seq"] = self.seq
+    def emit(self, kind: str, cycle: int, thread: int, **fields: Any) -> None:
+        """Build one event's wire dict and hand it to the sink.
+
+        ``fields`` are the kind's payload (``EVENT_FIELDS[kind]``), in
+        order; the key order is ``cycle, thread, kind, ...fields, seq``.
+        """
+        data = {"cycle": cycle, "thread": thread, "kind": kind, **fields, "seq": self.seq}
         self.seq += 1
         self.events_emitted += 1
         self.sink.emit(data)
@@ -152,7 +158,3 @@ def read_trace(path: str | Path) -> tuple[dict[str, Any], list[dict[str, Any]]]:
     events = [json.loads(line) for line in lines[1:] if line]
     return header, events
 
-
-def events_from_dicts(raw: Iterable[dict[str, Any]]) -> list[TraceEvent]:
-    """Rehydrate typed events from raw trace dicts."""
-    return [event_from_dict(item) for item in raw]

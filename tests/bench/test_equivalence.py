@@ -17,11 +17,13 @@ import pytest
 from repro.bench.equivalence import (
     EQUIV_SCHEMA,
     FAST_EXPERIMENTS,
+    TRACE_TARGETS,
     check_golden,
     compute_digest,
 )
 
-FAST_GOLDEN = Path(__file__).resolve().parents[2] / "benchmarks" / "GOLDEN_fast.json"
+ROOT = Path(__file__).resolve().parents[2]
+FAST_GOLDEN = ROOT / "benchmarks" / "GOLDEN_fast.json"
 
 
 def test_fast_tier_matches_golden():
@@ -46,3 +48,12 @@ def test_fast_tier_experiments_are_registered():
 
     for name in FAST_EXPERIMENTS:
         assert name in EXPERIMENTS
+
+
+def test_trace_smoke_pins_the_golden_trace_targets():
+    (line,) = [
+        line
+        for line in (ROOT / "Makefile").read_text().splitlines()
+        if line.startswith("TRACE_TARGETS")
+    ]
+    assert tuple(line.partition("=")[2].split()) == TRACE_TARGETS

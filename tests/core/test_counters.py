@@ -1,4 +1,4 @@
-"""Unit tests for saturating counters and the five-counter state."""
+"""Unit tests for counter clamping and the five-counter state."""
 
 import pytest
 from hypothesis import given
@@ -11,7 +11,6 @@ from repro.core.counters import (
     C3_MAX,
     C4_MAX,
     CounterState,
-    SaturatingCounter,
     clamp,
 )
 
@@ -34,53 +33,6 @@ class TestClamp:
     def test_result_always_in_range(self, value, lo, span):
         hi = lo + span
         assert lo <= clamp(value, lo, hi) <= hi
-
-
-class TestSaturatingCounter:
-    def test_initial_value(self):
-        assert SaturatingCounter(2, maximum=4).value == 2
-
-    def test_initial_value_clamped(self):
-        assert SaturatingCounter(99, maximum=4).value == 4
-
-    def test_add_saturates(self):
-        assert SaturatingCounter(3, maximum=4).add(10).value == 4
-
-    def test_sub_saturates_at_minimum(self):
-        assert SaturatingCounter(1, maximum=4).sub(10).value == 0
-
-    def test_add_then_sub(self):
-        counter = SaturatingCounter(maximum=7)
-        counter.add(3).sub(1)
-        assert counter.value == 2
-
-    def test_reset(self):
-        assert SaturatingCounter(5, maximum=7).reset().value == 0
-
-    def test_invalid_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            SaturatingCounter(0, minimum=3, maximum=1)
-
-    def test_int_conversion(self):
-        assert int(SaturatingCounter(3, maximum=4)) == 3
-
-    def test_equality_with_int(self):
-        assert SaturatingCounter(3, maximum=4) == 3
-
-    def test_equality_with_counter(self):
-        assert SaturatingCounter(3, maximum=4) == SaturatingCounter(3, maximum=9)
-
-    def test_setter_clamps(self):
-        counter = SaturatingCounter(maximum=4)
-        counter.value = 100
-        assert counter.value == 4
-
-    @given(st.lists(st.integers(-10, 10), max_size=50))
-    def test_never_escapes_bounds(self, deltas):
-        counter = SaturatingCounter(maximum=4)
-        for delta in deltas:
-            counter.add(delta)
-            assert 0 <= counter.value <= 4
 
 
 counter_states = st.builds(
