@@ -34,12 +34,6 @@ class GaussianFit:
     sigma: float
     samples: int
 
-    def pdf(self, x: float) -> float:
-        if self.sigma == 0:
-            return math.inf if x == self.mu else 0.0
-        z = (x - self.mu) / self.sigma
-        return math.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2 * math.pi))
-
     def within(self, x: float, sigmas: float = 3.0) -> bool:
         return abs(x - self.mu) <= sigmas * max(self.sigma, 1e-12)
 

@@ -100,10 +100,6 @@ class CpuModel:
         """Return a modified copy (e.g. single-thread mode, custom noise)."""
         return replace(self, **changes)
 
-    @property
-    def cycles_per_second(self) -> float:
-        return self.clock_ghz * 1e9
-
 
 #: The four evaluation platforms of TABLE III.
 ZEN3_MODELS: dict[str, CpuModel] = {

@@ -100,21 +100,6 @@ class CounterState:
         """Return a copy with the given counters replaced (and clamped)."""
         return replace(self, **changes)
 
-    @property
-    def is_initial(self) -> bool:
-        """True when every counter is zero (the reset state)."""
-        return self.c0 == 0 and self.c1 == 0 and self.c2 == 0 and self.c3 == 0 and self.c4 == 0
-
-    @property
-    def psfp_part(self) -> tuple[int, int, int]:
-        """The counters stored in a PSFP entry."""
-        return (self.c0, self.c1, self.c2)
-
-    @property
-    def ssbp_part(self) -> tuple[int, int]:
-        """The counters stored in an SSBP entry."""
-        return (self.c3, self.c4)
-
     def as_tuple(self) -> tuple[int, int, int, int, int]:
         return (self.c0, self.c1, self.c2, self.c3, self.c4)
 

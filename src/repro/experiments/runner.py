@@ -514,17 +514,13 @@ def _version() -> str:
     return __version__
 
 
-class _UsageError(Exception):
-    """Bad CLI usage (not an unknown experiment); exits 2 like argparse."""
-
-
 def _select(args: argparse.Namespace) -> list[str]:
     names = list(args.names) or (list(EXPERIMENTS) if args.all else list(QUICK_SET))
     if args.cost:
         tiers = {tier.strip() for tier in args.cost.split(",")}
         unknown = tiers - set(COST_TIERS)
         if unknown:
-            raise _UsageError(
+            raise ConfigError(
                 f"unknown cost tier(s): {', '.join(sorted(unknown))}; "
                 f"choose from {', '.join(COST_TIERS)}"
             )
@@ -604,8 +600,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         names = _select(args)
-        if args.resume and args.json is None:
-            raise _UsageError("--resume requires --json DIR")
         started = time.perf_counter()
         results = run_campaign(
             names,
@@ -622,7 +616,7 @@ def main(argv: list[str] | None = None) -> int:
             stable_meta=args.stable_meta,
             metrics=args.metrics,
         )
-    except (UnknownExperimentError, ConfigError, _UsageError) as exc:
+    except (UnknownExperimentError, ConfigError) as exc:
         print(f"repro-experiments: {exc}", file=sys.stderr)
         return exitcodes.EXIT_USAGE
     except CampaignInterrupted as exc:

@@ -76,7 +76,6 @@ __all__ = [
     "checkpoint_path",
     "derive_case",
     "build_tasks",
-    "prefilter_tasks",
     "run_fuzz_campaign",
     "trace_shrunk_findings",
     "regressions",
@@ -258,51 +257,12 @@ class FuzzCampaignResult(list):
         quarantined: int = 0,
         resumed: int = 0,
         retried: int = 0,
-        prefilter_scanned: int = 0,
-        prefilter_skipped: int = 0,
     ) -> None:
         super().__init__(findings)
         self.failures = list(failures)
         self.quarantined = quarantined
         self.resumed = resumed
         self.retried = retried
-        self.prefilter_scanned = prefilter_scanned
-        self.prefilter_skipped = prefilter_skipped
-
-
-def prefilter_tasks(tasks: list[dict]) -> tuple[list[dict], int, int]:
-    """Drop generated oracle tasks the static scanner proves gadget-free.
-
-    A program the scanner declares clean under every mitigation the task
-    would test *cannot* produce an oracle finding (the tested soundness
-    invariant, :mod:`repro.static.crossval`), so dynamically executing it
-    is pure cost.  The decision is a deterministic function of the
-    program alone — corpus replays and differential tasks are never
-    skipped (they test the simulator, not the program), so the filter
-    cannot mask a pipeline bug.  Returns ``(kept, scanned, skipped)``.
-    """
-    # Imported here, not at module level: repro.static.crossval imports
-    # this module for derive_case, so a top-level import would be a cycle.
-    from repro.fuzz.gen import build_program
-    from repro.static.gadgets import scan_program
-
-    kept: list[dict] = []
-    scanned = skipped = 0
-    for task in tasks:
-        if task["origin"] == "generated" and task["check"] == "oracle":
-            scanned += 1
-            instructions = build_program(
-                task["generator"], task["seed"], task["blocks"]
-            )
-            if all(
-                scan_program(instructions, mitigation=mitigation).clean
-                for mitigation in task["mitigations"]
-            ):
-                skipped += 1
-                registry().counter("scan.prefilter_skipped").inc()
-                continue
-        kept.append(task)
-    return kept, scanned, skipped
 
 
 def checkpoint_path(out: str | Path) -> Path:
@@ -385,7 +345,6 @@ def run_fuzz_campaign(
     resume: bool = False,
     chaos: str | None = None,
     grace_s: float = DEFAULT_GRACE_S,
-    static_prefilter: bool = False,
 ) -> FuzzCampaignResult:
     """Run one campaign; returns findings in stable task order.
 
@@ -416,12 +375,6 @@ def run_fuzz_campaign(
         model_name=model_name, replay=replay, inject=inject, shrink=shrink,
         metrics=metrics,
     )
-    scanned = skipped = 0
-    if static_prefilter:
-        tasks, scanned, skipped = prefilter_tasks(tasks)
-        if skipped:
-            say(f"static prefilter: skipped {skipped}/{scanned} generated "
-                f"oracle case(s) proven gadget-free")
     by_id = {task["task"]: task for task in tasks}
     fingerprint = _campaign_fingerprint(tasks)
     checkpoint = Path(checkpoint) if checkpoint is not None else None
@@ -493,8 +446,6 @@ def run_fuzz_campaign(
         quarantined=quarantined + (corp.quarantined if corp is not None else 0),
         resumed=resumed,
         retried=report.retried,
-        prefilter_scanned=scanned,
-        prefilter_skipped=skipped,
     )
     if report.interrupted:
         write_checkpoint()
@@ -648,13 +599,6 @@ def main(argv: list[str] | None = None) -> int:
              "gains a 'trace' field (see docs/observability.md)",
     )
     parser.add_argument(
-        "--static-prefilter", action="store_true",
-        help="skip dynamically executing generated oracle programs the "
-             "static scanner (repro-scan) proves gadget-free; the skip "
-             "decision is a pure function of the program, so findings "
-             "stay deterministic (see docs/static-analysis.md)",
-    )
-    parser.add_argument(
         "--metrics", action="store_true",
         help="attach each finding task's deterministic telemetry-counter "
              "delta as a 'metrics' field and print the campaign rollup",
@@ -709,7 +653,6 @@ def main(argv: list[str] | None = None) -> int:
             checkpoint=checkpoint_path(args.out),
             resume=args.resume,
             chaos=args.chaos,
-            static_prefilter=args.static_prefilter,
         )
     except ConfigError as exc:
         print(f"repro-fuzz: {exc}", file=sys.stderr)
@@ -753,12 +696,6 @@ def main(argv: list[str] | None = None) -> int:
               f"finding(s):")
         for name in sorted(counters):
             print(f"    {counters[name]:>9}  {name}")
-    if findings.prefilter_scanned:
-        print(
-            f"  static prefilter: scanned {findings.prefilter_scanned} "
-            f"generated oracle case(s), skipped "
-            f"{findings.prefilter_skipped} proven gadget-free"
-        )
     if findings.resumed:
         print(f"  resumed {findings.resumed} task(s) from checkpoint")
     if findings.quarantined:

@@ -37,10 +37,6 @@ class CacheStats:
     def accesses(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
-
     def reset(self) -> None:
         self.hits = self.misses = self.evictions = self.flushes = 0
 

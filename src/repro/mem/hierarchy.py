@@ -60,15 +60,6 @@ class MemoryHierarchy:
             return CacheLevel.L3
         return CacheLevel.MEMORY
 
-    def probe_latency(self, paddr: int) -> int:
-        """Latency a load would see right now, without touching state."""
-        return {
-            CacheLevel.L1: self.latency.l1_hit,
-            CacheLevel.L2: self.latency.l2_hit,
-            CacheLevel.L3: self.latency.l3_hit,
-            CacheLevel.MEMORY: self.latency.memory,
-        }[self.probe_level(paddr)]
-
     def clflush(self, paddr: int) -> None:
         """Flush the line from every level (the user-mode clflush)."""
         self.l1.flush_line(paddr)

@@ -44,10 +44,6 @@ class StoreEntry:
     def covers(self, paddr: int, size: int) -> bool:
         return self.paddr <= paddr and paddr + size <= self.paddr + self.size
 
-    def forward_bytes(self, paddr: int, size: int) -> bytes:
-        start = paddr - self.paddr
-        return self.data[start : start + size]
-
 
 class StoreQueue:
     """Bounded, program-ordered queue of :class:`StoreEntry`."""

@@ -1,6 +1,6 @@
 """Shared CLI plumbing for the repro console scripts.
 
-The six repro console scripts present one surface: the same
+The five repro console scripts present one surface: the same
 ``--version`` string, the same ``--help`` epilog stating the exit-code
 contract (:mod:`repro.runtime.exitcodes`), and the same formatter so the
 epilog's table survives argparse's re-wrapping.  Build parsers through

@@ -42,10 +42,6 @@ class CnnModel:
     name: str
     layers: tuple[LayerSpec, ...]
 
-    @property
-    def total_runs(self) -> int:
-        return sum(l.aliasing_runs + l.streaming_runs for l in self.layers)
-
 
 def _conv_stack(prefix: str, blocks: list[tuple[int, int]]) -> tuple[LayerSpec, ...]:
     """Build a conv-stack profile from (aliasing, streaming) per block."""

@@ -100,10 +100,6 @@ class TestStats:
         assert fit.within(2200)
         assert not fit.within(2200 + 10 * 300)
 
-    def test_gaussian_pdf_peaks_at_mu(self):
-        fit = fit_gaussian([0.0, 1.0, 2.0])
-        assert fit.pdf(fit.mu) > fit.pdf(fit.mu + 1)
-
     def test_frequency_vector_excludes_zeros(self):
         vec = frequency_vector([0, 0, 5, 5, 7])
         assert vec[4] == pytest.approx(2 / 3)

@@ -60,10 +60,6 @@ class TestCpuModel:
         with pytest.raises(ConfigError):
             CpuModel(name="x", timer_noise=0.5)
 
-    def test_cycles_per_second(self):
-        model = CpuModel(name="x", clock_ghz=2.0)
-        assert model.cycles_per_second == 2.0e9
-
 
 class TestLatencyModel:
     def test_defaults_are_ordered(self):

@@ -46,12 +46,6 @@ counter_states = st.builds(
 
 
 class TestCounterState:
-    def test_default_is_initial(self):
-        assert CounterState().is_initial
-
-    def test_nonzero_not_initial(self):
-        assert not CounterState(c4=1).is_initial
-
     def test_clamps_on_construction(self):
         state = CounterState(c0=99, c1=-5, c3=100)
         assert state.c0 == C0_MAX
@@ -65,11 +59,6 @@ class TestCounterState:
     def test_with_updates_preserves_others(self):
         state = CounterState(c0=2, c2=1).with_updates(c1=5)
         assert (state.c0, state.c1, state.c2) == (2, 5, 1)
-
-    def test_parts(self):
-        state = CounterState(c0=1, c1=2, c2=3, c3=4, c4=1)
-        assert state.psfp_part == (1, 2, 3)
-        assert state.ssbp_part == (4, 1)
 
     def test_as_tuple(self):
         assert CounterState(c0=1, c3=2).as_tuple() == (1, 0, 0, 2, 0)

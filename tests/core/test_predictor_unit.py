@@ -41,7 +41,7 @@ class TestSelectionKeys:
         unit = PredictorUnit()
         run_unit(unit, "7n, a")  # train (0, 0)
         state = unit.state_for(store_hash=1, load_hash=0)
-        assert state.psfp_part == (0, 0, 0)
+        assert (state.c0, state.c1, state.c2) == (0, 0, 0)
 
     def test_ssbp_keyed_by_load_hash_only(self):
         """C3/C4 are shared across store hashes (TABLE II, C3/C4 rows)."""

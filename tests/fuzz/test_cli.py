@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.spec_ctrl import SpecCtrl
 from repro.fuzz.cli import (
     build_tasks,
     derive_case,
@@ -81,6 +82,26 @@ def test_injected_bug_found_shrunk_and_remembered(tmp_path):
     assert {(f.seed, f.blocks) for f in generated} <= {
         (e.seed, e.blocks) for e in remembered
     }
+
+
+def test_campaign_catches_a_broken_ssbd(monkeypatch):
+    """Every oracle task runs dynamically, so a dead SSBD bit is a regression.
+
+    The paper's Section VI mitigation is only as good as the simulator's
+    enforcement of it: with SPEC_CTRL.SSBD reading 0 whatever was written,
+    generated programs leak under ``ssbd`` and the campaign must say so.
+    """
+    options = dict(
+        budget=2, seed=1, mitigations=("ssbd",), corpus_dir=None, shrink=False
+    )
+    assert run_fuzz_campaign(**options) == []
+
+    monkeypatch.setattr(
+        SpecCtrl, "ssbd", property(lambda self: False, SpecCtrl.ssbd.fset)
+    )
+    broken = regressions(run_fuzz_campaign(**options))
+    assert broken, "campaign missed a disabled SSBD"
+    assert all(f.kind == "leak" and f.mitigation == "ssbd" for f in broken)
 
 
 def test_unknown_mitigation_raises(tmp_path):

@@ -57,7 +57,6 @@ class TestAccess:
         assert cache.stats.hits == 1
         assert cache.stats.misses == 2
         assert cache.stats.accesses == 3
-        assert cache.stats.hit_rate == pytest.approx(1 / 3)
 
     def test_stats_reset(self):
         cache = small_cache()

@@ -45,20 +45,6 @@ class TestFlushReloadPrimitives:
         hierarchy.clflush(0x3000)
         assert hierarchy.probe_level(0x3000) is CacheLevel.MEMORY
 
-    def test_probe_latency_nondestructive(self):
-        hierarchy = MemoryHierarchy()
-        assert hierarchy.probe_latency(0x4000) == hierarchy.latency.memory
-        # The probe must not have filled the line.
-        assert hierarchy.probe_level(0x4000) is CacheLevel.MEMORY
-
-    def test_probe_latency_distinguishes_hit_from_miss(self):
-        """The property Flush+Reload relies on: a cached reload is fast."""
-        hierarchy = MemoryHierarchy()
-        hierarchy.load(0x5000)
-        hit = hierarchy.probe_latency(0x5000)
-        miss = hierarchy.probe_latency(0x6000)
-        assert hit < miss / 10
-
     def test_flush_all(self):
         hierarchy = MemoryHierarchy()
         for addr in range(0, 0x10000, 64):

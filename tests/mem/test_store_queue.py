@@ -52,10 +52,6 @@ class TestOverlap:
         assert e.covers(0x102, 4)
         assert not e.covers(0x106, 4)
 
-    def test_forward_bytes(self):
-        e = entry(1, 0x100, data=b"abcdefgh")
-        assert e.forward_bytes(0x102, 3) == b"cde"
-
 
 class TestLookups:
     def test_unresolved_older(self):

@@ -1,8 +1,9 @@
-"""The prefilter's economic argument: scanning beats executing by >=10x.
+"""The scanner's economic argument: scanning beats executing by >=10x.
 
-This test pins the ratio as a contract on the exact workload the
-prefilter replaces — the generated programs a fuzz campaign would
-otherwise run through the dynamic two-fill oracle.
+Static analysis is only worth having if reasoning about a program is
+much cheaper than running it.  This test pins the ratio as a contract
+on generated fuzz programs: one ``scan_program`` per program against
+one dynamic two-fill oracle execution of the same program.
 """
 
 import time

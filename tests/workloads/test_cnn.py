@@ -19,10 +19,6 @@ class TestModels:
         }
         assert len(profiles) == len(CNN_MODELS)
 
-    def test_total_runs_positive(self):
-        for model in CNN_MODELS.values():
-            assert model.total_runs > 0
-
 
 class TestCnnVictim:
     def test_inference_pass_trains_ssbp(self):
