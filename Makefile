@@ -26,14 +26,16 @@ test:
 experiments-quick:
 	$(PY) -m repro.experiments.runner --cost fast --jobs $(JOBS) --json $(RESULTS)
 
-## Opt-in determinism check: the fast tier must produce identical rows,
-## metrics and seeds under --jobs 1 and --jobs $(JOBS).  Regressions in
-## driver determinism (global RNG use, order dependence) surface here.
+## Opt-in determinism check: the fast tier must write byte-identical
+## artifacts under --jobs 1 and --jobs $(JOBS) (--stable-meta zeroes wall
+## times and worker pids; campaign.json is excluded because it records
+## --jobs).  Regressions in driver determinism (global RNG use, order
+## dependence) surface here.
 experiments-check:
 	rm -rf $(RESULTS)-serial $(RESULTS)-parallel
-	$(PY) -m repro.experiments.runner --cost fast --jobs 1       --no-cache --json $(RESULTS)-serial
-	$(PY) -m repro.experiments.runner --cost fast --jobs $(JOBS) --no-cache --json $(RESULTS)-parallel
-	$(PY) -m repro.experiments.report --compare $(RESULTS)-serial $(RESULTS)-parallel
+	$(PY) -m repro.experiments.runner --cost fast --jobs 1       --no-cache --stable-meta --json $(RESULTS)-serial
+	$(PY) -m repro.experiments.runner --cost fast --jobs $(JOBS) --no-cache --stable-meta --json $(RESULTS)-parallel
+	diff -r --exclude=campaign.json $(RESULTS)-serial $(RESULTS)-parallel
 	rm -rf $(RESULTS)-serial $(RESULTS)-parallel
 
 ## The full campaign (slow leak evaluations included).
@@ -101,7 +103,7 @@ trace-smoke:
 ## extraction must fully recover under "none" and measurably degrade
 ## under ssbd/fence (asserted by `repro-attack verify`), write
 ## byte-identical reports across reruns, and the three attack
-## experiments must produce identical results under --jobs 1 and
+## experiments must write byte-identical artifacts under --jobs 1 and
 ## --jobs $(JOBS).
 ATTACK_NAMES = channel-capacity stl-extraction aslr-derand
 ATTACK_FLAGS = --no-cache --stable-meta
@@ -114,7 +116,7 @@ attack-smoke:
 	$(PY) -m repro.attacks.cli verify $(RESULTS)-attack/leak-a.json
 	$(PY) -m repro.experiments.runner $(ATTACK_NAMES) --jobs 1       $(ATTACK_FLAGS) --json $(RESULTS)-attack/serial
 	$(PY) -m repro.experiments.runner $(ATTACK_NAMES) --jobs $(JOBS) $(ATTACK_FLAGS) --json $(RESULTS)-attack/parallel
-	$(PY) -m repro.experiments.report --compare $(RESULTS)-attack/serial $(RESULTS)-attack/parallel
+	diff -r --exclude=campaign.json $(RESULTS)-attack/serial $(RESULTS)-attack/parallel
 	rm -rf $(RESULTS)-attack
 	@echo "attack-smoke: full recovery unmitigated, degraded under ssbd/fence, deterministic across reruns and job counts"
 
@@ -130,7 +132,7 @@ interference-smoke:
 	$(PY) -m repro.experiments.runner robustness-channel --jobs 1       --no-cache --stable-meta --json $(RESULTS)-interf/again
 	$(PY) -m repro.experiments.runner robustness-channel --jobs $(JOBS) --no-cache --stable-meta --json $(RESULTS)-interf/parallel
 	cmp $(RESULTS)-interf/serial/robustness-channel.json $(RESULTS)-interf/again/robustness-channel.json
-	$(PY) -m repro.experiments.report --compare $(RESULTS)-interf/serial $(RESULTS)-interf/parallel
+	diff -r --exclude=campaign.json $(RESULTS)-interf/serial $(RESULTS)-interf/parallel
 	$(PY) -c "import json; m = json.load(open('$(RESULTS)-interf/serial/robustness-channel.json'))['metrics']; \
 	q, a = m['quiet_goodput_bps'], m['adversarial_goodput_bps']; \
 	assert a < q, f'adversarial goodput {a} not below quiet {q}'; \
@@ -159,8 +161,10 @@ scan-smoke:
 
 ## Behaviour-equivalence gate for interpreter optimizations: recompute
 ## experiment/corpus/trace digests and require byte-identical results
-## against benchmarks/GOLDEN.json (full tier, several minutes).  Run this
-## before committing any change to cpu/, core/ or mem/ hot paths.
+## against benchmarks/GOLDEN.json, then hold every experiment's result to
+## its paper claim (repro.bench.equivalence.PAPER_CLAIMS) — full tier,
+## several minutes.  Run this before committing any change to cpu/,
+## core/ or mem/ hot paths.
 equivalence-check:
 	$(PY) -m repro.bench.equivalence --golden benchmarks/GOLDEN.json
 

@@ -1,15 +1,10 @@
-"""Regenerate measured-value tables and compare campaign artifacts.
+"""Regenerate the measured-value tables from campaign artifacts.
 
-Two jobs, both over the JSON artifacts a campaign writes with
-``repro-experiments --json DIR``:
-
-* ``python -m repro.experiments.report --json results/ --write EXPERIMENTS.md``
-  rewrites the generated measured-values table in EXPERIMENTS.md (the
-  block between the BEGIN/END markers) from the artifacts, so the
-  published numbers are never hand-copied;
-* ``python -m repro.experiments.report --compare A B`` exits non-zero if
-  any experiment's rows or metrics differ between two artifact
-  directories — the determinism check behind ``make experiments-check``.
+``python -m repro.experiments.report --json results/ --write EXPERIMENTS.md``
+rewrites the generated measured-values table in EXPERIMENTS.md (the
+block between the BEGIN/END markers) from the JSON artifacts a campaign
+writes with ``repro-experiments --json DIR``, so the published numbers
+are never hand-copied.  Without ``--write`` it prints the table.
 """
 
 from __future__ import annotations
@@ -21,7 +16,7 @@ from pathlib import Path
 from repro.experiments.artifacts import load_artifacts
 from repro.experiments.base import ExperimentResult
 
-__all__ = ["render_measured_table", "update_markdown", "compare_artifacts", "main"]
+__all__ = ["render_measured_table", "update_markdown", "main"]
 
 BEGIN_MARK = "<!-- BEGIN GENERATED MEASURED VALUES (repro.experiments.report) -->"
 END_MARK = "<!-- END GENERATED MEASURED VALUES -->"
@@ -72,54 +67,19 @@ def update_markdown(path: str | Path, results: dict[str, ExperimentResult]) -> b
     return True
 
 
-def compare_artifacts(
-    dir_a: str | Path, dir_b: str | Path
-) -> list[str]:
-    """Differences between two artifact directories, as human-readable lines.
-
-    Compares the deterministic content (headers, rows, metrics, seed) and
-    ignores run metadata (wall time, worker, cache state).  Experiments
-    present on only one side are reported too.
-    """
-    a, b = load_artifacts(dir_a), load_artifacts(dir_b)
-    problems: list[str] = []
-    for name in sorted(set(a) - set(b)):
-        problems.append(f"{name}: only in {dir_a}")
-    for name in sorted(set(b) - set(a)):
-        problems.append(f"{name}: only in {dir_b}")
-    for name in sorted(set(a) & set(b)):
-        for field in ("headers", "rows", "metrics", "seed"):
-            if getattr(a[name], field) != getattr(b[name], field):
-                problems.append(f"{name}: {field} differ")
-    return problems
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.report",
-        description="Regenerate measured-value tables / compare campaign artifacts.",
+        description="Regenerate measured-value tables from campaign artifacts.",
     )
-    parser.add_argument("--json", metavar="DIR", help="artifact directory to read")
+    parser.add_argument("--json", metavar="DIR", required=True,
+                        help="artifact directory to read")
     parser.add_argument(
         "--write", metavar="FILE", default=None,
         help="markdown file whose generated block to update (e.g. EXPERIMENTS.md)",
     )
-    parser.add_argument(
-        "--compare", nargs=2, metavar=("DIR_A", "DIR_B"), default=None,
-        help="diff two artifact directories; non-zero exit on any difference",
-    )
     args = parser.parse_args(argv)
 
-    if args.compare:
-        problems = compare_artifacts(*args.compare)
-        for line in problems:
-            print(f"MISMATCH {line}", file=sys.stderr)
-        if not problems:
-            print("artifacts identical")
-        return 1 if problems else 0
-
-    if not args.json:
-        parser.error("--json DIR is required unless --compare is used")
     results = load_artifacts(args.json)
     if not results:
         print(f"no artifacts in {args.json}", file=sys.stderr)

@@ -12,9 +12,11 @@ sink dispatch, one ``is not None`` test per site).
 Two sinks ship:
 
 * :class:`RingBufferSink` — bounded in-memory deque; the flight recorder
-  used by tests and by ``--trace-findings`` (trace the repro, then dump).
-* :class:`JsonlSink` — buffers serialized lines and writes the whole
-  trace atomically on close (one fsync'd rename, see
+  used by tests and by the tracing-overhead guard
+  (:mod:`repro.telemetry.overhead`).
+* :class:`JsonlSink` — the sink behind ``repro-trace record`` and
+  ``repro-fuzz --trace-findings``; buffers serialized lines and writes
+  the whole trace atomically on close (one fsync'd rename, see
   ``repro.runtime.atomic``), so concurrent workers can record traces
   into a shared directory without torn files.  Line 1 is a header
   carrying the schema version and recording context; every subsequent

@@ -117,11 +117,16 @@ class TestEvictionWithinSet:
 class TestGradualEvictionCurve:
     """The Fig 5 SSBP property: >50% eviction at 16, ~90% at 32."""
 
-    def _eviction_rate(self, prime_count: int, trials: int = 400) -> float:
+    def _eviction_rate(
+        self,
+        prime_count: int,
+        trials: int = 400,
+        geometry: tuple[int, int] = (SSBP_SETS, SSBP_WAYS),
+    ) -> float:
         rng = random.Random(1234 + prime_count)
         evicted = 0
         for _ in range(trials):
-            ssbp = Ssbp()
+            ssbp = Ssbp(*geometry)
             base = rng.randrange(1 << HASH_BITS)
             trained(ssbp, base)
             primes = rng.sample(
@@ -145,3 +150,8 @@ class TestGradualEvictionCurve:
     def test_monotonically_harder_to_survive(self):
         rates = [self._eviction_rate(k, trials=250) for k in (4, 8, 16, 32)]
         assert rates == sorted(rates)
+
+    def test_fully_associative_geometry_evicts_abruptly(self):
+        """A 1 x 16 LRU table evicts every time at 16: the abrupt shape
+        Fig 5 rules out for SSBP."""
+        assert self._eviction_rate(16, geometry=(1, 16)) == 1.0

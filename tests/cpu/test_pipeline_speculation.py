@@ -295,3 +295,24 @@ class TestVuln4TransientUpdates:
         assert len(result.events) >= 2
         g_events = [e for e in result.events if e.exec_type is ExecType.G]
         assert len(g_events) >= 1
+
+    def test_nested_update_needs_a_long_store_agen(self, machine, process):
+        """The nested covert update needs the store's AGEN delay to
+        outlast the dependent loads: a 20-multiply chain yields more
+        events than a 1-multiply chain."""
+        buf = machine.kernel.map_anonymous(process, pages=1)
+
+        def event_count(agen):
+            instructions = [MovImm("sbase", buf), Mov("t", "sbase")]
+            instructions += [ImulImm("t", "t", 1)] * agen
+            instructions += [
+                MovImm("data", 1),
+                Store(base="t", src="data", width=8),
+                Load("first", base="sbase", width=8),
+                Load("second", base="sbase", width=8),
+                Halt(),
+            ]
+            program = Program(instructions, name=f"window-{agen}")
+            return len(machine.run(process, machine.load_program(process, program)).events)
+
+        assert event_count(20) > event_count(1)

@@ -1,13 +1,11 @@
-"""Measured-table regeneration and campaign artifact comparison."""
+"""Measured-table regeneration from campaign artifacts."""
 
 import pytest
 
-from repro.experiments.artifacts import write_artifact
 from repro.experiments.base import ExperimentResult
 from repro.experiments.report import (
     BEGIN_MARK,
     END_MARK,
-    compare_artifacts,
     render_measured_table,
     update_markdown,
 )
@@ -48,32 +46,3 @@ class TestRenderAndUpdate:
         with pytest.raises(SystemExit):
             update_markdown(doc, {})
 
-
-class TestCompare:
-    def test_identical_directories_have_no_problems(self, tmp_path):
-        for directory in ("a", "b"):
-            write_artifact(result_with({"m": 1.0}), tmp_path / directory, "demo")
-        assert compare_artifacts(tmp_path / "a", tmp_path / "b") == []
-
-    def test_row_and_metric_differences_reported(self, tmp_path):
-        write_artifact(result_with({"m": 1.0}), tmp_path / "a", "demo")
-        write_artifact(
-            result_with({"m": 2.0}, rows=(("a", 9),)), tmp_path / "b", "demo"
-        )
-        problems = compare_artifacts(tmp_path / "a", tmp_path / "b")
-        assert any("rows differ" in p for p in problems)
-        assert any("metrics differ" in p for p in problems)
-
-    def test_one_sided_artifacts_reported(self, tmp_path):
-        write_artifact(result_with({}), tmp_path / "a", "only-here")
-        (tmp_path / "b").mkdir()
-        problems = compare_artifacts(tmp_path / "a", tmp_path / "b")
-        assert problems and "only in" in problems[0]
-
-    def test_wall_time_and_worker_ignored(self, tmp_path):
-        fast = result_with({"m": 1.0})
-        slow = result_with({"m": 1.0})
-        slow.wall_time_s, slow.worker = 99.0, "pid:42"
-        write_artifact(fast, tmp_path / "a", "demo")
-        write_artifact(slow, tmp_path / "b", "demo")
-        assert compare_artifacts(tmp_path / "a", tmp_path / "b") == []

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.config import default_model
 from repro.core.counters import CounterState
 from repro.core.exec_types import ExecType, TimingClass
+from repro.cpu.machine import Machine
 from repro.revng.probes import PredictorProber
 from repro.revng.sequences import StldToken, parse
 from repro.revng.state_infer import ModelValidator, refine_types
@@ -47,6 +49,15 @@ class TestCalibration:
         slowest = max(classifier.calibration.means.values())
         worst_noise = slowest * harness.machine.core.model.timer_noise
         assert classifier.margin() > 2 * worst_noise
+
+    @pytest.mark.parametrize("noise", [0.0, 0.005])
+    def test_margin_survives_paper_timer_noise(self, noise):
+        """The paper's RDPRU noise (< 1%) leaves the levels separable."""
+        model = default_model().with_overrides(timer_noise=noise)
+        harness = StldHarness(machine=Machine(model=model, seed=77))
+        classifier = TimingClassifier(harness)
+        classifier.calibrate()
+        assert classifier.margin() >= 2.0
 
     def test_classify_roundtrip(self, rig):
         _, classifier = rig
