@@ -43,22 +43,12 @@ class SsbpCollisionFinder:
         attacker: AttackerStld,
         recharge: Callable[[], None],
         verify_runs: int = 2,
-        majority: bool | None = None,
     ) -> None:
         self.attacker = attacker
         #: Re-charges the target entry's C3 (e.g. by running the victim's
         #: aliasing path, or the attacker's own trained stld).
         self.recharge = recharge
         self.verify_runs = verify_runs
-        #: Majority-vote verification: confirm a screened hit by
-        #: ``verify_runs`` stalls out of ``2 * verify_runs - 1`` reads
-        #: instead of ``verify_runs`` *consecutive* stalls, so one
-        #: interference-garbled read cannot reject a true collision.
-        #: Auto-enabled when a non-quiet interference model is attached;
-        #: off by default so the quiet path is byte-identical.
-        self.majority = (
-            attacker.robust_active() if majority is None else majority
-        )
 
     def find(
         self,
@@ -92,17 +82,20 @@ class SsbpCollisionFinder:
         )
 
     def _is_sticky(self, program: Program) -> bool:
-        if not self.majority:
+        if not self.attacker.robust:
             for _ in range(self.verify_runs):
                 if not self.attacker.stalls(program):
                     return False
             # Verification drained C3; restore it for the next consumer.
             self.recharge()
             return True
-        # Majority mode keeps the 1-read screen (the scan's cost per
+        # A robust attacker keeps the 1-read screen (the scan's cost per
         # non-colliding offset is unchanged) but confirms a screened hit
-        # by vote, tolerating garbled reads in either direction.  C3
-        # holds enough charge (<= 32) to absorb the extra drains.
+        # by majority vote: ``verify_runs`` stalls out of
+        # ``2 * verify_runs - 1`` reads instead of ``verify_runs``
+        # *consecutive* stalls, so one interference-garbled read cannot
+        # reject a true collision.  C3 holds enough charge (<= 32) to
+        # absorb the extra drains.
         if not self.attacker.stalls(program):
             return False
         needed = self.verify_runs

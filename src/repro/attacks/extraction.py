@@ -202,15 +202,11 @@ class SecretExtraction:
         self.recalibrations = 0
         self._low_confidence_streak = 0
 
-    @property
-    def _robust(self) -> bool:
-        """The hardened per-byte loop engages only when there is noise
-        to harden against; on a quiet machine the historical protocol
-        runs unchanged (byte-identical to the pre-interference stack)."""
-        return self.hardened and self.attack.attacker.robust_active()
-
     def _read_byte(self, offset: int, candidate) -> tuple[int, float]:
         """One secret byte plus its confidence.
+
+        The attacker's one switch, ``attacker.robust``, picks the path
+        (robust only when ``hardened`` and the machine is noisy).
 
         Quiet path: ``redundancy`` channel reads, plurality vote — ties
         and all-failed rounds resolve deterministically (smallest byte
@@ -224,7 +220,7 @@ class SecretExtraction:
         or one read at or above the confidence floor) or the retry
         budget is spent.
         """
-        if not self._robust:
+        if not self.attack.attacker.robust:
             reads = []
             for _ in range(self.redundancy):
                 byte = self.attack.leak_byte(offset, candidate)
@@ -326,7 +322,7 @@ class SecretExtraction:
                 byte, byte_confidence = self._read_byte(offset, candidate)
                 out.append(byte)
                 confidence[index] = byte_confidence
-                if self._robust:
+                if self.attack.attacker.robust:
                     self._maybe_recalibrate(byte_confidence)
             recovered = bytes(out)
         except (AttackError, CollisionNotFound, ReproError) as exc:

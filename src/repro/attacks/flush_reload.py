@@ -16,6 +16,9 @@ from repro.revng.timing import mad, median
 
 __all__ = ["FlushReloadChannel"]
 
+#: Hit/miss sample pairs per robust calibration.
+_ROBUST_SAMPLES = 7
+
 
 class FlushReloadChannel:
     """Flush+Reload over a page-strided probe array."""
@@ -28,7 +31,7 @@ class FlushReloadChannel:
         slots: int = 256,
         stride: int = 4096,
         thread_id: int = 0,
-        calibration_samples: int | None = None,
+        robust: bool | None = None,
     ) -> None:
         self.machine = machine
         self.process = process
@@ -36,24 +39,14 @@ class FlushReloadChannel:
         self.slots = slots
         self.stride = stride
         self.thread_id = thread_id
-        interference = machine.interference
-        noisy = interference is not None and not interference.profile.is_quiet
-        #: Hit/miss sample pairs per calibration.  One pair reproduces
-        #: the original midpoint calibration exactly; a non-quiet
-        #: interference model auto-selects the multi-sample median/MAD
-        #: calibration, which a preempted probe cannot skew.
-        self.calibration_samples = (
-            calibration_samples
-            if calibration_samples is not None
-            else (7 if noisy else 1)
-        )
-        #: Calibrations performed (the first one included); extraction
-        #: reports recalibrations as ``calibrations - 1``.
-        self.calibrations = 0
-        #: Hit/miss population centers from the latest calibration —
-        #: the scale the per-read confidence score normalizes against.
+        #: ``robust=None`` follows the machine, as :class:`AttackerStld`
+        #: does.  The quiet protocol is the original single-pair midpoint
+        #: calibration; the robust one takes the median/MAD of several
+        #: pairs, which a preempted probe cannot skew.
+        self.robust = machine.noisy if robust is None else robust
+        #: Hit population center from the latest calibration — the scale
+        #: the per-read confidence score normalizes against.
         self.hit_center = 0.0
-        self.miss_center = 0.0
         instructions = [MovImm("base", self.base_va)]
         instructions += [
             Clflush(base="base", offset=slot * self.stride)
@@ -88,16 +81,15 @@ class FlushReloadChannel:
     def _calibrate_threshold(self) -> int:
         """Threshold between cached and flushed reloads of slot 0.
 
-        With one sample pair this is the exact historical calibration:
-        midpoint of a single hit and a single miss.  With more, hit and
-        miss populations are summarized by medians and checked for
-        median/MAD separability, so an interference burst landing on one
-        probe cannot poison the threshold for the whole run.
+        The quiet protocol is the exact historical calibration: midpoint
+        of a single hit and a single miss.  The robust one summarizes
+        seven of each by medians and checks median/MAD separability, so
+        an interference burst landing on one probe cannot poison the
+        threshold for the whole run.
         """
-        self.calibrations += 1
         hits: list[int] = []
         misses: list[int] = []
-        for _ in range(self.calibration_samples):
+        for _ in range(_ROBUST_SAMPLES if self.robust else 1):
             self._probe(0)              # fill
             hits.append(self._probe(0))  # cached
             self.flush_all()
@@ -105,12 +97,9 @@ class FlushReloadChannel:
         hit_center = median(hits)
         miss_center = median(misses)
         scale = max(1.0, mad(hits) + mad(misses))
-        if miss_center - hit_center <= (
-            0.0 if self.calibration_samples == 1 else scale
-        ):
+        if miss_center - hit_center <= (scale if self.robust else 0.0):
             raise AttackError("flush+reload timing is not separable")
         self.hit_center = hit_center
-        self.miss_center = miss_center
         return int((hit_center + miss_center) // 2)
 
     def recalibrate(self) -> int:

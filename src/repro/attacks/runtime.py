@@ -32,6 +32,10 @@ __all__ = ["AttackerStld"]
 #: C3-driven; accepting both also tolerates coarse timers that cannot
 #: separate them (the browser case).
 _STALL_CLASSES = (TimingClass.STALL_CACHE, TimingClass.STALL_FORWARD)
+#: Robust calibrations retry with fresh slide spots until the
+#: classifier's separability check clears this bar (best attempt wins if
+#: none does — graceful degradation, not an abort).
+_MIN_SEPARABILITY = 1.2
 
 
 class AttackerStld:
@@ -54,11 +58,12 @@ class AttackerStld:
         self.machine = machine
         self.process = process
         self.thread_id = thread_id
-        #: Robustness override: None auto-selects (robust exactly when a
-        #: non-quiet interference model is attached); False pins the
-        #: historical protocol whatever the environment (the
-        #: pre-hardening comparison arm), True forces the robust one.
-        self._robust_override = robust
+        #: Whether the hardened measurement protocol is in effect, fixed
+        #: here for the attacker's lifetime: ``robust=None`` follows the
+        #: machine (robust exactly when a non-quiet interference model is
+        #: attached); ``robust=False`` pins the historical protocol (the
+        #: pre-hardening comparison arm).
+        self.robust = machine.noisy if robust is None else robust
         #: Optional measurement transform (e.g. a coarse browser timer);
         #: receives true cycles, returns the attacker-visible reading.
         self.timer = timer
@@ -72,14 +77,7 @@ class AttackerStld:
         #: single misread from abandoning a drain with C3 still charged.
         #: Interference implies a jittery environment, so it bumps the
         #: default the same way.
-        self.drain_confirmations = 2 if self.robust_active() else 1
-        #: Robust calibrations retry with fresh slide spots until the
-        #: classifier's separability check clears this bar (best attempt
-        #: wins if none does — graceful degradation, not an abort).
-        self.min_separability = 1.2
-        #: Separability of the most recent calibration (None before the
-        #: first robust fit; quiet fits do not compute it).
-        self.calibration_separability: float | None = None
+        self.drain_confirmations = 2 if self.robust else 1
         self.slide_base = machine.kernel.map_anonymous(
             process, pages=slide_pages + 1, perms=Perm.RX, kind="code"
         )
@@ -88,8 +86,6 @@ class AttackerStld:
         self.load_va = buf + 0x100
         self.disjoint_store_va = self.load_va + 64
         self.classifier = CentroidClassifier()
-        self._calibration_program = self.place_at(self.slide_base)
-        self._calibrations = 0
         self.calibrate()
 
     # ------------------------------------------------------------------
@@ -129,16 +125,6 @@ class AttackerStld:
         )
         return self._measure(result.cycles)
 
-    def _interference_active(self) -> bool:
-        model = self.machine.interference
-        return model is not None and not model.profile.is_quiet
-
-    def robust_active(self) -> bool:
-        """Whether the hardened measurement protocol is in effect."""
-        if self._robust_override is not None:
-            return self._robust_override
-        return self._interference_active()
-
     def _measure(self, cycles: int) -> int:
         noise = self.machine.core.model.timer_noise
         if noise:
@@ -174,27 +160,21 @@ class AttackerStld:
     # Self-calibration (no privileged placement: any offsets will do,
     # because the state machine is the same whatever the entry)
     # ------------------------------------------------------------------
-    def calibrate(
-        self, spots: int = 3, robust: bool | None = None
-    ) -> CalibrationResult:
+    def calibrate(self, spots: int = 3) -> CalibrationResult:
         """Self-calibrate the timing classifier.
 
-        ``robust=None`` auto-selects: the paper's mean-centroid fit on a
-        quiet machine (byte-identical to the pre-interference stack),
-        the median/MAD fit with a separability check whenever a
-        non-quiet interference model is attached.  The robust path
-        gathers twice the samples per attempt and retries on fresh
-        slide spots while the separability check fails, keeping the
+        The quiet protocol is the paper's mean-centroid fit
+        (byte-identical to the pre-interference stack).  The robust one
+        (:attr:`robust`) is the median/MAD fit with a separability
+        check: it gathers twice the samples per attempt and retries on
+        fresh slide spots while the check fails, keeping the
         best-separated calibration if no attempt clears the bar.
         """
-        if robust is None:
-            robust = self.robust_active()
-        if not robust:
+        if not self.robust:
             result = self._calibrate_once(
                 [self.slide_base + spot * 128 for spot in range(spots)]
             )
             self.classifier.fit(result)
-            self._calibrations += 1
             return result
         width = spots * 2
         best: CalibrationResult | None = None
@@ -209,13 +189,11 @@ class AttackerStld:
             separability = self.classifier.separability()
             if separability > best_separability:
                 best, best_separability = result, separability
-            if separability >= self.min_separability:
+            if separability >= _MIN_SEPARABILITY:
                 break
         assert best is not None
         if self.classifier.calibration is not best:
             self.classifier.fit(best, robust=True)
-        self.calibration_separability = best_separability
-        self._calibrations += 1
         return best
 
     def _calibrate_once(self, offsets: list[int]) -> CalibrationResult:

@@ -69,11 +69,6 @@ class SpectreSTL:
         hardened: bool = True,
     ) -> None:
         self.machine = machine or Machine(seed=1337)
-        #: ``hardened=True`` (default) lets every layer auto-select its
-        #: robust protocol when a non-quiet interference model is
-        #: attached; ``hardened=False`` pins the historical protocols —
-        #: the pre-hardening comparison arm of the robustness curve.
-        self.hardened = hardened
         kernel = self.machine.kernel
         self.process: Process = kernel.create_process("victim-with-attacker")
         # Victim state: array1 (byte pool the gadget indexes), array2
@@ -93,6 +88,11 @@ class SpectreSTL:
         self.victim = self.machine.load_program(
             self.process, gadget if gadget is not None else spectre_stl_gadget()
         )
+        # ``hardened=True`` (default) lets the attacker select its robust
+        # protocols when a non-quiet interference model is attached;
+        # ``hardened=False`` pins the historical protocols — the
+        # pre-hardening comparison arm of the robustness curve.  Every
+        # layer reads the one resulting switch, ``attacker.robust``.
         self.attacker = AttackerStld(
             self.machine,
             self.process,
@@ -100,10 +100,7 @@ class SpectreSTL:
             robust=None if hardened else False,
         )
         self.channel = FlushReloadChannel(
-            self.machine,
-            self.process,
-            self.array2,
-            calibration_samples=None if hardened else 1,
+            self.machine, self.process, self.array2, robust=self.attacker.robust
         )
         self._flush_idx_program = self.machine.load_program(
             self.process,
@@ -156,15 +153,11 @@ class SpectreSTL:
         is not directly observable, Fig 7).  ``max_attempts`` caps each
         sliding scan — the give-up budget a real attacker sets against a
         victim whose entry never charges (e.g. a fenced gadget)."""
-        finder = SsbpCollisionFinder(
-            self.attacker,
-            self._charge_victim_load,
-            majority=None if self.hardened else False,
-        )
+        finder = SsbpCollisionFinder(self.attacker, self._charge_victim_load)
         # The robust arm may rescan a failed range: a garbled screen read
         # skips the page's one true offset, but it is still inside the
         # same scan window, so a second pass over it usually lands.
-        rescans_left = 2 if (self.hardened and self.attacker.robust_active()) else 0
+        rescans_left = 2 if self.attacker.robust else 0
         offset = 0
         for candidate_index in range(max_candidates):
             while True:

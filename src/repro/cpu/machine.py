@@ -55,6 +55,13 @@ class Machine:
         #: around every :meth:`run`.
         self.interference = None
 
+    @property
+    def noisy(self) -> bool:
+        """Whether a non-quiet interference model is attached — the one
+        fact the attack stack's hardened protocols select on."""
+        model = self.interference
+        return model is not None and not model.profile.is_quiet
+
     def attach_tracer(self, tracer) -> None:
         """Route every pipeline's trace events to ``tracer``.
 

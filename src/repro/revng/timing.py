@@ -75,13 +75,6 @@ class CalibrationResult:
             if values
         }
 
-    def spread(self, timing_class: TimingClass) -> float:
-        values = self.samples.get(timing_class, [])
-        if len(values) < 2:
-            return 0.0
-        mean = sum(values) / len(values)
-        return (sum((v - mean) ** 2 for v in values) / (len(values) - 1)) ** 0.5
-
     @property
     def medians(self) -> dict[TimingClass, float]:
         """Outlier-robust per-class centers (the hardened fit path)."""
@@ -106,7 +99,6 @@ class CentroidClassifier:
 
     def __init__(self) -> None:
         self.calibration: CalibrationResult | None = None
-        self.robust = False
         self._centroids: list[tuple[float, TimingClass]] = []
         self._scales: dict[TimingClass, float] = {}
 
@@ -120,7 +112,6 @@ class CentroidClassifier:
         an interference model is attached.
         """
         self.calibration = calibration
-        self.robust = robust
         centers = calibration.medians if robust else calibration.means
         # Sort by centroid only: a coarse timer can quantize two classes
         # onto the same reading (their order is then arbitrary).
@@ -139,28 +130,6 @@ class CentroidClassifier:
 
     def classify_all(self, measurements: list[int]) -> list[TimingClass]:
         return [self.classify(cycles) for cycles in measurements]
-
-    def classify_with_confidence(self, cycles: int) -> tuple[TimingClass, float]:
-        """Nearest-centroid classification plus a confidence in [0, 1].
-
-        Confidence is the relative margin between the nearest and the
-        runner-up centroid: 1.0 when the reading sits on a centroid,
-        0.0 when it is equidistant between two — the per-read signal the
-        hardened protocols aggregate into per-byte confidence.
-        """
-        if not self._centroids:
-            raise ReproError("classifier is not calibrated; call calibrate()")
-        ranked = sorted(
-            self._centroids, key=lambda pair: abs(pair[0] - cycles)
-        )
-        best = ranked[0]
-        if len(ranked) < 2:
-            return best[1], 1.0
-        d_best = abs(best[0] - cycles)
-        d_next = abs(ranked[1][0] - cycles)
-        if d_best + d_next == 0:
-            return best[1], 0.0
-        return best[1], (d_next - d_best) / (d_next + d_best)
 
     def margin(self) -> float:
         """Smallest gap between adjacent class centroids (robustness)."""

@@ -5,7 +5,13 @@ import pytest
 
 from repro.attacks import coding
 from repro.attacks.capacity import CapacityConfig, CapacityReport, measure_capacity
+from repro.attacks.collision import SsbpCollisionFinder
 from repro.attacks.extraction import SecretExtraction
+from repro.attacks.flush_reload import FlushReloadChannel
+from repro.attacks.spectre_stl import SpectreSTL
+from repro.cpu.machine import Machine
+from repro.interference.model import InterferenceModel
+from repro.interference.profile import get_profile
 from repro.telemetry.metrics import registry
 
 
@@ -140,3 +146,46 @@ class TestHardenedExtraction:
         assert report.accuracy == 1.0
         assert report.retries == 0
         assert report.recalibrations == 0
+
+
+class TestOneSwitch:
+    """``hardened`` plus the machine's noise decide every primitive's
+    protocol at once: all robust, or all quiet."""
+
+    ROBUST = (True, 2, 7, True)
+    QUIET = (False, 1, 1, False)
+
+    @staticmethod
+    def _primitives(preset, hardened, monkeypatch):
+        probes = []
+        real_probe = FlushReloadChannel._probe
+
+        def counting_probe(channel, slot):
+            probes.append(slot)
+            return real_probe(channel, slot)
+
+        monkeypatch.setattr(FlushReloadChannel, "_probe", counting_probe)
+        machine = Machine(seed=2024)
+        if preset is not None:
+            InterferenceModel(get_profile(preset, seed=2024)).attach(machine)
+        attacker = SpectreSTL(machine=machine, hardened=hardened).attacker
+        # Construction calibrates Flush+Reload once: a fill, a hit and a
+        # miss probe per sample pair.
+        samples = len(probes) // 3
+        # Majority screening confirms a stall-bypass-stall read;
+        # consecutive screening rejects it at the bypass.
+        reads = iter([True, False, True])
+        monkeypatch.setattr(attacker, "stalls", lambda program: next(reads))
+        majority = SsbpCollisionFinder(attacker, lambda: None)._is_sticky(None)
+        return attacker.robust, attacker.drain_confirmations, samples, majority
+
+    def test_hardened_attack_is_robust_under_noise(self, monkeypatch):
+        assert self._primitives("adversarial", True, monkeypatch) == self.ROBUST
+
+    def test_pinned_attack_is_quiet_under_noise(self, monkeypatch):
+        assert self._primitives("adversarial", False, monkeypatch) == self.QUIET
+
+    @pytest.mark.parametrize("preset", [None, "quiet"])
+    @pytest.mark.parametrize("hardened", [True, False])
+    def test_quiet_machine_is_quiet_either_way(self, preset, hardened, monkeypatch):
+        assert self._primitives(preset, hardened, monkeypatch) == self.QUIET

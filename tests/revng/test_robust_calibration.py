@@ -1,4 +1,4 @@
-"""Outlier-robust calibration: median/MAD fits, confidence, separability."""
+"""Outlier-robust calibration: median/MAD fits and separability."""
 
 import pytest
 
@@ -40,7 +40,6 @@ class TestRobustFit:
     def test_default_fit_uses_means(self):
         classifier = CentroidClassifier()
         classifier.fit(_calibration([10, 10, 70], [100, 100, 100]))
-        assert not classifier.robust
         # The outlier drags the mean to 30: a reading of 60 lands on the
         # bypass side even though every typical bypass was 10.
         assert classifier.classify(60) is TimingClass.BYPASS
@@ -48,28 +47,12 @@ class TestRobustFit:
     def test_robust_fit_shrugs_off_a_preempted_sample(self):
         classifier = CentroidClassifier()
         classifier.fit(_calibration([10, 10, 70], [100, 100, 100]), robust=True)
-        assert classifier.robust
         # Median centroid stays at 10, so 60 correctly reads as stall.
         assert classifier.classify(60) is TimingClass.STALL_CACHE
 
-    def test_confidence_extremes(self):
-        classifier = CentroidClassifier()
-        classifier.fit(_calibration([10, 10, 10], [100, 100, 100]))
-        on_centroid = classifier.classify_with_confidence(10)
-        midpoint = classifier.classify_with_confidence(55)
-        assert on_centroid == (TimingClass.BYPASS, 1.0)
-        assert midpoint[1] == 0.0
-
-    def test_confidence_bounded(self):
-        classifier = CentroidClassifier()
-        classifier.fit(_calibration([10, 11, 9], [100, 99, 101]), robust=True)
-        for cycles in range(0, 200, 7):
-            _, confidence = classifier.classify_with_confidence(cycles)
-            assert 0.0 <= confidence <= 1.0
-
     def test_uncalibrated_classifier_raises(self):
         with pytest.raises(ReproError, match="not calibrated"):
-            CentroidClassifier().classify_with_confidence(10)
+            CentroidClassifier().classify(10)
 
 
 class TestSeparability:
