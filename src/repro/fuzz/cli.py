@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import sys
 import time
 from pathlib import Path
@@ -52,6 +51,7 @@ from repro.fuzz import corpus as corpus_mod
 from repro.fuzz import harness, oracle
 from repro.fuzz.corpus import DEFAULT_CORPUS_DIR, Corpus, CorpusEntry
 from repro.fuzz.findings import Finding, write_findings
+from repro.fuzz.gen import derive_case
 from repro.fuzz.shrink import shrink_report
 from repro.runtime import exitcodes
 from repro.runtime.atomic import atomic_write_text
@@ -74,7 +74,6 @@ __all__ = [
     "CHECKPOINT_SCHEMA",
     "FuzzCampaignResult",
     "checkpoint_path",
-    "derive_case",
     "build_tasks",
     "run_fuzz_campaign",
     "trace_shrunk_findings",
@@ -86,20 +85,6 @@ CHECKPOINT_SCHEMA = 1
 
 DEFAULT_BUDGET = 100
 DEFAULT_MITIGATIONS = ("none", "ssbd")
-
-#: Block-count range for generated programs (inclusive-exclusive).
-_BLOCK_RANGE = (10, 44)
-
-
-def derive_case(master_seed: int, index: int) -> tuple[int, int]:
-    """The ``(program seed, blocks)`` of generated case ``index``.
-
-    Independent of job count and process: seeded string RNG, no global
-    state — the determinism the byte-identical-JSONL contract rests on.
-    """
-    rng = random.Random(f"repro-fuzz-case-{master_seed}-{index}")
-    return rng.randrange(1, 1 << 30), rng.randrange(*_BLOCK_RANGE)
-
 
 def build_tasks(
     *,

@@ -56,6 +56,8 @@ __all__ = [
     "fuzz_program",
     "oracle_program",
     "build_program",
+    "derive_case",
+    "parse_case",
 ]
 
 #: Every generated program operates on one anonymous data buffer.
@@ -419,3 +421,38 @@ def build_program(generator: str, seed: int, blocks: int) -> list[Instruction]:
             f"unknown generator {generator!r}; known: {known}"
         ) from None
     return factory(random.Random(seed), blocks)
+
+
+#: Block-count range for generated programs (inclusive-exclusive).
+_BLOCK_RANGE = (10, 44)
+
+
+def derive_case(master_seed: int, index: int) -> tuple[int, int]:
+    """The ``(program seed, blocks)`` of generated case ``index``.
+
+    Independent of job count and process: seeded string RNG, no global
+    state — the determinism the byte-identical-JSONL contract rests on.
+    """
+    rng = random.Random(f"repro-fuzz-case-{master_seed}-{index}")
+    return rng.randrange(1, 1 << 30), rng.randrange(*_BLOCK_RANGE)
+
+
+def parse_case(target: str) -> tuple[str, int, int]:
+    """Parse a ``case:<generator>:<seed>:<blocks>`` program target (the
+    syntax ``repro-scan`` and ``repro-trace record`` share)."""
+    parts = target.split(":")
+    if len(parts) != 4 or parts[0] != "case":
+        raise ConfigError(
+            f"bad target {target!r}: expected case:<generator>:<seed>:<blocks>"
+        )
+    _, generator, seed, blocks = parts
+    if generator not in GENERATORS:
+        raise ConfigError(
+            f"unknown generator {generator!r}; known: {', '.join(sorted(GENERATORS))}"
+        )
+    try:
+        return generator, int(seed), int(blocks)
+    except ValueError:
+        raise ConfigError(
+            f"bad target {target!r}: seed and blocks must be integers"
+        ) from None

@@ -29,9 +29,8 @@ from typing import Callable, Sequence
 from repro.core.config import ZEN3_MODELS
 from repro.errors import ArtifactError, ConfigError, ReproError
 from repro.fuzz import corpus as corpus_mod
-from repro.fuzz.cli import derive_case
 from repro.fuzz.corpus import DEFAULT_CORPUS_DIR, Corpus
-from repro.fuzz.gen import GENERATORS, build_program
+from repro.fuzz.gen import build_program, derive_case, parse_case
 from repro.fuzz.harness import MITIGATIONS
 from repro.runtime import exitcodes
 from repro.runtime.atomic import atomic_write_text
@@ -42,33 +41,13 @@ from repro.static.advisor import advise
 from repro.static.gadgets import scan_program
 from repro.static.report import canonical, render_crossval, render_plan, render_scan
 
-__all__ = ["main", "parse_target", "run_scan_batch"]
+__all__ = ["main", "run_scan_batch"]
 
 _EPILOG = """\
 targets are `case:<generator>:<seed>:<blocks>` (the repro-trace syntax);
 `scan` with no targets scans the persistent corpus replay set.
 `crossval` exits 1 on any soundness violation: a dynamically observed
 leak the scanner failed to flag"""
-
-
-def parse_target(target: str) -> tuple[str, int, int]:
-    """Parse a ``case:<generator>:<seed>:<blocks>`` program target."""
-    parts = target.split(":")
-    if len(parts) != 4 or parts[0] != "case":
-        raise ConfigError(
-            f"bad target {target!r}: expected case:<generator>:<seed>:<blocks>"
-        )
-    _, generator, seed, blocks = parts
-    if generator not in GENERATORS:
-        raise ConfigError(
-            f"unknown generator {generator!r}; known: {', '.join(sorted(GENERATORS))}"
-        )
-    try:
-        return generator, int(seed), int(blocks)
-    except ValueError:
-        raise ConfigError(
-            f"bad target {target!r}: seed and blocks must be integers"
-        ) from None
 
 
 def _scan_tasks(
@@ -83,7 +62,7 @@ def _scan_tasks(
     cases: list[tuple[str, int, int, str]] = []
     if targets:
         for target in targets:
-            generator, case_seed, blocks = parse_target(target)
+            generator, case_seed, blocks = parse_case(target)
             cases.append((generator, case_seed, blocks, target))
     else:
         corp = Corpus(corpus_dir) if corpus_dir is not None else None
@@ -220,7 +199,7 @@ def _cmd_scan(args) -> int:
 def _cmd_advise(args) -> int:
     status = exitcodes.EXIT_OK
     for target in args.targets:
-        generator, seed, blocks = parse_target(target)
+        generator, seed, blocks = parse_case(target)
         instructions = build_program(generator, seed, blocks)
         plan = advise(instructions, name=target)
         print(render_plan(plan))

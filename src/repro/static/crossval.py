@@ -42,9 +42,8 @@ from repro.cpu.isa import instructions_from_reprs
 from repro.errors import ArtifactError
 from repro.fuzz import corpus as corpus_mod
 from repro.fuzz.corpus import Corpus
-from repro.fuzz.cli import derive_case
 from repro.fuzz.findings import read_findings
-from repro.fuzz.gen import build_program
+from repro.fuzz.gen import build_program, derive_case
 from repro.fuzz.harness import MITIGATIONS
 from repro.fuzz.oracle import leak_check_instructions
 from repro.runtime.supervisor import DEFAULT_RETRIES, TaskFailure, run_supervised

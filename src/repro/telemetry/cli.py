@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import sys
 
+from ..errors import ConfigError, UnknownExperimentError
 from ..runtime import atomic_write_text, exitcodes
 from ..runtime.cliutil import build_parser
 from .diff import first_divergence
@@ -87,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "diff":
             return _diff(args)
         return _export(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, ConfigError, UnknownExperimentError) as exc:
         print(f"repro-trace: {exc}", file=sys.stderr)
         return exitcodes.EXIT_USAGE
 

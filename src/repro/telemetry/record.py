@@ -24,6 +24,7 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Sequence
 
+from ..fuzz.gen import parse_case
 from . import recording
 from .sinks import JsonlSink, trace_header
 
@@ -59,14 +60,16 @@ def _mitigation_applies(target: str) -> bool:
     return target in RECORD_BUILTINS or target.startswith("case:")
 
 
-def _parse_case(target: str) -> tuple[str, int, int]:
-    parts = target.split(":")
-    if len(parts) != 4:
-        raise ValueError(
-            f"bad case target {target!r}: expected case:<generator>:<seed>:<blocks>"
-        )
-    _, generator, seed, blocks = parts
-    return generator, int(seed), int(blocks)
+def _check_target(target: str) -> None:
+    """Raise :class:`~repro.errors.ReproError` (``ConfigError`` or
+    ``UnknownExperimentError``) for a target :func:`record_target`
+    cannot run, before any recording is scheduled."""
+    if target.startswith("case:"):
+        parse_case(target)
+    elif target not in RECORD_BUILTINS:
+        from ..experiments.runner import effective_seed
+
+        effective_seed(target)
 
 
 def _run_case(
@@ -151,7 +154,7 @@ def record_target(
         context["mitigation"] = mitigation
 
     if target.startswith("case:"):
-        generator, case_seed, blocks = _parse_case(target)
+        generator, case_seed, blocks = parse_case(target)
         used_seed = case_seed if seed is None else seed
         context.update(generator=generator, seed=used_seed, blocks=blocks)
         if model is not None:
@@ -204,10 +207,12 @@ def record_many(
 
     Each worker records into its own trace file (written atomically), so
     results are byte-identical whatever ``jobs`` is.  Rows come back in
-    ``targets`` order.
+    ``targets`` order.  Every target is checked before any is scheduled.
     """
     from ..runtime.supervisor import run_supervised
 
+    for target in targets:
+        _check_target(target)
     tasks = [
         (
             target,

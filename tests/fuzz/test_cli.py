@@ -5,13 +5,13 @@ import pytest
 from repro.core.spec_ctrl import SpecCtrl
 from repro.fuzz.cli import (
     build_tasks,
-    derive_case,
     main,
     regressions,
     run_fuzz_campaign,
 )
 from repro.fuzz.corpus import REGRESSION_ENTRIES, Corpus, replay_order
 from repro.fuzz.findings import read_findings
+from repro.fuzz.gen import derive_case
 
 BUDGET = 4  # 4 generated cases x (differential + oracle) + corpus replays
 

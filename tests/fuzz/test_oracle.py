@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fuzz.cli import derive_case
+from repro.fuzz.gen import derive_case
 from repro.fuzz.oracle import leak_check, observation_diff, secret_fills
 
 # Pinned: this oracle case leaks through the unmitigated pipeline (a

@@ -6,12 +6,13 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.fuzz.corpus import REGRESSION_ENTRIES
-from repro.static.cli import main, parse_target
+from repro.fuzz.gen import parse_case
+from repro.static.cli import main
 
 
 class TestParseTarget:
     def test_valid_target(self):
-        assert parse_target("case:fuzz-v1:5:8") == ("fuzz-v1", 5, 8)
+        assert parse_case("case:fuzz-v1:5:8") == ("fuzz-v1", 5, 8)
 
     @pytest.mark.parametrize("target", [
         "fuzz-v1:5:8",                 # missing the case: prefix
@@ -21,7 +22,7 @@ class TestParseTarget:
     ])
     def test_bad_targets_raise(self, target):
         with pytest.raises(ConfigError):
-            parse_target(target)
+            parse_case(target)
 
 
 class TestScan:

@@ -100,6 +100,19 @@ class TestCli:
             == exitcodes.EXIT_OK
         assert "stld-predict" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("target", [
+        "case:bogus:1:2",        # unknown generator
+        "case:fuzz-v1:x:2",      # non-integer seed
+        "no-such-experiment",    # unknown experiment name
+    ])
+    def test_bad_record_target_is_usage_error(self, target, tmp_path, capsys):
+        code = main(["record", "stl", target, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == exitcodes.EXIT_USAGE
+        assert len(err.splitlines()) == 1 and err.startswith("repro-trace: ")
+        # Checked before scheduling: not even the valid target recorded.
+        assert not list(tmp_path.iterdir())
+
     def test_bad_trace_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.jsonl"
         assert main(["summarize", str(missing)]) == exitcodes.EXIT_USAGE
