@@ -125,7 +125,9 @@ attack-smoke:
 ## $(JOBS) (the interference schedules are seeded, so noise is
 ## reproducible), and the adversarial preset must actually cost the
 ## channel throughput relative to quiet — otherwise the model is wired
-## up but not biting.
+## up but not biting.  A hardened Spectre-STL extraction under the
+## desktop preset (one retry, so the hardened read loop runs) must also
+## write byte-identical reports on two runs.
 interference-smoke:
 	rm -rf $(RESULTS)-interf
 	$(PY) -m repro.experiments.runner robustness-channel --jobs 1       --no-cache --stable-meta --json $(RESULTS)-interf/serial
@@ -138,8 +140,11 @@ interference-smoke:
 	assert a < q, f'adversarial goodput {a} not below quiet {q}'; \
 	assert m['adversarial_byte_errors'] >= m['quiet_byte_errors'], 'adversarial byte errors below quiet'; \
 	print(f'interference bites: quiet {q} b/s -> adversarial {a} b/s')"
+	$(PY) -m repro.attacks.cli leak --mitigation none --interference desktop --out $(RESULTS)-interf/leak-a.json
+	$(PY) -m repro.attacks.cli leak --mitigation none --interference desktop --out $(RESULTS)-interf/leak-b.json
+	cmp $(RESULTS)-interf/leak-a.json $(RESULTS)-interf/leak-b.json
 	rm -rf $(RESULTS)-interf
-	@echo "interference-smoke: robustness curve deterministic across reruns and job counts; adversarial preset degrades the channel"
+	@echo "interference-smoke: robustness curve deterministic across reruns and job counts; adversarial preset degrades the channel; hardened extraction deterministic"
 
 ## Static-scanner gate (docs/static-analysis.md): the corpus replay set
 ## plus a generated budget must scan byte-identically across a rerun and
