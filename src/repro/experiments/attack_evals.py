@@ -23,7 +23,8 @@ __all__ = ["run_stl", "run_ctl", "run_web", "run_all"]
 
 
 def _random_secret(length: int, seed: int) -> bytes:
-    return bytes(random.Random(seed).randrange(256) for _ in range(length))
+    rng = random.Random(seed)
+    return bytes(rng.randrange(256) for _ in range(length))
 
 
 def run_stl(secret_bytes: int = 64, seed: int = 5150) -> ExperimentResult:

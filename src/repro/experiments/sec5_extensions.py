@@ -28,7 +28,8 @@ __all__ = ["run_covert_channel", "run_stl_inplace", "run_address_leak"]
 def run_covert_channel(bits: int = 64, seed: int = 42) -> ExperimentResult:
     channel = StlPredictorChannel(width=1)
     (attempts,) = channel.handshake()
-    payload = [random.Random(seed).randrange(2) for _ in range(bits)]
+    rng = random.Random(seed)
+    payload = [rng.randrange(2) for _ in range(bits)]
     thread = channel.machine.core.thread(0)
     start = thread.cycles
     received = channel.transfer(payload)
@@ -56,7 +57,8 @@ def run_covert_channel(bits: int = 64, seed: int = 42) -> ExperimentResult:
 
 
 def run_stl_inplace(secret_bytes: int = 8, seed: int = 24) -> ExperimentResult:
-    secret = bytes(random.Random(seed).randrange(256) for _ in range(secret_bytes))
+    rng = random.Random(seed)
+    secret = bytes(rng.randrange(256) for _ in range(secret_bytes))
     in_place = SpectreSTLInPlace()
     in_place_report = in_place.leak(secret)
 

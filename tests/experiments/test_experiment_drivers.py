@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.attacks.channels import StlPredictorChannel
+from repro.experiments import attack_evals, sec5_extensions
 from repro.experiments import fig2_exec_types, fig4_hash, sec3_selection
 from repro.experiments import sec4_isolation, sec4_transient, table1_state_machine
 from repro.experiments import table2_counters, table4_comparison
@@ -130,3 +132,46 @@ class TestRobustnessChannel:
 
         for preset in PRESET_ORDER:
             assert result.metrics[f"{preset}_byte_errors"] == 0
+
+
+class _Planted(Exception):
+    """Raised by a spy when a driver hands over its secret or payload."""
+
+
+class _SpyAttack:
+    """Stands in for an attack class: no machine, no collision search;
+    ``leak`` reports the secret the driver planted."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def find_collision(self):
+        pass
+
+    find_collisions = find_collision
+
+    def leak(self, secret):
+        raise _Planted(secret)
+
+
+class TestPlantedSecrets:
+    """A secret of one repeated byte would let an attack that returns a
+    stale byte score 100%: every driver must plant more than one value."""
+
+    @pytest.mark.parametrize("module, driver, attack", [
+        (attack_evals, "run_stl", "SpectreSTL"),
+        (attack_evals, "run_ctl", "SpectreCTL"),
+        (attack_evals, "run_web", "SpectreCTLWeb"),
+        (sec5_extensions, "run_stl_inplace", "SpectreSTLInPlace"),
+    ])
+    def test_secret_has_more_than_one_value(self, module, driver, attack, monkeypatch):
+        monkeypatch.setattr(module, attack, _SpyAttack)
+        with pytest.raises(_Planted) as planted:
+            getattr(module, driver)()
+        assert len(set(planted.value.args[0])) > 1
+
+    def test_covert_payload_has_both_bit_values(self, monkeypatch):
+        monkeypatch.setattr(StlPredictorChannel, "transfer", _SpyAttack.leak)
+        with pytest.raises(_Planted) as planted:
+            sec5_extensions.run_covert_channel()
+        assert set(planted.value.args[0]) == {0, 1}
