@@ -66,8 +66,13 @@ fuzz-smoke:
 ## resumed (must converge to the baseline manifest, byte for byte).
 ## Every run uses the same --jobs so the manifests stay comparable;
 ## --stable-meta zeroes wall times and worker pids for the same reason.
+## The fuzz leg drills the same paths on repro-fuzz: a crashed task is
+## retried to a byte-identical findings file, and an interrupted campaign
+## exits 3 leaving its checkpoint journal, then --resume exits 0, removes
+## the journal and writes the clean run's findings byte for byte.
 CHAOS_NAMES = fig4 sec3-selection table1 fig2
 CHAOS_FLAGS = --jobs $(JOBS) --no-cache --stable-meta --timeout 10
+CHAOS_FUZZ  = $(PY) -m repro.fuzz.cli --budget 4 --seed 1 --jobs $(JOBS) --no-corpus
 chaos-smoke:
 	rm -rf $(RESULTS)-chaos
 	$(PY) -m repro.experiments.runner $(CHAOS_NAMES) $(CHAOS_FLAGS) --json $(RESULTS)-chaos/baseline
@@ -78,8 +83,16 @@ chaos-smoke:
 		--chaos "interrupt@fig4"; test $$? -eq 3
 	$(PY) -m repro.experiments.runner $(CHAOS_NAMES) $(CHAOS_FLAGS) --json $(RESULTS)-chaos/resumed --resume
 	cmp $(RESULTS)-chaos/baseline/campaign.json $(RESULTS)-chaos/resumed/campaign.json
+	$(CHAOS_FUZZ) --out $(RESULTS)-chaos/fuzz-clean.jsonl
+	$(CHAOS_FUZZ) --out $(RESULTS)-chaos/fuzz-crash.jsonl --chaos crash@3
+	cmp $(RESULTS)-chaos/fuzz-clean.jsonl $(RESULTS)-chaos/fuzz-crash.jsonl
+	$(CHAOS_FUZZ) --out $(RESULTS)-chaos/fuzz-resumed.jsonl --chaos interrupt@5; test $$? -eq 3
+	test -f $(RESULTS)-chaos/fuzz-resumed.jsonl.checkpoint.json
+	$(CHAOS_FUZZ) --out $(RESULTS)-chaos/fuzz-resumed.jsonl --resume
+	test ! -e $(RESULTS)-chaos/fuzz-resumed.jsonl.checkpoint.json
+	cmp $(RESULTS)-chaos/fuzz-clean.jsonl $(RESULTS)-chaos/fuzz-resumed.jsonl
 	rm -rf $(RESULTS)-chaos
-	@echo "chaos-smoke: crash/hang/corruption absorbed; interrupt+resume converged"
+	@echo "chaos-smoke: crash/hang/corruption absorbed; interrupt+resume converged (experiments and fuzz)"
 
 ## Telemetry determinism + overhead gate (docs/observability.md): the
 ## same seeded targets must record byte-identical traces twice serially

@@ -20,8 +20,8 @@ determinism contract the experiment campaign runner keeps.
 
 Campaigns run under the shared resilient runtime (docs/resilience.md):
 ``--timeout`` kills and retries hung workers, worker crashes cost one
-attempt instead of the whole run, and completed tasks stream into an
-atomic checkpoint (``<out>.checkpoint.json``) that ``--resume`` replays
+attempt instead of the whole run, and completed tasks are appended to a
+checkpoint journal (``<out>.checkpoint.json``) that ``--resume`` replays
 after a crash or Ctrl-C — converging to the same findings file an
 uninterrupted run would have written.
 
@@ -81,7 +81,7 @@ __all__ = [
     "main",
 ]
 
-CHECKPOINT_SCHEMA = 1
+CHECKPOINT_SCHEMA = 2
 
 DEFAULT_BUDGET = 100
 DEFAULT_MITIGATIONS = ("none", "ssbd")
@@ -181,20 +181,8 @@ def _differential_findings(task: dict, model: str | None, mitigation: str) -> li
             return trial.divergence is not None
 
         shrunk = shrink_report(report.instructions, reproduces)
-    finding = Finding(
-        kind="architectural-divergence",
-        generator=task["generator"],
-        seed=task["seed"],
-        blocks=task["blocks"],
-        cpu_model=report.model_name,
-        mitigation=mitigation,
-        task=task["task"],
-        origin=task["origin"],
-        label=task["label"],
-        detail=report.divergence.to_detail(),
-        shrunk=shrunk,
-    )
-    return [finding.to_dict()]
+    return _finding(task, "architectural-divergence", report.model_name, mitigation,
+                    report.divergence.to_detail(), shrunk)
 
 
 def _oracle_findings(task: dict, model: str | None, mitigation: str) -> list[dict]:
@@ -205,19 +193,18 @@ def _oracle_findings(task: dict, model: str | None, mitigation: str) -> list[dic
     kind = report.finding_kind
     if kind is None:
         return []
-    finding = Finding(
-        kind=kind,
-        generator=task["generator"],
-        seed=task["seed"],
-        blocks=task["blocks"],
-        cpu_model=report.model_name,
-        mitigation=mitigation,
-        task=task["task"],
-        origin=task["origin"],
-        label=task["label"],
-        detail=report.to_detail(),
-    )
-    return [finding.to_dict()]
+    return _finding(task, kind, report.model_name, mitigation, report.to_detail())
+
+
+def _finding(task: dict, kind: str, cpu_model: str, mitigation: str,
+             detail: dict, shrunk: dict | None = None) -> list[dict]:
+    """The one-finding result of ``task`` under ``mitigation``."""
+    return [Finding(
+        kind=kind, generator=task["generator"], seed=task["seed"],
+        blocks=task["blocks"], cpu_model=cpu_model, mitigation=mitigation,
+        task=task["task"], origin=task["origin"], label=task["label"],
+        detail=detail, shrunk=shrunk,
+    ).to_dict()]
 
 
 def _validate_findings(found: object) -> list[dict]:
@@ -240,12 +227,14 @@ class FuzzCampaignResult(list):
         *,
         failures: Sequence[TaskFailure] = (),
         quarantined: int = 0,
+        replayed: int = 0,
         resumed: int = 0,
         retried: int = 0,
     ) -> None:
         super().__init__(findings)
         self.failures = list(failures)
         self.quarantined = quarantined
+        self.replayed = replayed
         self.resumed = resumed
         self.retried = retried
 
@@ -267,49 +256,56 @@ def _campaign_fingerprint(tasks: list[dict]) -> str:
     return content_key({"schema": CHECKPOINT_SCHEMA, "tasks": tasks})
 
 
-def _checkpoint_text(fingerprint: str, fragments: dict[int, str]) -> str:
-    """The checkpoint document, built from per-task findings JSON.
+def _journal_line(record: dict) -> str:
+    """One canonical checkpoint line: sorted keys, newline-terminated."""
+    return json.dumps(record, sort_keys=True) + "\n"
 
-    ``json.loads`` of the result is ``{"schema", "fingerprint",
-    "completed": {str(task_id): findings}}``, the same document
-    ``_recover_fuzz_checkpoint`` has always read.
-    """
-    completed = ", ".join(
-        f'"{task_id}": {fragments[task_id]}' for task_id in sorted(fragments)
-    )
-    return (
-        f'{{"completed": {{{completed}}}, '
-        f'"fingerprint": {json.dumps(fingerprint)}, '
-        f'"schema": {CHECKPOINT_SCHEMA}}}\n'
-    )
+
+#: What a corrupt journal line raises (JSON and UTF-8 errors are ValueErrors).
+_BAD_LINE = (ValueError, KeyError, TypeError, IndexError, ArtifactError)
 
 
 def _recover_fuzz_checkpoint(
-    path: Path, fingerprint: str, say: Callable[[str], None]
+    path: Path, fingerprint: str, by_id: dict[int, dict],
+    say: Callable[[str], None],
 ) -> tuple[dict[int, list[dict]], int]:
-    """Completed task results from a previous run's checkpoint, validated."""
+    """Completed task results from a previous run's journal, validated.
+
+    A line counts once its newline is on disk.  A torn tail, a corrupt
+    line or a header of another schema quarantines the file with the
+    reasons, and the valid lines still resume.  A journal of another
+    campaign (fingerprint mismatch) is ignored, not quarantined.
+    """
     if not path.exists():
         return {}, 0
+    *lines, tail = path.read_bytes().split(b"\n")
+    problems = [f"torn last line ({len(tail)} bytes)"] if tail else []
+    completed: dict[int, list[dict]] = {}
     try:
-        data = json.loads(path.read_bytes().decode("utf-8"))
-        if data["schema"] != CHECKPOINT_SCHEMA:
-            raise ArtifactError(f"checkpoint schema {data['schema']} unsupported")
-        stored_fingerprint = data["fingerprint"]
-        completed = {
-            int(task_id): _validate_findings(found)
-            for task_id, found in data["completed"].items()
-        }
-    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError,
-            ValueError, ArtifactError) as exc:
-        quarantined = 0
-        if quarantine(path.parent, path, f"unreadable fuzz checkpoint: {exc!r}"):
-            quarantined = 1
-        say(f"checkpoint {path} unreadable; quarantined and starting fresh")
-        return {}, quarantined
-    if stored_fingerprint != fingerprint:
-        say(f"checkpoint {path} belongs to a different campaign; ignoring")
-        return {}, 0
-    return completed, 0
+        header = json.loads(lines[0])
+        if header["schema"] != CHECKPOINT_SCHEMA:
+            raise ArtifactError(f"checkpoint schema {header['schema']!r} unsupported")
+        if header["fingerprint"] != fingerprint:
+            say(f"checkpoint {path} belongs to a different campaign; ignoring")
+            return {}, 0
+    except _BAD_LINE as exc:
+        problems.insert(0, f"line 1: {exc!r}")
+        lines = []
+    for number, raw in enumerate(lines[1:], start=2):
+        try:
+            record = json.loads(raw)
+            task_id = record["task"]
+            if task_id not in by_id or task_id in completed:
+                raise ArtifactError(f"task {task_id!r} unknown or repeated")
+            completed[task_id] = _validate_findings(record["findings"])
+        except _BAD_LINE as exc:
+            problems.append(f"line {number}: {exc!r}")
+    if not problems:
+        return completed, 0
+    moved = quarantine(path.parent, path, "fuzz checkpoint: " + "; ".join(problems))
+    say(f"checkpoint {path} had {len(problems)} bad line(s); quarantined, "
+        f"keeping {len(completed)} valid task(s)")
+    return completed, int(moved is not None)
 
 
 def run_fuzz_campaign(
@@ -341,10 +337,10 @@ def run_fuzz_campaign(
     workers are killed at ``timeout`` and retried, crashes cost one
     attempt, and tasks that exhaust ``retries`` become failure entries on
     the returned :class:`FuzzCampaignResult`.  With ``checkpoint`` set,
-    completed tasks are persisted atomically as they land; ``resume``
-    replays them (the checkpoint is deleted on clean completion).  On
-    SIGINT/SIGTERM the in-flight tasks are drained, the checkpoint is
-    written, and :class:`repro.errors.CampaignInterrupted` is raised.
+    each completed task is appended to the journal as one fsync'd line;
+    ``resume`` replays them (the journal is deleted on clean completion).
+    On SIGINT/SIGTERM the in-flight tasks are drained into the journal
+    and :class:`repro.errors.CampaignInterrupted` is raised.
     """
     for mitigation in mitigations:
         if mitigation not in harness.MITIGATIONS:
@@ -367,29 +363,19 @@ def run_fuzz_campaign(
     results: dict[int, list[dict]] = {}
     quarantined = 0
     resumed = 0
+    journal = None
     if resume and checkpoint is not None:
-        results, quarantined = _recover_fuzz_checkpoint(checkpoint, fingerprint, say)
+        results, quarantined = _recover_fuzz_checkpoint(checkpoint, fingerprint, by_id, say)
         resumed = len(results)
         if resumed:
             say(f"resumed {resumed} completed task(s) from {checkpoint}")
 
-    # Each task's findings are serialized once, when they land; a
-    # checkpoint write only joins the cached fragments.
-    fragments = {
-        task_id: json.dumps(found, sort_keys=True)
-        for task_id, found in results.items()
-    }
-
-    def write_checkpoint() -> None:
-        if checkpoint is not None:
-            atomic_write_text(
-                checkpoint, _checkpoint_text(fingerprint, fragments)
-            )
-
     def on_result(task_id: int, found: list[dict]) -> None:
         results[task_id] = found
-        fragments[task_id] = json.dumps(found, sort_keys=True)
-        write_checkpoint()
+        if journal is not None:
+            journal.write(_journal_line({"findings": found, "task": task_id}))
+            journal.flush()
+            os.fsync(journal.fileno())
         task = by_id[task_id]
         verdict = f"{len(found)} finding(s)" if found else "clean"
         say(
@@ -400,6 +386,13 @@ def run_fuzz_campaign(
     pending = [task for task in tasks if task["task"] not in results]
     chaos_plan = ChaosPlan.from_spec(chaos) if chaos else None
     try:
+        if checkpoint is not None:
+            # The one whole-file write holds the recovered state; from
+            # here on only on_result's appends touch the journal.
+            records = [{"fingerprint": fingerprint, "schema": CHECKPOINT_SCHEMA}]
+            records += [{"findings": results[t], "task": t} for t in sorted(results)]
+            atomic_write_text(checkpoint, "".join(map(_journal_line, records)))
+            journal = checkpoint.open("a", encoding="utf-8")
         report = run_supervised(
             [(task["task"], task) for task in pending],
             _run_task,
@@ -417,6 +410,8 @@ def run_fuzz_campaign(
             grace_s=grace_s,
         )
     finally:
+        if journal is not None:
+            journal.close()
         if chaos_plan is not None:
             chaos_plan.cleanup()
 
@@ -429,11 +424,11 @@ def run_fuzz_campaign(
         findings,
         failures=report.failures,
         quarantined=quarantined + (corp.quarantined if corp is not None else 0),
+        replayed=len(replay),
         resumed=resumed,
         retried=report.retried,
     )
     if report.interrupted:
-        write_checkpoint()
         raise CampaignInterrupted(
             f"fuzz campaign interrupted with {len(results)}/{len(tasks)} "
             f"task(s) checkpointed",
@@ -617,9 +612,6 @@ def main(argv: list[str] | None = None) -> int:
 
     mitigations = [part.strip() for part in args.mitigation.split(",") if part.strip()]
     corpus_dir = None if args.no_corpus else args.corpus_dir
-    replayed = len(
-        corpus_mod.replay_order(Corpus(corpus_dir) if corpus_dir else None)
-    )
     started = time.perf_counter()
     try:
         findings = run_fuzz_campaign(
@@ -663,7 +655,7 @@ def main(argv: list[str] | None = None) -> int:
         by_kind[finding.kind] = by_kind.get(finding.kind, 0) + 1
     bad = regressions(findings)
     print(
-        f"fuzz campaign: {args.budget} generated programs + {replayed} corpus "
+        f"fuzz campaign: {args.budget} generated programs + {findings.replayed} corpus "
         f"replays, mitigations [{', '.join(mitigations)}], "
         f"{time.perf_counter() - started:.1f}s wall with --jobs {max(1, args.jobs)}"
     )

@@ -4,7 +4,10 @@ Every on-disk JSON document the campaign engines produce — result-cache
 entries, corpus entries, experiment artifacts, campaign manifests,
 checkpoints, findings JSONL — goes through these two helpers, so a
 SIGKILL at any instant leaves either the previous complete file or the
-new complete file, never a truncated one.  The tmp file is created with
+new complete file, never a truncated one.  The fuzz checkpoint journal
+is created here once per campaign and then only appended to, one
+fsync'd line per task (:mod:`repro.fuzz.cli`); its reader quarantines a
+torn last line.  The tmp file is created with
 :func:`tempfile.mkstemp` in the destination directory (same filesystem,
 so the final ``os.replace`` is atomic; unique name, so two campaigns
 sharing a cache or corpus directory cannot clobber each other's
@@ -54,7 +57,7 @@ def atomic_write_json(path: str | Path, payload: Any, *, indent: int | None = 2)
 
     The JSON persistence primitive: the result cache, the corpus,
     experiment artifacts and campaign manifests all call this.  The fuzz
-    checkpoint, which joins per-task JSON fragments itself, calls
+    checkpoint journal, one JSON line per record, is created with
     :func:`atomic_write_text` — the same durability path.
     """
     text = json.dumps(payload, indent=indent, sort_keys=True) + "\n"

@@ -333,6 +333,7 @@ def _run_inline(items, worker, retries, schedule, validate, on_result, say, repo
                 return
             except Exception as exc:
                 message = f"{type(exc).__name__}: {exc}"
+                registry().counter(f"supervisor.failures.{kind}").inc()
                 if attempts > retries:
                     report.failures.append(
                         TaskFailure(task_id, kind, attempts, message)

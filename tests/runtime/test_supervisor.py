@@ -21,6 +21,7 @@ from repro.runtime.supervisor import (
     backoff_schedule,
     run_supervised,
 )
+from repro.telemetry.metrics import registry
 
 
 def _double(payload):
@@ -199,6 +200,25 @@ class TestPool:
             timer.cancel()
         assert report.interrupted is True
         assert report.results == {}
+
+
+class TestCounters:
+    @staticmethod
+    def _deltas(jobs):
+        before = registry().snapshot()
+        run_supervised([("bad", 0)], _boom, jobs=jobs, retries=1)
+        counters = registry().delta_since(before)["counters"]
+        counters.pop("supervisor.batches", None)  # pool dispatch groups only
+        return counters
+
+    def test_inline_and_pool_count_a_failing_task_alike(self):
+        expected = {
+            "supervisor.dispatched": 2,
+            "supervisor.failures.error": 2,
+            "supervisor.retries": 1,
+        }
+        assert self._deltas(jobs=1) == expected
+        assert self._deltas(jobs=2) == expected
 
 
 class TestChaosPlan:
