@@ -162,9 +162,9 @@ interference-smoke:
 ## Static-scanner gate (docs/static-analysis.md): the corpus replay set
 ## plus a generated budget must scan byte-identically across a rerun and
 ## --jobs 1 / --jobs $(JOBS) (findings JSONL cmp'd literally), and the
-## scanner-vs-oracle cross-validation must report zero soundness
-## violations (repro-scan crossval exits 1 on any dynamic leak the
-## scanner missed).
+## scanner-vs-oracle cross-validation must write byte-identical reports
+## under --jobs 1 / --jobs $(JOBS) and report zero soundness violations
+## (repro-scan crossval exits 1 on any dynamic leak the scanner missed).
 scan-smoke:
 	rm -rf $(RESULTS)-scan
 	mkdir -p $(RESULTS)-scan
@@ -173,9 +173,11 @@ scan-smoke:
 	$(PY) -m repro.static.cli scan --no-corpus --budget 10 --seed 1 --jobs $(JOBS) --out $(RESULTS)-scan/parallel.jsonl
 	cmp $(RESULTS)-scan/serial.jsonl $(RESULTS)-scan/again.jsonl
 	cmp $(RESULTS)-scan/serial.jsonl $(RESULTS)-scan/parallel.jsonl
-	$(PY) -m repro.static.cli crossval --no-corpus --budget 4 --seed 1 --jobs $(JOBS)
+	$(PY) -m repro.static.cli crossval --no-corpus --budget 4 --seed 1 --jobs 1       --out $(RESULTS)-scan/crossval-serial.json
+	$(PY) -m repro.static.cli crossval --no-corpus --budget 4 --seed 1 --jobs $(JOBS) --out $(RESULTS)-scan/crossval-parallel.json
+	cmp $(RESULTS)-scan/crossval-serial.json $(RESULTS)-scan/crossval-parallel.json
 	rm -rf $(RESULTS)-scan
-	@echo "scan-smoke: findings byte-identical across reruns and job counts; cross-validation sound"
+	@echo "scan-smoke: findings and cross-validation reports byte-identical across reruns and job counts; cross-validation sound"
 
 ## Behaviour-equivalence gate for interpreter optimizations: recompute
 ## experiment/corpus/trace digests and require byte-identical results

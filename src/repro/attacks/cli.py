@@ -38,8 +38,8 @@ from repro.attacks.extraction import (
 )
 from repro.cpu.machine import Machine
 from repro.errors import ConfigError, ReproError
-from repro.fuzz.harness import MITIGATIONS
 from repro.interference import PRESET_ORDER
+from repro.mitigations import MITIGATIONS
 from repro.runtime import exitcodes
 from repro.runtime.atomic import atomic_write_json
 from repro.runtime.cliutil import build_parser, require_range

@@ -126,10 +126,7 @@ class AttackerStld:
         return self._measure(result.cycles)
 
     def _measure(self, cycles: int) -> int:
-        noise = self.machine.core.model.timer_noise
-        if noise:
-            jitter = self.machine.core.rng.uniform(-noise, noise)
-            cycles = max(0, round(cycles * (1.0 + jitter)))
+        cycles = self.machine.core.jitter(cycles)
         interference = self.machine.interference
         if interference is not None:
             # Clock drift/jitter is a property of the environment; any

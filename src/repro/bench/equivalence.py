@@ -209,7 +209,8 @@ def _report_payload(report) -> dict[str, Any]:
 
 def _corpus_digest() -> str:
     from repro.fuzz.corpus import REGRESSION_ENTRIES
-    from repro.fuzz.harness import MITIGATIONS, check_entry
+    from repro.fuzz.harness import check_entry
+    from repro.mitigations import MITIGATIONS
 
     payload: dict[str, Any] = {}
     for entry in REGRESSION_ENTRIES:

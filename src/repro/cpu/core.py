@@ -50,14 +50,13 @@ class Core:
                 f"core has {len(self.threads)} SMT threads, no thread {thread_id}"
             ) from None
 
-    def rdpru(self, thread_id: int = 0) -> int:
-        """Read the per-thread cycle counter with the model's timer noise."""
-        cycles = self.thread(thread_id).cycles
+    def jitter(self, cycles: int) -> int:
+        """An RDPRU-style reading of ``cycles``: the model's bounded timer
+        noise, one draw from :attr:`rng` when the model has any."""
         noise = self.model.timer_noise
-        if noise:
-            jitter = self.rng.uniform(-noise, noise)
-            return max(0, round(cycles * (1.0 + jitter)))
-        return cycles
+        if not noise:
+            return cycles
+        return max(0, round(cycles * (1.0 + self.rng.uniform(-noise, noise))))
 
     def set_ssbd(self, enabled: bool) -> None:
         """Write the SSBD bit of SPEC_CTRL (Section VI-A)."""

@@ -159,12 +159,10 @@ class Machine:
             for index in list(live):
                 if not states[index].step():
                     live.remove(index)
-        results = []
-        for thread_id, state in enumerate(states):
-            result = state.finalize()
-            self.core.thread(thread_id).advance(result.cycles)
-            results.append(result)
-        return results
+        return [
+            self._pipelines[thread_id].finish(state)
+            for thread_id, state in enumerate(states)
+        ]
 
     def __repr__(self) -> str:
         return f"Machine(core={self.core!r})"

@@ -294,14 +294,8 @@ class Pipeline:
         the caller's dict is never mutated.
         """
         state = _ExecState(self, process, program, dict(regs or {}))
-        result = state.execute(max_steps)
-        self.thread.advance(result.cycles)
-        self._m_runs.inc()
-        self._m_retired.inc(result.retired)
-        self._m_cycles.inc(result.cycles)
-        self._m_rollbacks.inc(result.rollbacks)
-        self._m_run_cycles.observe(result.cycles)
-        return result
+        state.execute(max_steps)
+        return self.finish(state)
 
     def begin(
         self,
@@ -313,13 +307,25 @@ class Pipeline:
 
         Unlike :meth:`run`, the caller drives the execution — one
         :meth:`_ExecState.step` per scheduling decision until it returns
-        False — then collects :meth:`_ExecState.finalize` and accounts
-        thread cycles from the result.  The SMT runner interleaves two
-        hardware threads this way; each state owns its thread's store
-        queue and rollback journal, so interleaved states never share
-        mutable interpreter state.
+        False — then collects the result with :meth:`finish`.  The SMT
+        runner interleaves two hardware threads this way; each state owns
+        its thread's store queue and rollback journal, so interleaved
+        states never share mutable interpreter state.
         """
         return _ExecState(self, process, program, dict(regs or {}))
+
+    def finish(self, state: "_ExecState") -> RunResult:
+        """End a halted execution: its result, with the thread's cycle
+        counter advanced and the run counted in the ``pipeline.*``
+        metrics.  Every run, single-threaded or SMT, ends here."""
+        result = state.finalize()
+        self.thread.advance(result.cycles)
+        self._m_runs.inc()
+        self._m_retired.inc(result.retired)
+        self._m_cycles.inc(result.cycles)
+        self._m_rollbacks.inc(result.rollbacks)
+        self._m_run_cycles.observe(result.cycles)
+        return result
 
     # Branch prediction: 2-bit saturating direction counters.
     def predict_branch(self, iva: int) -> bool:
@@ -468,13 +474,6 @@ class _ExecState:
                 horizon = entry.data_ready
         return horizon
 
-    def _noisy(self, cycles: int) -> int:
-        noise = self.core.model.timer_noise
-        if not noise:
-            return cycles
-        jitter = self.core.rng.uniform(-noise, noise)
-        return max(0, round(cycles * (1.0 + jitter)))
-
     # ------------------------------------------------------------------
     # Memory views (store-queue overlay)
     # ------------------------------------------------------------------
@@ -512,7 +511,8 @@ class _ExecState:
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
-    def execute(self, max_steps: int) -> RunResult:
+    def execute(self, max_steps: int) -> None:
+        """Step to the halt (see :meth:`Pipeline.finish` for the result)."""
         steps = 0
         step = self.step
         while not self.halted:
@@ -522,7 +522,6 @@ class _ExecState:
                     f"program {self.program.name!r} exceeded {max_steps} steps"
                 )
             step()
-        return self.finalize()
 
     def step(self) -> bool:
         """Advance by one scheduling decision; returns False once halted.
@@ -707,7 +706,7 @@ class _ExecState:
             frontier = max(self.ready.values(), default=0)
             if d > frontier:
                 frontier = d
-            self._set_reg(args[0], self.thread.cycles + self._noisy(frontier), d)
+            self._set_reg(args[0], self.thread.cycles + self.core.jitter(frontier), d)
         elif op == OP_CLFLUSH:
             base, offset = args
             vaddr = (self.regs.get(base, 0) + offset) & _U64

@@ -2,17 +2,18 @@
 
 A campaign re-run should not repeat work whose inputs have not changed.
 Every experiment is a pure function of (driver, seed, platform model,
-library version), so the cache key is the SHA-256 of exactly those
-inputs, canonically serialized:
+code), so the cache key is the SHA-256 of exactly those inputs,
+canonically serialized:
 
 * **experiment name** — the registry key, which pins the driver;
 * **seed** — the effective seed the driver ran with;
 * **CpuModel** — every field of the platform config (a frozen dataclass;
   ``dataclasses.asdict`` recurses into the nested ``LatencyModel``), so
   editing a latency or queue size invalidates prior results;
-* **package version** — ``repro.__version__``; code changes that matter
-  are expected to ride a version bump (``--no-cache`` or
-  :meth:`ResultCache.clear` covers local development in between).
+* **source digest** — :func:`source_digest` of the ``repro`` package:
+  the SHA-256 over every ``.py`` file's path and bytes, computed once
+  per process.  Any edit to the code misses, so a result is never
+  served from older code.
 
 Entries are the same JSON documents as the artifacts in ``results/``
 (:mod:`repro.experiments.artifacts`), stored under
@@ -27,6 +28,7 @@ error.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import shutil
@@ -39,9 +41,19 @@ from repro.experiments.base import ExperimentResult
 from repro.runtime.atomic import atomic_write_json
 from repro.runtime.quarantine import QUARANTINE_DIR, quarantine
 
-__all__ = ["ResultCache", "cache_key", "content_key", "DEFAULT_CACHE_DIR"]
+__all__ = [
+    "ResultCache",
+    "cache_key",
+    "code_digest",
+    "content_key",
+    "source_digest",
+    "DEFAULT_CACHE_DIR",
+]
 
 DEFAULT_CACHE_DIR = ".repro-cache"
+
+#: The ``repro`` package directory, whose sources :func:`code_digest` hashes.
+_PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
 
 def content_key(payload: dict) -> str:
@@ -56,21 +68,30 @@ def content_key(payload: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def cache_key(
-    name: str,
-    seed: int | None,
-    model: CpuModel | None = None,
-    version: str | None = None,
-) -> str:
-    """Derive the content address for one experiment configuration."""
-    from repro import __version__  # local import: repro/__init__ imports widely
+def source_digest(root: Path) -> str:
+    """SHA-256 over every ``.py`` file under ``root``: each file's
+    relative path and bytes, in sorted path order."""
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
 
+
+@functools.cache
+def code_digest() -> str:
+    """:func:`source_digest` of the running ``repro`` package, once per process."""
+    return source_digest(_PACKAGE_ROOT)
+
+
+def cache_key(name: str, seed: int | None, model: CpuModel | None = None) -> str:
+    """Derive the content address for one experiment configuration."""
     return content_key(
         {
             "experiment": name,
             "seed": seed,
             "model": asdict(model or default_model()),
-            "version": version if version is not None else __version__,
+            "code": code_digest(),
         }
     )
 

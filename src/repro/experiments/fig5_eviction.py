@@ -7,6 +7,7 @@ selection with random-looking placement).
 
 from __future__ import annotations
 
+from repro.cpu.machine import Machine
 from repro.experiments.base import ExperimentResult
 from repro.revng.organization import OrganizationExperiment
 from repro.revng.stld import StldHarness
@@ -20,10 +21,10 @@ def run(
     ssbp_trials: int = 40,
     seed: int = 2024,
 ) -> ExperimentResult:
-    harness = StldHarness()
+    harness = StldHarness(Machine(seed=seed))
     classifier = TimingClassifier(harness)
     classifier.calibrate()
-    experiment = OrganizationExperiment(harness, classifier, seed=seed)
+    experiment = OrganizationExperiment(harness, classifier)
 
     psfp = experiment.psfp_curve(sizes=[4, 8, 10, 11, 12, 13, 16], trials=psfp_trials)
     ssbp = experiment.ssbp_curve(sizes=[2, 4, 8, 16, 24, 32, 40], trials=ssbp_trials)

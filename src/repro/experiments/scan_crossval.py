@@ -22,7 +22,7 @@ are part of the source and therefore fair game.
 from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult
-from repro.fuzz.harness import MITIGATIONS
+from repro.mitigations import MITIGATIONS
 from repro.static.crossval import AGREEMENT_CELLS, agreement_matrix, run_crossval
 
 __all__ = ["run"]

@@ -46,7 +46,6 @@ from repro.fuzz.gen import (
     random_program,
 )
 from repro.fuzz.harness import (
-    MITIGATIONS,
     DualReport,
     chaos,
     check_case,
@@ -73,7 +72,6 @@ __all__ = [
     "rdpru_destinations",
     "written_registers",
     # harness
-    "MITIGATIONS",
     "DualReport",
     "chaos",
     "check_case",

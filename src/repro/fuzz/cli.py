@@ -49,10 +49,11 @@ from repro.errors import ArtifactError, CampaignInterrupted, ConfigError, ReproE
 from repro.experiments.cache import content_key
 from repro.fuzz import corpus as corpus_mod
 from repro.fuzz import harness, oracle
-from repro.fuzz.corpus import DEFAULT_CORPUS_DIR, Corpus, CorpusEntry
+from repro.fuzz.corpus import DEFAULT_CORPUS_DIR, Corpus, CorpusEntry, program_set
 from repro.fuzz.findings import Finding, write_findings
-from repro.fuzz.gen import derive_case
+from repro.fuzz.gen import build_program
 from repro.fuzz.shrink import shrink_report
+from repro.mitigations import MITIGATIONS, parse_mitigations
 from repro.runtime import exitcodes
 from repro.runtime.atomic import atomic_write_text
 from repro.runtime.chaos import CHAOS_ENV_VAR, ChaosPlan
@@ -97,8 +98,10 @@ def build_tasks(
     shrink: bool = True,
     metrics: bool = False,
 ) -> list[dict]:
-    """The campaign's full task list: corpus replays first, then fresh
-    programs (each as a differential task plus an oracle task)."""
+    """The campaign's task list, one task per program of
+    :func:`~repro.fuzz.corpus.program_set`: corpus replays and generated
+    ``fuzz-v1`` programs get the differential check, generated
+    ``oracle-v1`` programs the leakage oracle."""
     common = {
         "mitigations": list(mitigations),
         "cpu_model": model_name or "",
@@ -107,39 +110,26 @@ def build_tasks(
         "metrics": metrics,
     }
     tasks: list[dict] = []
-    for entry in replay:
+    for source, entry in program_set(replay, budget, seed):
+        oracle_task = source == "generated" and entry.generator == "oracle-v1"
         tasks.append(
             {
                 "task": len(tasks),
-                "check": "differential",
+                "check": "oracle" if oracle_task else "differential",
                 "generator": entry.generator,
                 "seed": entry.seed,
                 "blocks": entry.blocks,
-                "origin": "corpus",
+                "origin": source,
                 "label": entry.label,
                 **common,
             }
         )
-    for index in range(budget):
-        program_seed, blocks = derive_case(seed, index)
-        for check, generator in (("differential", "fuzz-v1"), ("oracle", "oracle-v1")):
-            tasks.append(
-                {
-                    "task": len(tasks),
-                    "check": check,
-                    "generator": generator,
-                    "seed": program_seed,
-                    "blocks": blocks,
-                    "origin": "generated",
-                    "label": f"gen-{index}",
-                    **common,
-                }
-            )
     return tasks
 
 
 def _run_task(task: dict) -> list[dict]:
-    """Worker entry point: one task, all its mitigations; finding dicts.
+    """Worker entry point: one program, built once, checked under each of
+    the task's mitigations in order; finding dicts.
 
     Pure function of the task description (fresh machines inside), so it
     runs identically inline and in a pool process.  Dict results cross
@@ -151,12 +141,11 @@ def _run_task(task: dict) -> list[dict]:
     # whether the worker process is fresh (--jobs N) or reused (inline).
     before = registry().snapshot() if task.get("metrics") else None
     found: list[dict] = []
+    instructions = build_program(task["generator"], task["seed"], task["blocks"])
+    check = _oracle_findings if task["check"] == "oracle" else _differential_findings
     with harness.chaos(*hooks):
         for mitigation in task["mitigations"]:
-            if task["check"] == "differential":
-                found.extend(_differential_findings(task, model, mitigation))
-            else:
-                found.extend(_oracle_findings(task, model, mitigation))
+            found.extend(check(task, instructions, model, mitigation))
     if before is not None and found:
         delta = registry().delta_since(before)
         for data in found:
@@ -164,10 +153,11 @@ def _run_task(task: dict) -> list[dict]:
     return found
 
 
-def _differential_findings(task: dict, model: str | None, mitigation: str) -> list[dict]:
-    report = harness.check_case(
-        task["generator"], task["seed"], task["blocks"],
-        model=model, mitigation=mitigation,
+def _differential_findings(
+    task: dict, instructions: list, model: str | None, mitigation: str
+) -> list[dict]:
+    report = harness.run_dual(
+        instructions, seed=task["seed"], model=model, mitigation=mitigation
     )
     if report.divergence is None:
         return []
@@ -185,10 +175,12 @@ def _differential_findings(task: dict, model: str | None, mitigation: str) -> li
                     report.divergence.to_detail(), shrunk)
 
 
-def _oracle_findings(task: dict, model: str | None, mitigation: str) -> list[dict]:
-    report = oracle.leak_check(
-        task["generator"], task["seed"], task["blocks"],
-        model=model, mitigation=mitigation,
+def _oracle_findings(
+    task: dict, instructions: list, model: str | None, mitigation: str
+) -> list[dict]:
+    report = oracle.leak_check_instructions(
+        instructions, seed=task["seed"], model=model, mitigation=mitigation,
+        generator=task["generator"], blocks=task["blocks"],
     )
     kind = report.finding_kind
     if kind is None:
@@ -342,12 +334,7 @@ def run_fuzz_campaign(
     On SIGINT/SIGTERM the in-flight tasks are drained into the journal
     and :class:`repro.errors.CampaignInterrupted` is raised.
     """
-    for mitigation in mitigations:
-        if mitigation not in harness.MITIGATIONS:
-            raise ConfigError(
-                f"unknown mitigation {mitigation!r}; "
-                f"known: {', '.join(harness.MITIGATIONS)}"
-            )
+    mitigations = parse_mitigations(mitigations)
     say = progress or (lambda line: None)
     corp = Corpus(corpus_dir) if corpus_dir is not None else None
     replay = corpus_mod.replay_order(corp)
@@ -551,7 +538,7 @@ def main(argv: list[str] | None = None) -> int:
         "--mitigation", default=",".join(DEFAULT_MITIGATIONS), metavar="LIST",
         help=(
             "comma-separated mitigation configs to evaluate "
-            f"(from: {', '.join(harness.MITIGATIONS)}; "
+            f"(from: {', '.join(MITIGATIONS)}; "
             f"default {','.join(DEFAULT_MITIGATIONS)})"
         ),
     )
@@ -610,10 +597,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    mitigations = [part.strip() for part in args.mitigation.split(",") if part.strip()]
     corpus_dir = None if args.no_corpus else args.corpus_dir
     started = time.perf_counter()
     try:
+        mitigations = parse_mitigations(args.mitigation)
         findings = run_fuzz_campaign(
             budget=max(0, args.budget),
             seed=args.seed,

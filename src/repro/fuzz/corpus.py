@@ -14,6 +14,9 @@ The hand-written differential regressions that used to live as a table in
 :data:`REGRESSION_ENTRIES`; :func:`replay_order` puts them (and then any
 on-disk entries) ahead of freshly generated programs, so every
 ``repro-fuzz`` run re-checks all historical counterexamples first.
+:func:`program_set` appends the generated programs to that replay set:
+it is the one program list ``repro-fuzz``, ``repro-scan`` and the
+static cross-validation derive their tasks from.
 """
 
 from __future__ import annotations
@@ -22,10 +25,11 @@ import json
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 from repro.errors import ArtifactError
 from repro.experiments.cache import content_key
-from repro.fuzz.gen import GENERATORS
+from repro.fuzz.gen import GENERATORS, derive_case
 from repro.runtime.atomic import atomic_write_json
 from repro.runtime.quarantine import QUARANTINE_DIR, quarantine
 
@@ -35,6 +39,7 @@ __all__ = [
     "CorpusEntry",
     "Corpus",
     "REGRESSION_ENTRIES",
+    "program_set",
     "replay_order",
 ]
 
@@ -50,7 +55,7 @@ class CorpusEntry:
     seed: int
     blocks: int
     label: str = ""
-    origin: str = "campaign"  # "regression" | "campaign"
+    origin: str = "campaign"  # "regression" | "campaign" | "generated"
     schema: int = field(default=SCHEMA_VERSION)
 
     def __post_init__(self) -> None:
@@ -198,3 +203,23 @@ def replay_order(corpus: Corpus | None = None) -> list[CorpusEntry]:
                 known.add(entry.key)
                 ordered.append(entry)
     return ordered
+
+
+def program_set(
+    replay: Sequence[CorpusEntry], budget: int, seed: int
+) -> list[tuple[str, CorpusEntry]]:
+    """A campaign's programs in task order, each with its source.
+
+    ``("corpus", entry)`` for every ``replay`` entry, then for each index
+    ``i < budget`` the ``fuzz-v1`` and the ``oracle-v1`` program of
+    :func:`~repro.fuzz.gen.derive_case` ``(seed, i)``, both labelled
+    ``gen-{i}`` and sourced ``"generated"``.
+    """
+    programs = [("corpus", entry) for entry in replay]
+    for index in range(budget):
+        program_seed, blocks = derive_case(seed, index)
+        for generator in ("fuzz-v1", "oracle-v1"):
+            entry = CorpusEntry(generator, program_seed, blocks,
+                                label=f"gen-{index}", origin="generated")
+            programs.append(("generated", entry))
+    return programs

@@ -34,12 +34,12 @@ from repro.errors import ConfigError, SegmentationFault, SimulationLimitExceeded
 from repro.fuzz.compare import Divergence, compare_architectural, written_registers
 from repro.fuzz.corpus import CorpusEntry
 from repro.fuzz.gen import BUF_BYTES, BUF_PAGES, build_program
+from repro.mitigations import MITIGATIONS
 from repro.mitigations.fences import fence_after_stores
 from repro.osm.process import Process
 from repro.telemetry.metrics import registry
 
 __all__ = [
-    "MITIGATIONS",
     "CHAOS_HOOK_NAMES",
     "DEFAULT_FILL",
     "Execution",
@@ -50,9 +50,6 @@ __all__ = [
     "check_case",
     "check_entry",
 ]
-
-#: The countermeasure configurations every check can run under.
-MITIGATIONS = ("none", "ssbd", "fence")
 
 #: Hooks understood by :func:`chaos` (see ``repro.cpu.pipeline.CHAOS_HOOKS``).
 CHAOS_HOOK_NAMES = ("skip-register-repair", "skip-store-squash")

@@ -15,8 +15,17 @@
   younger loads, so the predictors are never consulted.
 * **Secure timer** (:mod:`repro.mitigations.secure_timer`) — denies the
   cycle resolution probing needs.
+
+:data:`MITIGATIONS` names the configurations the campaign tools
+(``repro-fuzz``, ``repro-scan``, ``repro-attack``) run a program under;
+:func:`parse_mitigations` is their one check of a requested list.
 """
 
+from __future__ import annotations
+
+from typing import Sequence
+
+from repro.errors import ConfigError
 from repro.mitigations.fences import count_fences, fence_after_stores
 from repro.mitigations.secure_timer import SecureTimer
 from repro.mitigations.ssbd import (
@@ -27,11 +36,36 @@ from repro.mitigations.ssbd import (
 )
 
 __all__ = [
+    "MITIGATIONS",
     "SecureTimer",
     "WorkloadTiming",
     "count_fences",
     "fence_after_stores",
     "measure_workload",
+    "parse_mitigations",
     "ssbd_enabled",
     "ssbd_overhead",
 ]
+
+#: The countermeasure configurations a campaign runs each program under:
+#: ``ssbd`` sets SPEC_CTRL.SSBD on the machine, ``fence`` puts an
+#: ``mfence`` after every store of the program.
+MITIGATIONS = ("none", "ssbd", "fence")
+
+
+def parse_mitigations(spec: str | Sequence[str]) -> list[str]:
+    """A mitigation list from ``"none,ssbd"`` or a sequence of names.
+
+    Blank comma-separated parts are skipped; an unknown name raises
+    :class:`~repro.errors.ConfigError`, which every CLI reports as a
+    usage error.
+    """
+    names = spec.split(",") if isinstance(spec, str) else spec
+    mitigations = [name.strip() for name in names if name.strip()]
+    for mitigation in mitigations:
+        if mitigation not in MITIGATIONS:
+            raise ConfigError(
+                f"unknown mitigation {mitigation!r}; "
+                f"known: {', '.join(MITIGATIONS)}"
+            )
+    return mitigations

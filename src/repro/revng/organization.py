@@ -9,7 +9,6 @@ around 16 and reaches ~90% at 32.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from repro.revng.probes import PredictorProber
@@ -19,8 +18,10 @@ from repro.revng.timing import TimingClassifier
 
 __all__ = ["EvictionCurve", "OrganizationExperiment"]
 
-#: Private id range for the pool of priming variants.
-_POOL_BASE = 2000
+#: Private, recycled id range for the priming variants: ids are forgotten
+#: (and re-placed at new random hashes) every trial, because only 4096
+#: distinct load hashes exist.
+_PRIME_IDS_BASE = 102_000
 
 
 @dataclass
@@ -41,32 +42,10 @@ class EvictionCurve:
 class OrganizationExperiment:
     """Runs the Fig 5 eviction-rate measurements on a harness."""
 
-    def __init__(
-        self,
-        harness: StldHarness,
-        classifier: TimingClassifier,
-        pool_size: int = 48,
-        seed: int = 99,
-        fresh_primes: bool = True,
-    ) -> None:
+    def __init__(self, harness: StldHarness, classifier: TimingClassifier) -> None:
         self.harness = harness
         self.classifier = classifier
         self.prober = PredictorProber(harness, classifier)
-        self.rng = random.Random(seed)
-        #: With ``fresh_primes`` every trial places brand-new priming
-        #: stlds (independent random hashes — statistically clean, like
-        #: the paper's randomly chosen eviction sets).  Otherwise a fixed
-        #: pool is sampled, which is faster but correlates trials.
-        self.fresh_primes = fresh_primes
-        #: Recycled id range for fresh primes: ids are forgotten (and
-        #: re-placed at new random hashes) every trial, because only
-        #: 4096 distinct load hashes exist.
-        self._fresh_ids_base = _POOL_BASE + 100_000
-        self.pool = list(range(_POOL_BASE, _POOL_BASE + pool_size))
-        if not fresh_primes:
-            for vid in self.pool:
-                # Force placement now so trial timing is uniform.
-                self.harness.run_token(StldToken(False, load_id=vid, store_id=vid))
 
     # ------------------------------------------------------------------
     def _flush(self) -> None:
@@ -77,13 +56,12 @@ class OrganizationExperiment:
         kernel.schedule(self.harness.process, self.harness.thread_id)
 
     def _prime(self, size: int) -> None:
-        """Run one aliasing pair (a G event) on ``size`` priming variants
-        with random, pairwise-distinct hashes."""
-        if self.fresh_primes:
-            ids = range(self._fresh_ids_base, self._fresh_ids_base + size)
-            self.harness.forget_ids(set(ids))
-        else:
-            ids = self.rng.sample(self.pool, size)
+        """Run one aliasing pair (a G event) on ``size`` brand-new priming
+        variants with random, pairwise-distinct hashes (independent
+        trials, like the paper's randomly chosen eviction sets); the
+        harness machine's RNG places them."""
+        ids = range(_PRIME_IDS_BASE, _PRIME_IDS_BASE + size)
+        self.harness.forget_ids(set(ids))
         for vid in ids:
             self.harness.run_token(StldToken(True, load_id=vid, store_id=vid))
 

@@ -260,7 +260,7 @@ class StldHarness:
             self.regs_for(token),
             thread_id=self.thread_id,
         )
-        return self._measure(result.cycles)
+        return self.machine.core.jitter(result.cycles)
 
     def run_token_with_pmc(self, token: StldToken) -> tuple[int, dict[str, int]]:
         """Execute one stld; returns (cycles, per-event PMC deltas).
@@ -273,14 +273,6 @@ class StldHarness:
         snapshot = thread.pmc.snapshot()
         cycles = self.run_token(token)
         return cycles, thread.pmc.delta_since(snapshot)
-
-    def _measure(self, cycles: int) -> int:
-        """RDPRU-style reading: the true cycle count plus bounded noise."""
-        noise = self.machine.core.model.timer_noise
-        if not noise:
-            return cycles
-        jitter = self.machine.core.rng.uniform(-noise, noise)
-        return max(0, round(cycles * (1.0 + jitter)))
 
     def run_sequence(self, sequence: str | list[StldToken]) -> list[int]:
         """Execute a sequence string like ``"7n, a"``; returns timings."""

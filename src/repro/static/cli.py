@@ -4,9 +4,11 @@ Three subcommands over the same analyzer:
 
 * ``scan`` — lift and scan programs (corpus entries, ``case:`` targets,
   generated batches) per mitigation, emitting a canonical findings JSONL
-  in stable task order.  ``--jobs N`` fans programs out over worker
-  processes; the artifact is byte-identical whatever ``N`` was, which
-  ``make scan-smoke`` enforces with a literal ``cmp``.
+  with one record per (program, mitigation) in stable task order.  A
+  task is one program, built once and scanned under every mitigation.
+  ``--jobs N`` fans programs out over worker processes; the artifact is
+  byte-identical whatever ``N`` was, which ``make scan-smoke`` enforces
+  with a literal ``cmp``.
 * ``advise`` — compute, apply and verify a minimal fence placement for
   each target (:mod:`repro.static.advisor`).
 * ``crossval`` — replay corpus/shrunk/generated cases through both the
@@ -29,9 +31,9 @@ from typing import Callable, Sequence
 from repro.core.config import ZEN3_MODELS
 from repro.errors import ArtifactError, ConfigError, ReproError
 from repro.fuzz import corpus as corpus_mod
-from repro.fuzz.corpus import DEFAULT_CORPUS_DIR, Corpus
-from repro.fuzz.gen import build_program, derive_case, parse_case
-from repro.fuzz.harness import MITIGATIONS
+from repro.fuzz.corpus import DEFAULT_CORPUS_DIR, Corpus, CorpusEntry, program_set
+from repro.fuzz.gen import build_program, parse_case
+from repro.mitigations import MITIGATIONS, parse_mitigations
 from repro.runtime import exitcodes
 from repro.runtime.atomic import atomic_write_text
 from repro.runtime.cliutil import build_parser
@@ -39,7 +41,13 @@ from repro.runtime.supervisor import DEFAULT_RETRIES, run_supervised
 from repro.static import crossval as crossval_mod
 from repro.static.advisor import advise
 from repro.static.gadgets import scan_program
-from repro.static.report import canonical, render_crossval, render_plan, render_scan
+from repro.static.report import (
+    SCAN_SCHEMA,
+    canonical,
+    render_crossval,
+    render_plan,
+    render_scan,
+)
 
 __all__ = ["main", "run_scan_batch"]
 
@@ -58,60 +66,50 @@ def _scan_tasks(
     seed: int,
     mitigations: Sequence[str],
 ) -> list[dict]:
-    """The scan task list: explicit targets, else corpus + generated."""
-    cases: list[tuple[str, int, int, str]] = []
+    """The scan task list, one task per program: explicit targets (else
+    the corpus replay set), then the generated programs."""
     if targets:
-        for target in targets:
-            generator, case_seed, blocks = parse_case(target)
-            cases.append((generator, case_seed, blocks, target))
+        replay = [CorpusEntry(*parse_case(target), label=target) for target in targets]
     else:
         corp = Corpus(corpus_dir) if corpus_dir is not None else None
-        for entry in corpus_mod.replay_order(corp):
-            cases.append((entry.generator, entry.seed, entry.blocks, entry.label))
-    for index in range(budget):
-        case_seed, blocks = derive_case(seed, index)
-        for generator in ("fuzz-v1", "oracle-v1"):
-            cases.append((generator, case_seed, blocks, f"gen-{index}"))
-    tasks = []
-    for generator, case_seed, blocks, label in cases:
-        for mitigation in mitigations:
-            tasks.append(
-                {
-                    "task": len(tasks),
-                    "generator": generator,
-                    "seed": case_seed,
-                    "blocks": blocks,
-                    "label": label,
-                    "mitigation": mitigation,
-                }
-            )
-    return tasks
+        replay = corpus_mod.replay_order(corp)
+    return [
+        {
+            "task": task_id,
+            "generator": entry.generator,
+            "seed": entry.seed,
+            "blocks": entry.blocks,
+            "label": entry.label,
+            "mitigations": list(mitigations),
+        }
+        for task_id, (_, entry) in enumerate(program_set(replay, budget, seed))
+    ]
 
 
-def _scan_one(task: dict) -> dict:
-    """Worker: scan one (program, mitigation); returns the JSONL record."""
+def _scan_one(task: dict) -> list[dict]:
+    """Worker: build one program, scan it under each of the task's
+    mitigations; one JSONL record per mitigation, in order."""
     instructions = build_program(task["generator"], task["seed"], task["blocks"])
-    report = scan_program(
-        instructions,
-        mitigation=task["mitigation"],
-        name=f"{task['generator']}:{task['seed']}:{task['blocks']}",
-    )
-    from repro.static.report import SCAN_SCHEMA
-
-    return {
+    name = f"{task['generator']}:{task['seed']}:{task['blocks']}"
+    identity = {
         "schema": SCAN_SCHEMA,
         "generator": task["generator"],
         "seed": task["seed"],
         "blocks": task["blocks"],
         "label": task["label"],
-        **report.to_dict(),
     }
+    return [
+        {**identity, **scan_program(instructions, mitigation=m, name=name).to_dict()}
+        for m in task["mitigations"]
+    ]
 
 
-def _validate_record(record: object) -> dict:
-    if not isinstance(record, dict) or "gadgets" not in record:
-        raise ArtifactError(f"malformed scan record: {record!r}")
-    return record
+def _validate_records(records: object) -> list[dict]:
+    if not isinstance(records, list) or not all(
+        isinstance(record, dict) and "gadgets" in record for record in records
+    ):
+        raise ArtifactError(f"malformed scan records: {records!r}")
+    return records
 
 
 def run_scan_batch(
@@ -124,15 +122,13 @@ def run_scan_batch(
 ):
     """Supervised fan-out of scan tasks; records in stable task order."""
     say = progress or (lambda line: None)
-    results: dict[int, dict] = {}
 
-    def on_result(task_id: int, record: dict) -> None:
-        results[task_id] = record
-        verdict = "clean" if record["clean"] else f"{len(record['gadgets'])} gadget(s)"
-        say(
-            f"task {task_id:3d} {record['name']:<24s} "
-            f"[{record['mitigation']}]: {verdict}"
-        )
+    def on_result(task_id: int, records: list[dict]) -> None:
+        for record in records:
+            gadgets = len(record["gadgets"])
+            verdict = "clean" if record["clean"] else f"{gadgets} gadget(s)"
+            say(f"task {task_id:3d} {record['name']:<24s} "
+                f"[{record['mitigation']}]: {verdict}")
 
     report = run_supervised(
         [(task["task"], task) for task in tasks],
@@ -140,22 +136,13 @@ def run_scan_batch(
         jobs=jobs,
         timeout=timeout,
         retries=retries,
-        validate=_validate_record,
+        validate=_validate_records,
         on_result=on_result,
         progress=say,
     )
-    return [results[task_id] for task_id in sorted(results)], report
-
-
-def _mitigation_list(text: str) -> list[str]:
-    mitigations = [part.strip() for part in text.split(",") if part.strip()]
-    for mitigation in mitigations:
-        if mitigation not in MITIGATIONS:
-            raise ConfigError(
-                f"unknown mitigation {mitigation!r}; "
-                f"known: {', '.join(MITIGATIONS)}"
-            )
-    return mitigations
+    records = [record for task_id in sorted(report.results)
+               for record in report.results[task_id]]
+    return records, report
 
 
 def _cmd_scan(args) -> int:
@@ -166,7 +153,7 @@ def _cmd_scan(args) -> int:
         corpus_dir=None if args.no_corpus else args.corpus_dir,
         budget=max(0, args.budget),
         seed=args.seed,
-        mitigations=_mitigation_list(args.mitigation),
+        mitigations=parse_mitigations(args.mitigation),
     )
     records, report = run_scan_batch(
         tasks, jobs=max(1, args.jobs), timeout=args.timeout,
@@ -218,7 +205,7 @@ def _cmd_crossval(args) -> int:
         findings=args.findings,
         budget=max(0, args.budget),
         seed=args.seed,
-        mitigations=_mitigation_list(args.mitigation),
+        mitigations=parse_mitigations(args.mitigation),
         model_name=args.cpu_model,
         jobs=max(1, args.jobs),
         timeout=args.timeout,

@@ -25,8 +25,12 @@ Each case lands in one cell of the 2×2 agreement matrix:
 ``both-negative``    clean by both
 ===================  ==========================================
 
-Determinism: cases are a pure function of the inputs, workers are pure
-functions of their case dict, and rows are assembled in case order —
+A task is one program and its mitigation list: the worker builds the
+program once and returns one row per mitigation.  Each row keeps its
+``case`` number, which counts (program, mitigation) rows in task order.
+
+Determinism: tasks are a pure function of the inputs, workers are pure
+functions of their task dict, and rows are assembled in case order —
 so the matrix and the report JSON are byte-identical across reruns and
 ``--jobs`` settings, the property ``make scan-smoke`` and the
 ``scan-crossval`` experiment both gate on.
@@ -41,11 +45,11 @@ from typing import Callable, Sequence
 from repro.cpu.isa import instructions_from_reprs
 from repro.errors import ArtifactError
 from repro.fuzz import corpus as corpus_mod
-from repro.fuzz.corpus import Corpus
+from repro.fuzz.corpus import Corpus, program_set
 from repro.fuzz.findings import read_findings
-from repro.fuzz.gen import build_program, derive_case
-from repro.fuzz.harness import MITIGATIONS
+from repro.fuzz.gen import build_program
 from repro.fuzz.oracle import leak_check_instructions
+from repro.mitigations import MITIGATIONS, parse_mitigations
 from repro.runtime.supervisor import DEFAULT_RETRIES, TaskFailure, run_supervised
 from repro.static.gadgets import scan_program
 from repro.telemetry.metrics import registry
@@ -65,9 +69,6 @@ CROSSVAL_SCHEMA = 1
 #: The four agreement-matrix cells, in presentation order.
 AGREEMENT_CELLS = ("both-positive", "static-only", "dynamic-only", "both-negative")
 
-#: Default mitigation sweep: every configuration the harness knows.
-DEFAULT_MITIGATIONS = MITIGATIONS
-
 
 def build_cases(
     *,
@@ -75,67 +76,66 @@ def build_cases(
     findings: Sequence[str | Path] = (),
     budget: int = 0,
     seed: int = 0,
-    mitigations: Sequence[str] = DEFAULT_MITIGATIONS,
+    mitigations: Sequence[str] = MITIGATIONS,
     model_name: str | None = None,
 ) -> list[dict]:
-    """The full cross-validation case list, one dict per (program, mitigation).
+    """The cross-validation task list, one dict per program with the
+    mitigations to run it under.
 
     Corpus entries come first (built-in regressions, then on-disk cases,
     via :func:`repro.fuzz.corpus.replay_order`), then every shrunk
     reproducer found in ``findings`` files (replayed under the finding's
-    own mitigation), then ``budget`` freshly derived generated programs
-    (same derivation as the fuzz campaign, so the two tools stress the
-    same distribution).
+    own mitigation only), then ``budget`` freshly derived generated
+    programs (:func:`repro.fuzz.corpus.program_set`, the fuzz campaign's
+    programs).  A task's ``case`` is the number of its first row.
     """
-    for mitigation in mitigations:
-        if mitigation not in MITIGATIONS:
-            raise ArtifactError(
-                f"unknown mitigation {mitigation!r}; known: {', '.join(MITIGATIONS)}"
-            )
+    mitigations = parse_mitigations(mitigations)
     common = {"cpu_model": model_name or ""}
     cases: list[dict] = []
+    rows = 0
 
     def add(source: str, generator: str, case_seed: int, blocks: int,
-            label: str, mitigation: str, instructions: list[str] | None) -> None:
+            label: str, run_under: list[str], instructions: list[str] | None) -> None:
+        nonlocal rows
         cases.append(
             {
-                "case": len(cases),
+                "case": rows,
                 "source": source,
                 "generator": generator,
                 "seed": case_seed,
                 "blocks": blocks,
                 "label": label,
-                "mitigation": mitigation,
+                "mitigations": run_under,
                 "instructions": instructions,
                 **common,
             }
         )
+        rows += len(run_under)
 
     corp = Corpus(corpus_dir) if corpus_dir is not None else None
-    for entry in corpus_mod.replay_order(corp):
-        for mitigation in mitigations:
-            add("corpus", entry.generator, entry.seed, entry.blocks,
-                entry.label, mitigation, None)
+    replay = corpus_mod.replay_order(corp)
+    programs = program_set(replay, budget, seed)
+    for source, entry in programs[:len(replay)]:
+        add(source, entry.generator, entry.seed, entry.blocks, entry.label,
+            mitigations, None)
     for path in findings:
         for finding in read_findings(path):
             if finding.shrunk is None:
                 continue
             add(
                 "shrunk", finding.generator, finding.seed, finding.blocks,
-                f"shrunk:{finding.label or finding.task}", finding.mitigation,
+                f"shrunk:{finding.label or finding.task}", [finding.mitigation],
                 list(finding.shrunk["instructions"]),
             )
-    for index in range(budget):
-        program_seed, blocks = derive_case(seed, index)
-        for generator in ("fuzz-v1", "oracle-v1"):
-            for mitigation in mitigations:
-                add("generated", generator, program_seed, blocks,
-                    f"gen-{index}", mitigation, None)
+    for source, entry in programs[len(replay):]:
+        add(source, entry.generator, entry.seed, entry.blocks, entry.label,
+            mitigations, None)
     return cases
 
 
-def run_case(case: dict) -> dict:
-    """Worker: one program through both detectors; the agreement row.
+def run_case(case: dict) -> list[dict]:
+    """Worker: one program, built once, through both detectors under each
+    of its mitigations; one agreement row per mitigation, in order.
 
     Pure function of the case dict (fresh machines inside the oracle),
     so it runs identically inline and in a pool process.
@@ -144,16 +144,25 @@ def run_case(case: dict) -> dict:
         instructions = instructions_from_reprs(case["instructions"])
     else:
         instructions = build_program(case["generator"], case["seed"], case["blocks"])
+    return [
+        _agreement_row(case, number, instructions, mitigation)
+        for number, mitigation in enumerate(case["mitigations"], start=case["case"])
+    ]
+
+
+def _agreement_row(case: dict, number: int, instructions: list, mitigation: str) -> dict:
+    """Row ``number``: ``instructions`` under ``mitigation``, scanned and
+    run through the two-fill oracle."""
     static = scan_program(
         instructions,
-        mitigation=case["mitigation"],
+        mitigation=mitigation,
         name=f"{case['generator']}:{case['seed']}",
     )
     dynamic = leak_check_instructions(
         instructions,
         seed=case["seed"],
         model=case["cpu_model"] or None,
-        mitigation=case["mitigation"],
+        mitigation=mitigation,
         generator=case["generator"],
         blocks=case["blocks"],
     )
@@ -168,13 +177,13 @@ def run_case(case: dict) -> dict:
     else:
         cell = "both-negative"
     return {
-        "case": case["case"],
+        "case": number,
         "source": case["source"],
         "generator": case["generator"],
         "seed": case["seed"],
         "blocks": case["blocks"],
         "label": case["label"],
-        "mitigation": case["mitigation"],
+        "mitigation": mitigation,
         "static_positive": static_positive,
         "static_gadgets": len(static.gadgets),
         "static_kinds": static.kinds(),
@@ -184,10 +193,12 @@ def run_case(case: dict) -> dict:
     }
 
 
-def _validate_row(row: object) -> dict:
-    if not isinstance(row, dict) or row.get("cell") not in AGREEMENT_CELLS:
-        raise ArtifactError(f"malformed cross-validation row: {row!r}")
-    return row
+def _validate_rows(rows: object) -> list[dict]:
+    if not isinstance(rows, list) or not all(
+        isinstance(row, dict) and row.get("cell") in AGREEMENT_CELLS for row in rows
+    ):
+        raise ArtifactError(f"malformed cross-validation rows: {rows!r}")
+    return rows
 
 
 def agreement_matrix(rows: Sequence[dict]) -> dict[str, int]:
@@ -240,7 +251,7 @@ def run_crossval(
     findings: Sequence[str | Path] = (),
     budget: int = 0,
     seed: int = 0,
-    mitigations: Sequence[str] = DEFAULT_MITIGATIONS,
+    mitigations: Sequence[str] = MITIGATIONS,
     model_name: str | None = None,
     jobs: int = 1,
     timeout: float | None = None,
@@ -253,14 +264,13 @@ def run_crossval(
         corpus_dir=corpus_dir, findings=findings, budget=budget, seed=seed,
         mitigations=mitigations, model_name=model_name,
     )
-    results: dict[int, dict] = {}
 
-    def on_result(case_id: int, row: dict) -> None:
-        results[case_id] = row
-        say(
-            f"case {case_id:3d} {row['generator']:<10s} seed={row['seed']} "
-            f"[{row['mitigation']}]: {row['cell']}"
-        )
+    def on_result(case_id: int, rows: list[dict]) -> None:
+        for row in rows:
+            say(
+                f"case {row['case']:3d} {row['generator']:<10s} seed={row['seed']} "
+                f"[{row['mitigation']}]: {row['cell']}"
+            )
 
     report = run_supervised(
         [(case["case"], case) for case in cases],
@@ -269,11 +279,11 @@ def run_crossval(
         timeout=timeout,
         retries=retries,
         batch="adaptive",  # homogeneous small cases: batch onto warm workers
-        validate=_validate_row,
+        validate=_validate_rows,
         on_result=on_result,
         progress=say,
     )
-    rows = [results[case_id] for case_id in sorted(results)]
+    rows = [row for case_id in sorted(report.results) for row in report.results[case_id]]
     out = CrossValReport(rows, failures=list(report.failures))
     registry().counter("scan.crossval_cases").inc(len(rows))
     registry().counter("scan.crossval_violations").inc(len(out.violations))

@@ -226,18 +226,11 @@ def record_many(
         )
         for target in targets
     ]
-    rows: dict[str, dict[str, Any]] = {}
-    report = run_supervised(
-        tasks,
-        _record_task,
-        jobs=jobs,
-        on_result=lambda name, row: rows.__setitem__(name, row),
-        progress=progress,
-    )
+    report = run_supervised(tasks, _record_task, jobs=jobs, progress=progress)
     if report.failures:
         first = report.failures[0]
         raise RuntimeError(
             f"recording failed for {len(report.failures)} target(s); "
             f"first: {first.task}: {first.message}"
         )
-    return [rows[target] for target in targets if target in rows]
+    return [report.results[target] for target in targets if target in report.results]

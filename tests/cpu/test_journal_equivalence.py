@@ -24,7 +24,8 @@ import pytest
 
 from repro.cpu import pipeline as pipeline_mod
 from repro.fuzz.gen import fuzz_program
-from repro.fuzz.harness import MITIGATIONS, execute_program
+from repro.fuzz.harness import execute_program
+from repro.mitigations import MITIGATIONS
 
 
 @pytest.fixture()

@@ -19,6 +19,7 @@ from repro.cpu.isa import (
 )
 from repro.cpu.machine import Machine
 from repro.errors import SimulationLimitExceeded
+from repro.telemetry.metrics import registry
 
 
 def stld_program(repeats: int, aliasing: bool) -> Program:
@@ -57,6 +58,21 @@ class TestRunSmt:
         )
         assert len(results) == 2
         assert all(r.regs["out"] == 0xDD for r in results)
+
+    def test_each_job_counts_as_a_pipeline_run(self, machine):
+        a = machine.kernel.create_process("a")
+        buf = machine.kernel.map_anonymous(a, pages=1)
+        prog = machine.load_program(a, stld_program(2, aliasing=True))
+        regs = {"sbase": buf, "lbase": buf}
+        before = registry().snapshot()
+        results = machine.run_smt([(a, prog, regs), (a, prog, regs)])
+        counters = registry().delta_since(before)["counters"]
+        assert counters["pipeline.runs"] == 2
+        assert counters["pipeline.retired"] == sum(r.retired for r in results)
+        assert counters["pipeline.cycles"] == sum(r.cycles for r in results)
+        assert [machine.core.thread(i).cycles for i in (0, 1)] == [
+            r.cycles for r in results
+        ]
 
     def test_too_many_jobs_rejected(self, machine):
         a = machine.kernel.create_process("a")

@@ -1,8 +1,12 @@
 """Cache key derivation and ResultCache hit/miss/invalidation behavior."""
 
+from pathlib import Path
+
+import repro
 from repro.core.config import default_model, get_model
+from repro.experiments import cache as cache_mod
 from repro.experiments.base import ExperimentResult
-from repro.experiments.cache import ResultCache, cache_key
+from repro.experiments.cache import ResultCache, cache_key, code_digest, source_digest
 from repro.runtime.quarantine import QUARANTINE_DIR
 
 
@@ -34,10 +38,26 @@ class TestCacheKey:
         assert base != other_platform
         assert base != tweaked
 
-    def test_changes_with_version(self):
-        assert cache_key("fig4", 4, version="1.0.0") != cache_key(
-            "fig4", 4, version="1.0.1"
-        )
+    def test_changes_with_version(self, monkeypatch):
+        # The code version is the digest of the package sources.
+        before = cache_key("fig4", 4)
+        monkeypatch.setattr(cache_mod, "code_digest", lambda: "0" * 64)
+        assert cache_key("fig4", 4) != before
+
+    def test_code_digest_is_the_package_source_digest(self):
+        assert code_digest() == source_digest(Path(repro.__file__).resolve().parent)
+
+    def test_source_digest_follows_file_contents_and_names(self, tmp_path):
+        (tmp_path / "a.py").write_text("X = 1\n")
+        (tmp_path / "notes.txt").write_text("not code")
+        first = source_digest(tmp_path)
+        (tmp_path / "notes.txt").write_text("still not code")
+        assert source_digest(tmp_path) == first
+        (tmp_path / "a.py").write_text("X = 2\n")
+        edited = source_digest(tmp_path)
+        assert edited != first
+        (tmp_path / "a.py").rename(tmp_path / "b.py")
+        assert source_digest(tmp_path) != edited
 
 
 class TestResultCache:
@@ -56,6 +76,17 @@ class TestResultCache:
         cache = ResultCache(tmp_path / "c")
         cache.put(cache_key("demo", 1), small_result())
         assert cache.get(cache_key("demo", 2)) is None
+
+    def test_source_change_invalidates(self, tmp_path, monkeypatch):
+        sources = tmp_path / "src"
+        sources.mkdir()
+        (sources / "driver.py").write_text("RATE = 1\n")
+        monkeypatch.setattr(cache_mod, "code_digest", lambda: source_digest(sources))
+        cache = ResultCache(tmp_path / "c")
+        cache.put(cache_key("demo", 1), small_result())
+        assert cache.get(cache_key("demo", 1)) is not None
+        (sources / "driver.py").write_text("RATE = 2\n")
+        assert cache.get(cache_key("demo", 1)) is None
 
     def test_model_change_invalidates(self, tmp_path):
         cache = ResultCache(tmp_path / "c")

@@ -4,7 +4,7 @@ import pytest
 
 from repro.attacks.channels import StlPredictorChannel
 from repro.experiments import attack_evals, sec5_extensions
-from repro.experiments import fig2_exec_types, fig4_hash, sec3_selection
+from repro.experiments import fig2_exec_types, fig4_hash, fig5_eviction, sec3_selection
 from repro.experiments import sec4_isolation, sec4_transient, table1_state_machine
 from repro.experiments import table2_counters, table4_comparison
 from repro.experiments.base import ExperimentResult, format_table
@@ -91,6 +91,17 @@ class TestHashRecovery:
         result = fig4_hash.run(count=48)
         assert result.metrics["stride"] == 12
         assert result.metrics["profile_consistency"] == 1.0
+
+
+class TestFig5:
+    def test_harness_machine_takes_the_seed(self, monkeypatch):
+        seeds = []
+        machine = fig5_eviction.Machine
+        monkeypatch.setattr(fig5_eviction, "Machine",
+                            lambda seed: seeds.append(seed) or machine(seed=seed))
+        result = fig5_eviction.run(psfp_trials=1, ssbp_trials=1, seed=7)
+        assert seeds == [7]
+        assert result.metrics["psfp_threshold"] == 12
 
 
 class TestTable2:

@@ -104,6 +104,20 @@ def test_campaign_catches_a_broken_ssbd(monkeypatch):
     assert all(f.kind == "leak" and f.mitigation == "ssbd" for f in broken)
 
 
+def test_each_task_builds_its_program_once(monkeypatch):
+    import repro.fuzz.cli as cli
+
+    built = []
+    build = cli.build_program
+    monkeypatch.setattr(cli, "build_program", lambda *case: built.append(case) or build(*case))
+    run_fuzz_campaign(budget=1, seed=1, mitigations=("none", "ssbd"),
+                      corpus_dir=None, shrink=False)
+    # 8 corpus replays + one fuzz-v1 and one oracle-v1 program, each built
+    # once for both mitigations.
+    assert len(built) == len(REGRESSION_ENTRIES) + 2
+    assert len(set(built)) == len(built)
+
+
 def test_unknown_mitigation_raises(tmp_path):
     with pytest.raises(Exception):
         _campaign(tmp_path, "bad", mitigations=["prayer"])

@@ -9,6 +9,7 @@ from repro.fuzz.corpus import (
     REGRESSION_ENTRIES,
     Corpus,
     CorpusEntry,
+    program_set,
     replay_order,
 )
 from repro.fuzz.findings import (
@@ -76,6 +77,21 @@ class TestCorpus:
         assert fresh in order[len(REGRESSION_ENTRIES):]
         # Built-ins replay even without a disk corpus.
         assert replay_order(None) == list(REGRESSION_ENTRIES)
+
+    def test_program_set_appends_a_generated_pair_per_index(self):
+        from repro.fuzz.gen import derive_case
+
+        programs = program_set(REGRESSION_ENTRIES, 2, seed=1)
+        replayed = len(REGRESSION_ENTRIES)
+        assert programs[:replayed] == [("corpus", e) for e in REGRESSION_ENTRIES]
+        generated = programs[replayed:]
+        assert [(source, e.generator, e.label) for source, e in generated] == [
+            ("generated", "fuzz-v1", "gen-0"), ("generated", "oracle-v1", "gen-0"),
+            ("generated", "fuzz-v1", "gen-1"), ("generated", "oracle-v1", "gen-1"),
+        ]
+        assert [(e.seed, e.blocks) for _, e in generated] == [
+            derive_case(1, 0), derive_case(1, 0), derive_case(1, 1), derive_case(1, 1),
+        ]
 
     def test_regression_entries_match_historical_cases(self):
         assert [(e.seed, e.blocks) for e in REGRESSION_ENTRIES[:3]] == [

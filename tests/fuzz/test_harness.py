@@ -11,7 +11,6 @@ import pytest
 from repro.cpu import pipeline as pipeline_mod
 from repro.errors import ConfigError
 from repro.fuzz.harness import (
-    MITIGATIONS,
     chaos,
     check_case,
     execute_program,
@@ -19,6 +18,7 @@ from repro.fuzz.harness import (
 )
 from repro.fuzz.gen import build_program
 from repro.fuzz.shrink import shrink
+from repro.mitigations import MITIGATIONS
 from repro.mitigations.fences import count_fences
 
 # Pinned: under "skip-register-repair" this case diverges and shrinks

@@ -22,7 +22,7 @@ def experiment():
     harness = StldHarness()
     classifier = TimingClassifier(harness)
     classifier.calibrate()
-    return OrganizationExperiment(harness, classifier, pool_size=40)
+    return OrganizationExperiment(harness, classifier)
 
 
 class TestPsfpEviction:

@@ -67,6 +67,23 @@ class TestScan:
         assert main(["scan", "case:fuzz-v1:5:8", "--out", ""]) == 0
         assert list(tmp_path.iterdir()) == []
 
+    def test_each_program_is_built_once(self, tmp_path, monkeypatch):
+        import repro.static.cli as cli
+
+        built = []
+        build = cli.build_program
+        monkeypatch.setattr(cli, "build_program",
+                            lambda *case: built.append(case) or build(*case))
+        out = tmp_path / "s.jsonl"
+        assert main(["scan", "--no-corpus", "--budget", "2", "--seed", "1",
+                     "--out", str(out)]) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(built) == len(REGRESSION_ENTRIES) + 2 * 2
+        # One record per (program, mitigation), the mitigations in order.
+        assert [record["mitigation"] for record in records] == (
+            ["none", "ssbd", "fence"] * len(built)
+        )
+
     def test_bad_target_is_usage_error(self):
         assert main(["scan", "case:nope:1:2"]) == 2
 

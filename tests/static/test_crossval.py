@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.errors import ArtifactError
+from repro.errors import ConfigError
 from repro.fuzz.corpus import REGRESSION_ENTRIES
 from repro.static.crossval import (
     AGREEMENT_CELLS,
@@ -18,21 +18,24 @@ from repro.static.crossval import (
 class TestBuildCases:
     def test_corpus_cases_come_first_per_mitigation(self):
         cases = build_cases(mitigations=("none", "ssbd"))
-        assert len(cases) == 2 * len(REGRESSION_ENTRIES)
+        # One task per program, carrying every mitigation; its ``case``
+        # numbers the first of its (program, mitigation) rows.
+        assert len(cases) == len(REGRESSION_ENTRIES)
         assert all(case["source"] == "corpus" for case in cases)
-        assert [case["case"] for case in cases] == list(range(len(cases)))
+        assert all(case["mitigations"] == ["none", "ssbd"] for case in cases)
+        assert [case["case"] for case in cases] == list(range(0, 2 * len(cases), 2))
 
     def test_budget_appends_generated_cases(self):
         cases = build_cases(budget=2, seed=1, mitigations=("none",))
         generated = [case for case in cases if case["source"] == "generated"]
-        # 2 derived programs x (fuzz-v1 + oracle-v1) x 1 mitigation
+        # 2 derived programs x (fuzz-v1 + oracle-v1)
         assert len(generated) == 4
         assert {case["generator"] for case in generated} == {
             "fuzz-v1", "oracle-v1",
         }
 
     def test_unknown_mitigation_raises(self):
-        with pytest.raises(ArtifactError):
+        with pytest.raises(ConfigError):
             build_cases(mitigations=("prayer",))
 
     def test_findings_shrunk_reproducers_replay(self, tmp_path):
@@ -51,27 +54,35 @@ class TestBuildCases:
         shrunk = [case for case in cases if case["source"] == "shrunk"]
         assert len(shrunk) == 1
         assert shrunk[0]["instructions"] == ["Halt()"]
-        assert shrunk[0]["mitigation"] == "none"
+        assert shrunk[0]["mitigations"] == ["none"]
 
 
 class TestRunCase:
     def _case(self, **overrides):
         case = {
             "case": 0, "source": "generated", "generator": "oracle-v1",
-            "seed": 1, "blocks": 2, "label": "t", "mitigation": "none",
+            "seed": 1, "blocks": 2, "label": "t", "mitigations": ["none"],
             "instructions": None, "cpu_model": "",
         }
         case.update(overrides)
         return case
 
     def test_row_lands_in_exactly_one_cell(self):
-        row = run_case(self._case())
+        [row] = run_case(self._case())
         assert row["cell"] in AGREEMENT_CELLS
         assert row["static_positive"] == (row["static_gadgets"] > 0)
         assert row["dynamic_positive"] == (row["dynamic_kind"] is not None)
 
+    def test_one_row_per_mitigation_numbered_from_case(self):
+        rows = run_case(self._case(case=6, mitigations=["none", "ssbd", "fence"]))
+        assert [row["case"] for row in rows] == [6, 7, 8]
+        assert [row["mitigation"] for row in rows] == ["none", "ssbd", "fence"]
+        for row in rows:
+            alone = self._case(case=row["case"], mitigations=[row["mitigation"]])
+            assert run_case(alone) == [row]
+
     def test_explicit_instructions_override_generation(self):
-        row = run_case(self._case(instructions=["Halt()"]))
+        [row] = run_case(self._case(instructions=["Halt()"]))
         assert row["cell"] == "both-negative"
 
     def test_matrix_counts_every_cell(self):
@@ -117,6 +128,20 @@ class TestSoundness:
         report = run_crossval(budget=1, seed=3, mitigations=("none",))
         assert "corpus" in report.described_sources()
         assert "generated" in report.described_sources()
+
+    def test_rows_count_program_mitigation_pairs_in_order(self, monkeypatch):
+        import repro.static.crossval as crossval
+
+        built = []
+        build = crossval.build_program
+        monkeypatch.setattr(crossval, "build_program",
+                            lambda *case: built.append(case) or build(*case))
+        report = run_crossval(mitigations=("none", "fence"))
+        assert len(built) == len(REGRESSION_ENTRIES)
+        assert [row["case"] for row in report.rows] == list(range(2 * len(built)))
+        assert [row["mitigation"] for row in report.rows] == (
+            ["none", "fence"] * len(built)
+        )
 
     def test_to_dict_carries_schema_and_matrix(self):
         report = run_crossval(mitigations=("ssbd",))
