@@ -301,7 +301,11 @@ class DecodedProgram:
     * ``names[i]`` — the instruction class name (trace events);
     * ``insts[i]`` — the original instruction object (error messages);
     * ``offsets[i]`` — the byte offset from ``base_iva``, so the
-      instruction virtual address is ``base_iva + offsets[i]``.
+      instruction virtual address is ``base_iva + offsets[i]``;
+    * ``chain[i]`` — the length of the run of identical
+      ``ImulImm(r, r, 1)`` delay links starting at ``i`` (0 when ``i`` is
+      not such a link), so the pipeline can dispatch the rest of a delay
+      chain in one step from wherever execution enters it.
 
     The decoded form carries no execution state; it is immutable in
     practice and safely shared by concurrent interpreter states (SMT).
@@ -314,6 +318,7 @@ class DecodedProgram:
     names: list[str]
     insts: list[Instruction]
     offsets: list[int]
+    chain: list[int]
     base_iva: int
     n: int
 
@@ -434,6 +439,7 @@ class _Body:
     ops: "list[int] | None" = None
     args: "list[tuple] | None" = None
     names: "list[str] | None" = None
+    chain: "list[int] | None" = None
 
     @classmethod
     def lay_out(cls, src: tuple) -> "_Body":
@@ -454,6 +460,22 @@ class _Body:
         self.ops = [_OPCODES.get(type(i), OP_UNKNOWN) for i in self.insts]
         self.args = [_decode_args(i, labels) for i in self.insts]
         self.names = [type(i).__name__ for i in self.insts]
+        # Delay-chain run lengths, scanned backwards: a link extends the
+        # run behind it only when the two operand tuples are identical.
+        ops, args = self.ops, self.args
+        chain = [0] * len(ops)
+        run = 0
+        for i in range(len(ops) - 1, -1, -1):
+            link = ops[i] == OP_IMULIMM
+            if link:
+                dst, src, imm = args[i]
+                link = dst == src and type(imm) is int and imm == 1
+            if link:
+                run = run + 1 if run and args[i + 1] == args[i] else 1
+            else:
+                run = 0
+            chain[i] = run
+        self.chain = chain
 
 
 def _shared_body(instructions: list[Instruction]) -> _Body:
@@ -550,6 +572,7 @@ class Program:
             body.names,
             body.insts,
             body.offsets,
+            body.chain,
             self.base_iva,
             len(body.insts),
         )

@@ -29,6 +29,10 @@ Performance notes (docs/performance.md has the full story):
   (:meth:`repro.cpu.isa.Program.decoded`) — integer opcode dispatch
   instead of an isinstance chain, built once and reused across the
   thousands of repeated runs every experiment performs.
+* A run of identical ``imul r, r, 1`` delay links — 33 of every
+  store-to-load probe's instructions — dispatches in one step through
+  an exact closed form (see :meth:`_ExecState._dispatch_chain`); the run
+  lengths come with the decoded form (``DecodedProgram.chain``).
 * Rollback state is a **delta journal**, not a register-file copy: while
   any rollback point is live, every register write appends an undo
   record, and a squash replays the journal backwards to the rollback
@@ -167,12 +171,13 @@ class _Snapshot:
       line execution pays one integer check per write and no copies.
     """
 
-    __slots__ = ("mark", "index", "retired", "refs")
+    __slots__ = ("mark", "index", "retired", "chain_retired", "refs")
 
-    def __init__(self, mark: int, index: int, retired: int) -> None:
+    def __init__(self, mark: int, index: int, retired: int, chain_retired: int) -> None:
         self.mark = mark
         self.index = index
         self.retired = retired
+        self.chain_retired = chain_retired
         self.refs = 1
 
 
@@ -260,6 +265,7 @@ class Pipeline:
         metrics = registry()
         self._m_runs = metrics.counter("pipeline.runs")
         self._m_retired = metrics.counter("pipeline.retired")
+        self._m_chain_retired = metrics.counter("pipeline.chain_retired")
         self._m_cycles = metrics.counter("pipeline.cycles")
         self._m_rollbacks = metrics.counter("pipeline.rollbacks")
         self._m_run_cycles = metrics.histogram("pipeline.run_cycles")
@@ -293,7 +299,7 @@ class Pipeline:
         (:meth:`repro.cpu.isa.Program.decoded`); ``regs`` is copied, so
         the caller's dict is never mutated.
         """
-        state = _ExecState(self, process, program, dict(regs or {}))
+        state = self.begin(process, program, regs)
         state.execute(max_steps)
         return self.finish(state)
 
@@ -306,8 +312,8 @@ class Pipeline:
         """Start a steppable execution (see :meth:`_ExecState.step`).
 
         Unlike :meth:`run`, the caller drives the execution — one
-        :meth:`_ExecState.step` per scheduling decision until it returns
-        False — then collects the result with :meth:`finish`.  The SMT
+        :meth:`_ExecState.step` per instruction until it returns False —
+        then collects the result with :meth:`finish`.  The SMT
         runner interleaves two hardware threads this way; each state owns
         its thread's store queue and rollback journal, so interleaved
         states never share mutable interpreter state.
@@ -322,6 +328,7 @@ class Pipeline:
         self.thread.advance(result.cycles)
         self._m_runs.inc()
         self._m_retired.inc(result.retired)
+        self._m_chain_retired.inc(state.chain_retired)
         self._m_cycles.inc(result.cycles)
         self._m_rollbacks.inc(result.rollbacks)
         self._m_run_cycles.observe(result.cycles)
@@ -366,6 +373,7 @@ class _ExecState:
         self.dispatch = 0
         self.seq = 0
         self.retired = 0
+        self.chain_retired = 0  # of retired, through collapsed delay chains
         self.result = RunResult(regs=self.regs, cycles=0)
         self.window: _TransientWindow | None = None
         self.halted = False
@@ -404,7 +412,9 @@ class _ExecState:
     def _snapshot(self) -> _Snapshot:
         """Open a rollback point at the current journal position."""
         self._jlive += 1
-        return _Snapshot(len(self._journal), self.index, self.retired)
+        return _Snapshot(
+            len(self._journal), self.index, self.retired, self.chain_retired
+        )
 
     def _deref(self, snap: _Snapshot) -> None:
         """Drop one holder of ``snap``; the journal is cleared when the
@@ -444,6 +454,7 @@ class _ExecState:
         del journal[mark:]
         self.index = snap.index
         self.retired = snap.retired
+        self.chain_retired = snap.chain_retired
 
     def _squash_stores(self, seq: int) -> None:
         if "skip-store-squash" not in CHAOS_HOOKS:
@@ -512,42 +523,53 @@ class _ExecState:
     # Main loop
     # ------------------------------------------------------------------
     def execute(self, max_steps: int) -> None:
-        """Step to the halt (see :meth:`Pipeline.finish` for the result)."""
+        """Step to the halt (see :meth:`Pipeline.finish` for the result).
+
+        A step that dispatches a collapsed delay chain of k links counts
+        as k steps and is granted no more than the steps left, so the
+        limit fires at the same instruction as per-instruction stepping.
+        """
         steps = 0
-        step = self.step
+        advance = self._advance
         while not self.halted:
-            steps += 1
-            if steps > max_steps:
+            if steps >= max_steps:
                 raise SimulationLimitExceeded(
                     f"program {self.program.name!r} exceeded {max_steps} steps"
                 )
-            step()
+            steps += advance(max_steps - steps)
 
     def step(self) -> bool:
         """Advance by one scheduling decision; returns False once halted.
 
         Exposed so an SMT runner can interleave two hardware threads'
-        executions instruction by instruction.
+        executions instruction by instruction.  A lone step never
+        collapses a delay chain: between two of its links the other
+        thread may touch the shared caches and memory.
         """
         if self.halted:
             return False
+        self._advance(1)
+        return not self.halted
+
+    def _advance(self, budget: int) -> int:
+        """One scheduling decision that may count for up to ``budget``
+        steps; returns how many it counted for."""
         window = self.window
         if window is not None and (
             self.dispatch >= window.stop or self.index >= self.dec.n
         ):
             self._close_window()
-            return not self.halted
+            return 1
         # With an empty store queue _resolve_stores is a no-op (nothing to
         # train, nothing to commit) — skip the call on the ALU-only fast
         # path.  sq_entries is the live list, so emptiness is current.
         if self.sq_entries and self._resolve_stores(self.dispatch):
-            return True  # a squash rewound the state
+            return 1  # a squash rewound the state
         if self.index >= self.dec.n:
             if not self._quiesce():
                 self.halted = True
-            return not self.halted
-        self._dispatch_one(self.index)
-        return not self.halted
+            return 1
+        return self._dispatch_one(self.index, budget)
 
     def finalize(self) -> RunResult:
         frontier = max([self.dispatch] + list(self.ready.values()) + [self._sq_horizon()])
@@ -577,12 +599,18 @@ class _ExecState:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _dispatch_one(self, index: int) -> None:
+    def _dispatch_one(self, index: int, budget: int) -> int:
+        """Dispatch the instruction at ``index``; returns the steps used.
+
+        That is 1, except at a delay-chain link (``dec.chain[index] > 1``)
+        with ``budget > 1``: there :meth:`_dispatch_chain` may dispatch
+        the next links in the same step and count each one.
+        """
         dec = self.dec
         op = dec.ops[index]
         if op == OP_LABEL:
             self.index = index + 1
-            return  # zero-size, zero-time
+            return 1  # zero-size, zero-time
         self._pmcc[PmcEvent.ITLB_HIT_4K] += 1
         d = self.dispatch
         if self.trace is not None:
@@ -655,6 +683,10 @@ class _ExecState:
                 start = rb
             self._set_reg(dst, value, start + self.lat.imul)
         elif op == OP_IMULIMM:
+            if budget > 1 and dec.chain[index] > 1:
+                links = self._dispatch_chain(index, args[0], d, budget)
+                if links:
+                    return links
             dst, src, imm = args
             value = self.regs.get(src, 0) * imm
             start = d
@@ -676,32 +708,32 @@ class _ExecState:
             pass
         elif op == OP_JZ:
             self._exec_branch(index, args, d)
-            return  # the branch manages index/dispatch itself
+            return 1  # the branch manages index/dispatch itself
         elif op == OP_HALT:
             if self.window is not None:
                 # A wrong path ran into Halt: fast-forward to the window's
                 # resolve point; the main loop will squash it.
                 if self.window.stop > self.dispatch:
                     self.dispatch = self.window.stop
-                return
+                return 1
             self.retired += 1
             if self.trace is not None:
                 self._trace_commit(index, dec.names[index], d)
             if not self._quiesce():
                 self.halted = True
-            return
+            return 1
         elif op == OP_MFENCE:
             before = self.index
             self._exec_mfence()
             if self.index != before:
-                return  # a squash rewound us; the fence will re-execute
+                return 1  # a squash rewound us; the fence will re-execute
             self.retired += 1
             if self.trace is not None:
                 self._trace_commit(index, dec.names[index], d)
             self.index = index + 1
             if d + 1 > self.dispatch:
                 self.dispatch = d + 1
-            return
+            return 1
         elif op == OP_RDPRU:
             frontier = max(self.ready.values(), default=0)
             if d > frontier:
@@ -719,6 +751,74 @@ class _ExecState:
             self._trace_commit(index, dec.names[index], d)
         self.index = index + 1
         self.dispatch = d + 1
+        return 1
+
+    def _dispatch_chain(self, index: int, reg: str, d: int, budget: int) -> int:
+        """Dispatch k links of the delay chain at ``index`` at once.
+
+        Link j of ``imul r, r, 1`` dispatches at cycle ``d + j`` and
+        leaves ``ready[r] = max(ready[r], d + j) + L`` (L the multiply
+        latency) and ``r``'s value unchanged.  Unrolled over k links:
+        ``max(max(r0, d) + k*L, d + k - 1 + L)`` with ``r0`` the ready
+        cycle before the chain; the second term covers ``L == 0``.
+        ``dispatch``, ``retired``, ``index`` and the ITLB count each
+        advance by k, and one register write journals one undo record.
+
+        k stops short of the first cycle at which the steps in between
+        could act on anything else: the open window's stop, the address
+        generation of a store that still has speculated loads, the head
+        store becoming committable (unless the window ceiling holds it),
+        and ``budget``.  Returns k, or 0 when only this link may go, in
+        which case the caller dispatches it alone.  The first link's
+        ITLB count and dispatch event are already emitted.
+        """
+        k = self.dec.chain[index]
+        if budget < k:
+            k = budget
+        window = self.window
+        if window is not None and window.stop - d < k:
+            k = window.stop - d
+        entries = self.sq_entries
+        if entries:
+            if self._nrec:
+                for entry in entries:
+                    if entry.speculated_loads and entry.addr_ready - d < k:
+                        k = entry.addr_ready - d
+            head = entries[0]
+            if window is None or head.seq <= window.base_seq:
+                due = max(head.addr_ready, head.data_ready) - d
+                if due < k:
+                    k = due
+        if k < 2:
+            return 0
+        r0 = self.ready.get(reg, 0)
+        imul = self.lat.imul
+        self._set_reg(
+            reg,
+            self.regs.get(reg, 0),
+            max((r0 if r0 > d else d) + k * imul, d + k - 1 + imul),
+        )
+        self._pmcc[PmcEvent.ITLB_HIT_4K] += k - 1
+        trace = self.trace
+        if trace is not None:
+            name = self.dec.names[index]
+            for j in range(k):
+                if j:
+                    trace.emit(
+                        "dispatch",
+                        cycle=d + j,
+                        thread=self.tid,
+                        index=index + j,
+                        op=name,
+                    )
+                self.retired += 1
+                self._trace_commit(index + j, name, d + j)
+        else:
+            self.retired += k
+        self.chain_retired += k
+        self.index = index + k
+        self.dispatch = d + k
+        return k
 
     def _trace_commit(self, index: int, opname: str, cycle: int) -> None:
         self.trace.emit(
