@@ -14,6 +14,7 @@ exactly what the corrected columns report.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 from repro.attacks import coding
@@ -183,13 +184,9 @@ def measure_capacity(
     config: CapacityConfig, channel: SymbolChannel | None = None
 ) -> CapacityReport:
     """Send one framed seeded payload and measure both error rates."""
-    import random
-
     channel = channel if channel is not None else build_channel(config)
-    payload = bytes(
-        random.Random(config.seed).randrange(256)
-        for _ in range(config.payload_bytes)
-    )
+    rng = random.Random(config.seed)
+    payload = bytes(rng.randrange(256) for _ in range(config.payload_bytes))
     symbols = coding.bytes_to_symbols(payload, config.width)
     framed = coding.frame_symbols(
         symbols, config.width, config.preamble_len, config.repeat

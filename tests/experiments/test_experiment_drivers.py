@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.attacks import coding
 from repro.attacks.channels import StlPredictorChannel
-from repro.experiments import attack_evals, sec5_extensions
+from repro.experiments import attack_e2e, attack_evals, robustness, sec5_extensions
 from repro.experiments import fig2_exec_types, fig4_hash, fig5_eviction, sec3_selection
 from repro.experiments import sec4_isolation, sec4_transient, table1_state_machine
 from repro.experiments import table2_counters, table4_comparison
@@ -177,6 +178,19 @@ class TestPlantedSecrets:
     ])
     def test_secret_has_more_than_one_value(self, module, driver, attack, monkeypatch):
         monkeypatch.setattr(module, attack, _SpyAttack)
+        with pytest.raises(_Planted) as planted:
+            getattr(module, driver)()
+        assert len(set(planted.value.args[0])) > 1
+
+    @pytest.mark.parametrize("module, driver", [
+        (attack_e2e, "run_capacity"),
+        (robustness, "run_channel"),
+    ])
+    def test_capacity_payload_has_more_than_one_value(self, module, driver, monkeypatch):
+        def spy(payload, width):
+            raise _Planted(payload)
+
+        monkeypatch.setattr(coding, "bytes_to_symbols", spy)
         with pytest.raises(_Planted) as planted:
             getattr(module, driver)()
         assert len(set(planted.value.args[0])) > 1
