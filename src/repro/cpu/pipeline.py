@@ -760,7 +760,8 @@ class _ExecState:
         leaves ``ready[r] = max(ready[r], d + j) + L`` (L the multiply
         latency) and ``r``'s value unchanged.  Unrolled over k links:
         ``max(max(r0, d) + k*L, d + k - 1 + L)`` with ``r0`` the ready
-        cycle before the chain; the second term covers ``L == 0``.
+        cycle before the chain; the second term keeps it exact for
+        ``L == 0``, which the latency model rejects today.
         ``dispatch``, ``retired``, ``index`` and the ITLB count each
         advance by k, and one register write journals one undo record.
 

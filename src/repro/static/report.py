@@ -1,9 +1,10 @@
-"""Scan artifacts: canonical JSONL serialization and text rendering.
+"""Scan artifacts: canonical JSON serialization and text rendering.
 
 Scan findings follow the same artifact discipline as fuzz findings
 (:mod:`repro.fuzz.findings`): schema-versioned JSON objects, one per
 line, serialized canonically (sorted keys, fixed separators) and written
-atomically — so a scan over N programs is byte-identical however many
+atomically by ``repro-scan scan`` (:mod:`repro.static.cli`, the one
+writer) — so a scan over N programs is byte-identical however many
 worker processes produced it, which is exactly what ``make scan-smoke``
 diffs.  The renderers here are presentation only; nothing downstream
 parses their output.
@@ -12,10 +13,8 @@ parses their output.
 from __future__ import annotations
 
 import json
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
-from repro.runtime.atomic import atomic_write_text
 from repro.static.gadgets import ScanReport
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -25,8 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 __all__ = [
     "SCAN_SCHEMA",
     "canonical",
-    "scan_line",
-    "write_scan_jsonl",
     "render_scan",
     "render_plan",
     "render_crossval",
@@ -38,22 +35,6 @@ SCAN_SCHEMA = 1
 def canonical(data: dict) -> str:
     """The one canonical JSON serialization used by every scan artifact."""
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
-def scan_line(report: ScanReport, **extra) -> str:
-    """One findings-JSONL line for one scanned program (no newline)."""
-    data = {"schema": SCAN_SCHEMA, **report.to_dict(), **extra}
-    return canonical(data)
-
-
-def write_scan_jsonl(
-    path: str | Path, reports: Iterable[ScanReport | str]
-) -> Path:
-    """Write scan reports (or pre-rendered lines) atomically as JSONL."""
-    lines = [
-        line if isinstance(line, str) else scan_line(line) for line in reports
-    ]
-    return atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 
 def render_scan(report: ScanReport, *, verbose: bool = False) -> str:

@@ -44,26 +44,37 @@ from repro.telemetry import RingBufferSink, recording, registry
 
 MAX_STEPS = 400_000
 CHAIN_REGS = ["r0", "r1", "r2", "r3", "sd", "la", "cz"]  # cz: never written
-ANCHORS = {"anywhere": None, "store": Store, "branch": Jz}
+ANCHORS = {"anywhere": None, "store": Store, "branch": Jz, "window": None}
 
 
 def inject(base, chains, fault):
-    """``base`` with each ``(anchor, where, length, reg)`` chain inserted
-    after an instruction of the anchor's kind (``where`` picks which),
-    plus, when ``fault`` is set, one faulting load whose transient window
-    holds a chain before the handler label."""
+    """``base`` with extra delay chains.
+
+    Each ``(anchor, where, length, reg)`` chain goes after an instruction
+    of the anchor's kind (``where`` picks which); a ``window`` chain is
+    the wrong path of a branch whose condition a 10-link chain delays,
+    so it mispredicts and the window outlasts short chains.  ``fault``,
+    when set, is ``(length, reg, handler)``: a store that becomes
+    committable while the chain in a faulting load's window runs, with
+    or without a handler label after the chain.
+    """
     out = list(base[:-1])  # the trailing Halt goes back on last
     inserts = []
-    for anchor, where, length, reg in chains:
+    for n, (anchor, where, length, reg) in enumerate(chains):
         kind = ANCHORS[anchor]
         spots = [i + 1 for i, inst in enumerate(out) if kind and type(inst) is kind]
         spots = spots or list(range(1, len(out) + 1))
-        inserts.append((spots[where % len(spots)], [ImulImm(reg, reg, 1)] * length))
+        body = [ImulImm(reg, reg, 1)] * length
+        if anchor == "window":
+            label = f"chain{n}"
+            delay = [ImulImm("bz", "bz", 1)] * 10
+            body = [MovImm("bz", 0), *delay, Jz("bz", label), *body, Label(label)]
+        inserts.append((spots[where % len(spots)], body))
     if fault:
-        length, reg = fault
-        body = [MovImm("fp", 0), Load("fv", base="fp")]
-        body += [ImulImm(reg, reg, 1)] * length + [Label("fault_handler")]
-        inserts.append((len(out), body))
+        length, reg, handler = fault
+        body = [Mov("fs", "buf"), ImulImm("fs", "fs", 1), Store(base="fs", src="fs")]
+        body += [MovImm("fp", 0), Load("fv", base="fp")] + [ImulImm(reg, reg, 1)] * length
+        inserts.append((len(out), body + [Label("fault_handler")] * handler))
     for spot, body in sorted(inserts, key=lambda item: item[0], reverse=True):
         out[spot:spot] = body
     return out + [Halt()]
@@ -142,7 +153,7 @@ def assert_same(instructions, seed, mitigation, imul=3):
 chain_spec = st.tuples(
     st.sampled_from(sorted(ANCHORS)),
     st.integers(0, 1_000),
-    st.integers(2, 40),
+    st.integers(2, 60),
     st.sampled_from(CHAIN_REGS),
 )
 
@@ -153,7 +164,8 @@ class TestCollapsedChains:
         seed=st.integers(0, 100_000),
         blocks=st.integers(1, 10),
         chains=st.lists(chain_spec, max_size=4),
-        fault=st.none() | st.tuples(st.integers(2, 40), st.sampled_from(CHAIN_REGS)),
+        fault=st.none()
+        | st.tuples(st.integers(2, 60), st.sampled_from(CHAIN_REGS), st.booleans()),
         mitigation=st.sampled_from(MITIGATIONS),
         imul=st.integers(1, 4),
     )
@@ -172,8 +184,9 @@ class TestCollapsedChains:
             base = fuzz_program(random.Random(seed), 12)
             program = inject(
                 base,
-                [("store", seed, 20, "sd"), ("branch", seed, 13, "r0")],
-                (9, "cz") if seed % 2 else None,
+                [("store", seed, 20, "sd"), ("branch", seed, 13, "r0"),
+                 ("window", seed, 40, "r1")],
+                (40, "cz", seed % 4 == 1) if seed % 2 else None,
             )
             collapsed += assert_same(program, seed, mitigation)
         assert collapsed > 100
@@ -190,12 +203,23 @@ def stld_probe():
     )
 
 
+def commit_mid_chain():
+    """A store that becomes committable while a 20-link chain runs."""
+    return (
+        [MovImm("v", 7), Mov("sd", "buf"), ImulImm("sd", "sd", 1)]
+        + [Store(base="sd", src="v")]
+        + [ImulImm("r1", "r1", 1)] * 20
+        + [Load("r0", base="buf"), Halt()]
+    )
+
+
 class TestStepLimit:
     @pytest.mark.parametrize("mitigation", MITIGATIONS)
-    def test_limit_fires_at_the_same_instruction(self, mitigation):
+    @pytest.mark.parametrize("build", [stld_probe, commit_mid_chain])
+    def test_limit_fires_at_the_same_instruction(self, build, mitigation):
         """Every limit from 1 step to past the halt: the collapsed run
         stops where stepping stops, with the same state."""
-        program = stld_probe()
+        program = build()
         outcomes = []
         for limit in range(1, 60):
             fast = observe(program, 1, mitigation, 3, True, max_steps=limit)

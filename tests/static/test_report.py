@@ -1,18 +1,13 @@
 """Scan artifacts: canonical serialization and rendering."""
 
-import json
-
 from repro.cpu.isa import Halt, Load, MovImm, Store
 from repro.static.advisor import advise
 from repro.static.gadgets import scan_program
 from repro.static.report import (
-    SCAN_SCHEMA,
     canonical,
     render_crossval,
     render_plan,
     render_scan,
-    scan_line,
-    write_scan_jsonl,
 )
 
 LEAKY = [
@@ -26,28 +21,6 @@ LEAKY = [
 class TestCanonical:
     def test_sorted_keys_fixed_separators(self):
         assert canonical({"b": 1, "a": [2, 3]}) == '{"a":[2,3],"b":1}'
-
-    def test_scan_line_is_schema_stamped_canonical_json(self):
-        report = scan_program(LEAKY, name="leaky")
-        line = scan_line(report, extra_key=1)
-        data = json.loads(line)
-        assert data["schema"] == SCAN_SCHEMA
-        assert data["name"] == "leaky"
-        assert data["extra_key"] == 1
-        assert line == canonical(data)
-
-    def test_write_scan_jsonl_round_trips(self, tmp_path):
-        reports = [
-            scan_program(LEAKY, name="a"),
-            scan_program([Halt()], name="b"),
-        ]
-        path = write_scan_jsonl(tmp_path / "scan.jsonl", reports)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        assert [json.loads(line)["name"] for line in lines] == ["a", "b"]
-        # Pre-rendered lines pass through untouched.
-        again = write_scan_jsonl(tmp_path / "again.jsonl", lines)
-        assert again.read_text() == path.read_text()
 
 
 class TestRendering:
