@@ -464,17 +464,13 @@ class _Body:
         # run behind it only when the two operand tuples are identical.
         ops, args = self.ops, self.args
         chain = [0] * len(ops)
-        run = 0
         for i in range(len(ops) - 1, -1, -1):
-            link = ops[i] == OP_IMULIMM
-            if link:
-                dst, src, imm = args[i]
-                link = dst == src and type(imm) is int and imm == 1
-            if link:
-                run = run + 1 if run and args[i + 1] == args[i] else 1
-            else:
-                run = 0
-            chain[i] = run
+            if ops[i] != OP_IMULIMM:
+                continue
+            dst, src, imm = args[i]
+            if dst == src and type(imm) is int and imm == 1:
+                same = i + 1 < len(ops) and args[i + 1] == args[i]
+                chain[i] = chain[i + 1] + 1 if same else 1
         self.chain = chain
 
 
