@@ -81,7 +81,9 @@ chaos-smoke:
 	cmp $(RESULTS)-chaos/baseline/campaign.json $(RESULTS)-chaos/faulted/campaign.json
 	$(PY) -m repro.experiments.runner $(CHAOS_NAMES) $(CHAOS_FLAGS) --json $(RESULTS)-chaos/resumed \
 		--chaos "interrupt@fig4"; test $$? -eq 3
+	test -f $(RESULTS)-chaos/resumed/campaign.checkpoint.jsonl
 	$(PY) -m repro.experiments.runner $(CHAOS_NAMES) $(CHAOS_FLAGS) --json $(RESULTS)-chaos/resumed --resume
+	test ! -e $(RESULTS)-chaos/resumed/campaign.checkpoint.jsonl
 	cmp $(RESULTS)-chaos/baseline/campaign.json $(RESULTS)-chaos/resumed/campaign.json
 	$(CHAOS_FUZZ) --out $(RESULTS)-chaos/fuzz-clean.jsonl
 	$(CHAOS_FUZZ) --out $(RESULTS)-chaos/fuzz-crash.jsonl --chaos crash@3

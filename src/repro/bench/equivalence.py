@@ -45,8 +45,7 @@ import tempfile
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.experiments.cache import content_key
-from repro.runtime.atomic import atomic_write_json
+from repro.runtime.atomic import atomic_write_json, content_key
 
 __all__ = [
     "EQUIV_SCHEMA",

@@ -9,10 +9,11 @@ are regenerated from them (:mod:`repro.experiments.report`), and the
 result cache (:mod:`repro.experiments.cache`) stores the same schema.
 
 All writes go through :func:`repro.runtime.atomic.atomic_write_json`
-(tmp file + fsync + ``os.replace``): the manifest doubles as the
-campaign's crash checkpoint — it is rewritten after every completion and
-read back by ``--resume`` — so a reader must never be able to observe a
-truncated document.
+(tmp file + fsync + ``os.replace``), so a reader never observes a
+truncated document.  The runner writes the artifacts and the manifest
+once per campaign; crash recovery is the checkpoint journal
+(``<dir>/campaign.checkpoint.jsonl``, :mod:`repro.runtime.journal`),
+which ``--resume`` replays.
 """
 
 from __future__ import annotations
@@ -33,9 +34,14 @@ __all__ = [
     "write_manifest",
     "read_manifest",
     "MANIFEST_NAME",
+    "CHECKPOINT_NAME",
 ]
 
 MANIFEST_NAME = "campaign.json"
+
+#: The campaign's checkpoint journal (:mod:`repro.runtime.journal`); not
+#: ``*.json``, so :func:`load_artifacts` never reads it as an artifact.
+CHECKPOINT_NAME = "campaign.checkpoint.jsonl"
 
 
 def artifact_path(directory: str | Path, name: str) -> Path:

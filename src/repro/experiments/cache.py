@@ -38,14 +38,13 @@ from pathlib import Path
 from repro.core.config import CpuModel, default_model
 from repro.errors import ArtifactError
 from repro.experiments.base import ExperimentResult
-from repro.runtime.atomic import atomic_write_json
+from repro.runtime.atomic import atomic_write_json, content_key
 from repro.runtime.quarantine import QUARANTINE_DIR, quarantine
 
 __all__ = [
     "ResultCache",
     "cache_key",
     "code_digest",
-    "content_key",
     "source_digest",
     "DEFAULT_CACHE_DIR",
 ]
@@ -54,18 +53,6 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: The ``repro`` package directory, whose sources :func:`code_digest` hashes.
 _PACKAGE_ROOT = Path(__file__).resolve().parent.parent
-
-
-def content_key(payload: dict) -> str:
-    """SHA-256 of a JSON-serializable payload, canonically serialized.
-
-    The shared content-addressing primitive: the experiment result cache,
-    the fuzzing corpus (:mod:`repro.fuzz.corpus`) and findings artifacts
-    all derive their filenames from this so identical inputs land at
-    identical paths no matter which run produced them.
-    """
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def source_digest(root: Path) -> str:

@@ -15,7 +15,7 @@ The runner is a campaign engine, not a loop:
   unchanged experiments are replayed from disk (``--no-cache`` opts out);
 * **JSON artifacts** — ``--json DIR`` writes each result to
   ``DIR/<name>.json`` plus a ``campaign.json`` manifest, the inputs to
-  :mod:`repro.experiments.report`.
+  :mod:`repro.experiments.report`, once per campaign.
 
 Rendered output is emitted in request order whatever the completion
 order, so ``--jobs 8`` and ``--jobs 1`` print byte-identical reports.
@@ -24,10 +24,12 @@ See docs/experiments.md for the full catalog.
 Execution is resilient (see docs/resilience.md): workers run under the
 supervised pool in :mod:`repro.runtime.supervisor` — per-task
 ``--timeout`` deadlines, ``--retries`` with deterministic backoff, crash
-isolation — the manifest is checkpointed atomically after every
-completion so ``--resume`` continues an interrupted campaign, and tasks
-that exhaust their retries become structured failure entries instead of
-aborting the run.
+isolation — every completion is appended to the checkpoint journal
+``DIR/campaign.checkpoint.jsonl`` (:mod:`repro.runtime.journal`, the
+format ``repro-fuzz`` uses too) so ``--resume`` continues an interrupted
+campaign, and tasks that exhaust their retries become structured failure
+entries instead of aborting the run.  Work a finished campaign already
+did is replayed by the result cache, not by ``--resume``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from repro.errors import (
-    ArtifactError,
     CampaignInterrupted,
     ConfigError,
     UnknownExperimentError,
@@ -67,26 +68,14 @@ from repro.experiments import (
     table3_platforms,
     table4_comparison,
 )
-from repro.experiments.artifacts import (
-    MANIFEST_NAME,
-    artifact_path,
-    read_artifact,
-    read_manifest,
-    write_artifact,
-    write_manifest,
-)
+from repro.experiments.artifacts import CHECKPOINT_NAME, write_artifact, write_manifest
 from repro.experiments.base import ExperimentResult
 from repro.experiments.cache import DEFAULT_CACHE_DIR, ResultCache, cache_key
 from repro.runtime import exitcodes
-from repro.runtime.chaos import CHAOS_ENV_VAR, ChaosPlan
+from repro.runtime.chaos import CHAOS_ENV_VAR
 from repro.runtime.cliutil import build_parser
-from repro.runtime.quarantine import quarantine
-from repro.runtime.supervisor import (
-    DEFAULT_GRACE_S,
-    DEFAULT_RETRIES,
-    TaskFailure,
-    run_supervised,
-)
+from repro.runtime.journal import run_journaled
+from repro.runtime.supervisor import DEFAULT_GRACE_S, DEFAULT_RETRIES, TaskFailure
 
 __all__ = [
     "EXPERIMENTS",
@@ -264,58 +253,6 @@ class CampaignResult(list):
         self.retried = retried
 
 
-def _recover_checkpoint(
-    json_dir: str | Path,
-    names: Sequence[str],
-    seed: int | None,
-    keys: dict[str, str],
-) -> tuple[dict[str, ExperimentResult], int]:
-    """Load completed entries from a previous campaign's checkpoint.
-
-    Resume trusts only what re-validates: a truncated/corrupt manifest is
-    quarantined (never deleted) and the per-experiment artifacts are then
-    consulted directly; an artifact only counts when it parses and its
-    recorded seed matches the current run, and when a readable manifest
-    is present its ``cache_key`` must match too (so results from another
-    model/version are re-run, not resumed).
-    """
-    directory = Path(json_dir)
-    recovered: dict[str, ExperimentResult] = {}
-    quarantined = 0
-    listed: dict[str, dict] | None = None
-    if (directory / MANIFEST_NAME).exists():
-        try:
-            manifest = read_manifest(directory)
-            listed = {
-                entry["name"]: entry
-                for entry in manifest.get("experiments", [])
-                if entry.get("status", "ok") == "ok" and "name" in entry
-            }
-        except ArtifactError as exc:
-            if quarantine(directory, directory / MANIFEST_NAME,
-                          f"unreadable checkpoint manifest: {exc}"):
-                quarantined += 1
-            listed = None
-    for name in names:
-        if listed is not None:
-            entry = listed.get(name)
-            if entry is None or entry.get("cache_key") != keys[name]:
-                continue
-        path = artifact_path(directory, name)
-        if not path.exists():
-            continue
-        try:
-            result = read_artifact(path)
-        except ArtifactError as exc:
-            if quarantine(directory, path, f"unreadable artifact: {exc}"):
-                quarantined += 1
-            continue
-        if result.seed != effective_seed(name, seed):
-            continue
-        recovered[name] = result
-    return recovered, quarantined
-
-
 def run_campaign(
     names: Sequence[str],
     *,
@@ -341,18 +278,20 @@ def run_campaign(
     instead of aborting the campaign.  Unknown names raise
     :class:`UnknownExperimentError` before any work is scheduled.
 
-    With ``json_dir`` the manifest is rewritten atomically after every
-    completion, so the campaign is checkpointed at all times; ``resume``
-    skips entries the checkpoint already completed.  On SIGINT/SIGTERM
-    in-flight tasks are drained for ``grace_s`` seconds, the checkpoint
-    is written, and :class:`repro.errors.CampaignInterrupted` is raised.
-    ``chaos`` arms the test-only fault injector
-    (:mod:`repro.runtime.chaos`).  ``progress`` (if given) receives one
-    human-readable line per scheduling event.  ``metrics`` attaches each
-    task's telemetry rollup to its artifact and a merged rollup to the
-    manifest; it disables the result cache for the run (cached results
-    carry no telemetry, and mixing instrumented with cached rows would
-    make the manifest rollup lie about coverage).
+    With ``json_dir`` every completion is appended to the checkpoint
+    journal ``<json_dir>/campaign.checkpoint.jsonl``
+    (:mod:`repro.runtime.journal`), and ``resume`` replays the journal
+    of an interrupted run.  The artifacts and the manifest are written
+    once, when the campaign ends or is interrupted.  On SIGINT/SIGTERM
+    in-flight tasks are drained for ``grace_s`` seconds into the journal
+    and :class:`repro.errors.CampaignInterrupted` is raised.  ``chaos``
+    arms the test-only fault injector (:mod:`repro.runtime.chaos`).
+    ``progress`` (if given) receives one human-readable line per
+    scheduling event.  ``metrics`` attaches each task's telemetry rollup
+    to its artifact and a merged rollup to the manifest; it disables the
+    result cache for the run (cached results carry no telemetry, and
+    mixing instrumented with cached rows would make the manifest rollup
+    lie about coverage).
     """
     for name in names:
         _spec(name)
@@ -364,148 +303,122 @@ def run_campaign(
     cache = ResultCache(cache_dir) if use_cache else None
     keys = {name: cache_key(name, effective_seed(name, seed)) for name in names}
 
-    completed: dict[str, ExperimentResult] = {}
-    failures: list[TaskFailure] = []
-    quarantined = 0
-    resumed = 0
-
-    if resume:
-        recovered, quarantined = _recover_checkpoint(json_dir, names, seed, keys)
-        for name, result in recovered.items():
-            completed[name] = result
-            say(f"{name}: resumed from checkpoint")
-        resumed = len(recovered)
-
-    for name in names:
-        if name in completed or cache is None:
-            continue
-        cached = cache.get(keys[name])
-        if cached is not None:
-            completed[name] = cached
+    cached: dict[str, ExperimentResult] = {}
+    for name in names if cache is not None else ():
+        hit = cache.get(keys[name])
+        if hit is not None:
+            cached[name] = hit
             say(f"{name}: cache hit ({keys[name][:12]})")
 
-    def _checkpoint(interrupted: bool = False) -> Path | None:
-        if json_dir is None:
-            return None
-        entries: list[dict[str, Any]] = []
-        for name in names:
-            if name in completed:
-                result = completed[name]
-                entries.append(
-                    {
-                        "name": name,
-                        "seed": result.seed,
-                        "wall_time_s": result.wall_time_s,
-                        "worker": result.worker,
-                        "cache_hit": result.cache_hit,
-                        "cache_key": keys[name],
-                        "status": "ok",
-                    }
-                )
-            else:
-                failure = next((f for f in failures if f.task == name), None)
-                if failure is not None:
-                    entries.append(
-                        {
-                            "name": name,
-                            "cache_key": keys[name],
-                            "status": "failed",
-                            "failure": failure.to_dict(),
-                        }
-                    )
-        extra: dict[str, Any] = {}
-        if metrics:
-            from repro.telemetry import merge_snapshots
-
-            extra["metrics"] = merge_snapshots(
-                [
-                    result.telemetry
-                    for result in completed.values()
-                    if result.telemetry is not None
-                ]
-            )
-        return write_manifest(
-            json_dir,
-            entries,
-            jobs=jobs,
-            cached=sum(r.cache_hit for r in completed.values()),
-            version=_version(),
-            failures=[f.to_dict() for f in failures],
-            interrupted=interrupted,
-            quarantined=quarantined + (cache.quarantined if cache else 0),
-            **extra,
-        )
-
-    if json_dir is not None:
-        for name in names:
-            if name in completed:
-                write_artifact(completed[name], json_dir, name)
-        _checkpoint()
-
     def on_result(name: str, result: ExperimentResult) -> None:
-        completed[name] = result
         if cache is not None:
             cache.put(keys[name], result)
-        if json_dir is not None:
-            write_artifact(result, json_dir, name)
-            _checkpoint()
         say(f"{name}: completed in {result.wall_time_s:.1f}s [{result.worker}]")
 
-    pending = [name for name in names if name not in completed]
-    interrupted = False
-    chaos_plan = ChaosPlan.from_spec(chaos) if chaos else None
-    try:
-        if pending:
-            report = run_supervised(
-                [
-                    (
-                        name,
-                        {
-                            "name": name,
-                            "seed": seed,
-                            "stable_meta": stable_meta,
-                            "metrics": metrics,
-                        },
-                    )
-                    for name in pending
-                ],
-                _execute_task,
-                jobs=jobs,
-                timeout=timeout,
-                retries=retries,
-                batch=1,  # experiments are heavy and heterogeneous
-                chaos=chaos_plan,
-                validate=ExperimentResult.from_dict,
-                on_result=on_result,
-                progress=say,
-                grace_s=grace_s,
-            )
-            failures.extend(report.failures)
-            interrupted = report.interrupted
-            retried = report.retried
-        else:
-            retried = 0
-    finally:
-        if chaos_plan is not None:
-            chaos_plan.cleanup()
-
-    checkpoint_path = _checkpoint(interrupted=interrupted)
-    campaign = CampaignResult(
-        [completed[name] for name in names if name in completed],
-        names=[name for name in names if name in completed],
-        failures=failures,
-        quarantined=quarantined + (cache.quarantined if cache else 0),
-        resumed=resumed,
-        retried=retried,
+    # The cache key in each payload binds the journal to seed, model and code.
+    tasks = [
+        (name, {"name": name, "seed": seed, "stable_meta": stable_meta,
+                "metrics": metrics, "cache_key": keys[name]})
+        for name in names
+    ]
+    checkpoint = Path(json_dir) / CHECKPOINT_NAME if json_dir is not None else None
+    run = run_journaled(
+        tasks,
+        _execute_task,
+        checkpoint=checkpoint,
+        resume=resume,
+        validate=ExperimentResult.from_dict,
+        encode=ExperimentResult.to_dict,
+        on_result=on_result,
+        skip=cached,
+        chaos=chaos,
+        progress=say,
+        jobs=jobs,
+        timeout=timeout,
+        retries=retries,
+        batch=1,  # experiments are heavy and heterogeneous
+        grace_s=grace_s,
     )
-    if interrupted:
+    # A journaled result wins over a cache hit: it is what the
+    # interrupted run reported, cache_hit stamp included.
+    completed = {**cached, **run.results}
+    done = [name for name in names if name in completed]
+    campaign = CampaignResult(
+        [completed[name] for name in done],
+        names=done,
+        failures=run.report.failures,
+        quarantined=run.quarantined + (cache.quarantined if cache else 0),
+        resumed=run.resumed,
+        retried=run.report.retried,
+    )
+    if json_dir is not None:
+        _write_outputs(json_dir, campaign, keys, jobs=jobs, metrics=metrics,
+                       interrupted=run.report.interrupted)
+    if run.report.interrupted:
         raise CampaignInterrupted(
             f"campaign interrupted with {len(campaign)}/{len(names)} "
             f"experiment(s) checkpointed",
             partial=campaign,
-            checkpoint=checkpoint_path,
+            checkpoint=checkpoint,
         )
     return campaign
+
+
+def _write_outputs(
+    json_dir: str | Path,
+    campaign: CampaignResult,
+    keys: dict[str, str],
+    *,
+    jobs: int,
+    metrics: bool,
+    interrupted: bool,
+) -> None:
+    """Write every completed artifact and the campaign manifest, once."""
+    failed = {failure.task: failure for failure in campaign.failures}
+    done = dict(zip(campaign.completed_names, campaign))
+    entries: list[dict[str, Any]] = []
+    for name in keys:
+        if name in done:
+            result = done[name]
+            write_artifact(result, json_dir, name)
+            entries.append(
+                {
+                    "name": name,
+                    "seed": result.seed,
+                    "wall_time_s": result.wall_time_s,
+                    "worker": result.worker,
+                    "cache_hit": result.cache_hit,
+                    "cache_key": keys[name],
+                    "status": "ok",
+                }
+            )
+        elif name in failed:
+            entries.append(
+                {
+                    "name": name,
+                    "cache_key": keys[name],
+                    "status": "failed",
+                    "failure": failed[name].to_dict(),
+                }
+            )
+    extra: dict[str, Any] = {}
+    if metrics:
+        from repro.telemetry import merge_snapshots
+
+        extra["metrics"] = merge_snapshots(
+            [result.telemetry for result in campaign if result.telemetry is not None]
+        )
+    write_manifest(
+        json_dir,
+        entries,
+        jobs=jobs,
+        cached=sum(result.cache_hit for result in campaign),
+        version=_version(),
+        failures=[failure.to_dict() for failure in campaign.failures],
+        interrupted=interrupted,
+        quarantined=campaign.quarantined,
+        **extra,
+    )
 
 
 def _version() -> str:
@@ -622,7 +535,7 @@ def main(argv: list[str] | None = None) -> int:
     except CampaignInterrupted as exc:
         print(f"repro-experiments: {exc}", file=sys.stderr)
         print(
-            f"repro-experiments: checkpoint written to {args.json}; "
+            f"repro-experiments: checkpoint written to {exc.checkpoint}; "
             f"re-run with --resume --json {args.json} to continue",
             file=sys.stderr,
         )

@@ -21,9 +21,9 @@ determinism contract the experiment campaign runner keeps.
 Campaigns run under the shared resilient runtime (docs/resilience.md):
 ``--timeout`` kills and retries hung workers, worker crashes cost one
 attempt instead of the whole run, and completed tasks are appended to a
-checkpoint journal (``<out>.checkpoint.json``) that ``--resume`` replays
-after a crash or Ctrl-C — converging to the same findings file an
-uninterrupted run would have written.
+checkpoint journal (``<out>.checkpoint.json``, :mod:`repro.runtime.journal`)
+that ``--resume`` replays after a crash or Ctrl-C — converging to the
+same findings file an uninterrupted run would have written.
 
 Exit status follows the shared campaign contract
 (:mod:`repro.runtime.exitcodes`): 0 clean, 1 when the run found a
@@ -36,7 +36,6 @@ working as intended and do not fail the run.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
@@ -46,7 +45,6 @@ from typing import Callable, Sequence
 from repro.core.config import ZEN3_MODELS
 from repro.cpu.isa import instructions_from_reprs
 from repro.errors import ArtifactError, CampaignInterrupted, ConfigError, ReproError
-from repro.experiments.cache import content_key
 from repro.fuzz import corpus as corpus_mod
 from repro.fuzz import harness, oracle
 from repro.fuzz.corpus import DEFAULT_CORPUS_DIR, Corpus, CorpusEntry, program_set
@@ -55,16 +53,10 @@ from repro.fuzz.gen import build_program
 from repro.fuzz.shrink import shrink_report
 from repro.mitigations import MITIGATIONS, parse_mitigations
 from repro.runtime import exitcodes
-from repro.runtime.atomic import atomic_write_text
-from repro.runtime.chaos import CHAOS_ENV_VAR, ChaosPlan
+from repro.runtime.chaos import CHAOS_ENV_VAR
 from repro.runtime.cliutil import build_parser
-from repro.runtime.quarantine import quarantine
-from repro.runtime.supervisor import (
-    DEFAULT_GRACE_S,
-    DEFAULT_RETRIES,
-    TaskFailure,
-    run_supervised,
-)
+from repro.runtime.journal import run_journaled
+from repro.runtime.supervisor import DEFAULT_GRACE_S, DEFAULT_RETRIES, TaskFailure
 from repro.telemetry import recording
 from repro.telemetry.metrics import merge_snapshots, registry
 from repro.telemetry.sinks import JsonlSink, trace_header
@@ -72,7 +64,6 @@ from repro.telemetry.sinks import JsonlSink, trace_header
 __all__ = [
     "DEFAULT_BUDGET",
     "DEFAULT_MITIGATIONS",
-    "CHECKPOINT_SCHEMA",
     "FuzzCampaignResult",
     "checkpoint_path",
     "build_tasks",
@@ -81,8 +72,6 @@ __all__ = [
     "regressions",
     "main",
 ]
-
-CHECKPOINT_SCHEMA = 2
 
 DEFAULT_BUDGET = 100
 DEFAULT_MITIGATIONS = ("none", "ssbd")
@@ -237,69 +226,6 @@ def checkpoint_path(out: str | Path) -> Path:
     return out.with_name(out.name + ".checkpoint.json")
 
 
-def _campaign_fingerprint(tasks: list[dict]) -> str:
-    """Content address binding a checkpoint to one exact task list.
-
-    Any change to the campaign parameters, the corpus replay set or the
-    task derivation produces different task dicts and therefore a
-    different fingerprint — a stale checkpoint is then ignored rather
-    than splicing mismatched results into the findings.
-    """
-    return content_key({"schema": CHECKPOINT_SCHEMA, "tasks": tasks})
-
-
-def _journal_line(record: dict) -> str:
-    """One canonical checkpoint line: sorted keys, newline-terminated."""
-    return json.dumps(record, sort_keys=True) + "\n"
-
-
-#: What a corrupt journal line raises (JSON and UTF-8 errors are ValueErrors).
-_BAD_LINE = (ValueError, KeyError, TypeError, IndexError, ArtifactError)
-
-
-def _recover_fuzz_checkpoint(
-    path: Path, fingerprint: str, by_id: dict[int, dict],
-    say: Callable[[str], None],
-) -> tuple[dict[int, list[dict]], int]:
-    """Completed task results from a previous run's journal, validated.
-
-    A line counts once its newline is on disk.  A torn tail, a corrupt
-    line or a header of another schema quarantines the file with the
-    reasons, and the valid lines still resume.  A journal of another
-    campaign (fingerprint mismatch) is ignored, not quarantined.
-    """
-    if not path.exists():
-        return {}, 0
-    *lines, tail = path.read_bytes().split(b"\n")
-    problems = [f"torn last line ({len(tail)} bytes)"] if tail else []
-    completed: dict[int, list[dict]] = {}
-    try:
-        header = json.loads(lines[0])
-        if header["schema"] != CHECKPOINT_SCHEMA:
-            raise ArtifactError(f"checkpoint schema {header['schema']!r} unsupported")
-        if header["fingerprint"] != fingerprint:
-            say(f"checkpoint {path} belongs to a different campaign; ignoring")
-            return {}, 0
-    except _BAD_LINE as exc:
-        problems.insert(0, f"line 1: {exc!r}")
-        lines = []
-    for number, raw in enumerate(lines[1:], start=2):
-        try:
-            record = json.loads(raw)
-            task_id = record["task"]
-            if task_id not in by_id or task_id in completed:
-                raise ArtifactError(f"task {task_id!r} unknown or repeated")
-            completed[task_id] = _validate_findings(record["findings"])
-        except _BAD_LINE as exc:
-            problems.append(f"line {number}: {exc!r}")
-    if not problems:
-        return completed, 0
-    moved = quarantine(path.parent, path, "fuzz checkpoint: " + "; ".join(problems))
-    say(f"checkpoint {path} had {len(problems)} bad line(s); quarantined, "
-        f"keeping {len(completed)} valid task(s)")
-    return completed, int(moved is not None)
-
-
 def run_fuzz_campaign(
     *,
     budget: int = DEFAULT_BUDGET,
@@ -343,65 +269,33 @@ def run_fuzz_campaign(
         model_name=model_name, replay=replay, inject=inject, shrink=shrink,
         metrics=metrics,
     )
-    by_id = {task["task"]: task for task in tasks}
-    fingerprint = _campaign_fingerprint(tasks)
-    checkpoint = Path(checkpoint) if checkpoint is not None else None
-
-    results: dict[int, list[dict]] = {}
-    quarantined = 0
-    resumed = 0
-    journal = None
-    if resume and checkpoint is not None:
-        results, quarantined = _recover_fuzz_checkpoint(checkpoint, fingerprint, by_id, say)
-        resumed = len(results)
-        if resumed:
-            say(f"resumed {resumed} completed task(s) from {checkpoint}")
 
     def on_result(task_id: int, found: list[dict]) -> None:
-        results[task_id] = found
-        if journal is not None:
-            journal.write(_journal_line({"findings": found, "task": task_id}))
-            journal.flush()
-            os.fsync(journal.fileno())
-        task = by_id[task_id]
+        task = tasks[task_id]
         verdict = f"{len(found)} finding(s)" if found else "clean"
         say(
             f"task {task['task']:3d} {task['check']:<12s} "
             f"{task['generator']} seed={task['seed']}: {verdict}"
         )
 
-    pending = [task for task in tasks if task["task"] not in results]
-    chaos_plan = ChaosPlan.from_spec(chaos) if chaos else None
-    try:
-        if checkpoint is not None:
-            # The one whole-file write holds the recovered state; from
-            # here on only on_result's appends touch the journal.
-            records = [{"fingerprint": fingerprint, "schema": CHECKPOINT_SCHEMA}]
-            records += [{"findings": results[t], "task": t} for t in sorted(results)]
-            atomic_write_text(checkpoint, "".join(map(_journal_line, records)))
-            journal = checkpoint.open("a", encoding="utf-8")
-        report = run_supervised(
-            [(task["task"], task) for task in pending],
-            _run_task,
-            jobs=jobs,
-            timeout=timeout,
-            retries=retries,
-            # Oracle tasks are small and homogeneous: batch them onto
-            # warm workers so the decode cache stays hot and the
-            # per-task pipe round-trip amortizes away.
-            batch="adaptive",
-            chaos=chaos_plan,
-            validate=_validate_findings,
-            on_result=on_result,
-            progress=say,
-            grace_s=grace_s,
-        )
-    finally:
-        if journal is not None:
-            journal.close()
-        if chaos_plan is not None:
-            chaos_plan.cleanup()
-
+    results, report, resumed, quarantined = run_journaled(
+        [(task["task"], task) for task in tasks],
+        _run_task,
+        checkpoint=checkpoint,
+        resume=resume,
+        validate=_validate_findings,
+        on_result=on_result,
+        chaos=chaos,
+        progress=say,
+        jobs=jobs,
+        timeout=timeout,
+        retries=retries,
+        # Oracle tasks are small and homogeneous: batch them onto warm
+        # workers so the decode cache stays hot and the per-task pipe
+        # round-trip amortizes away.
+        batch="adaptive",
+        grace_s=grace_s,
+    )
     findings = [
         Finding.from_dict(data)
         for task_id in sorted(results)
@@ -434,8 +328,6 @@ def run_fuzz_campaign(
                         origin="campaign",
                     )
                 )
-    if checkpoint is not None:
-        checkpoint.unlink(missing_ok=True)
     return campaign
 
 

@@ -5,7 +5,7 @@ A corpus entry is the full identity of one generated program — the
 see :mod:`repro.fuzz.gen`) plus provenance.  Entries are stored one JSON
 file each under a content-addressed layout borrowed from the experiment
 result cache (``<root>/<key[:2]>/<key>.json``, key =
-:func:`repro.experiments.cache.content_key` of the identity fields), so
+:func:`repro.runtime.atomic.content_key` of the identity fields), so
 re-adding a known case is a no-op and two campaigns can share a corpus
 directory without coordination.
 
@@ -28,9 +28,8 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.errors import ArtifactError
-from repro.experiments.cache import content_key
 from repro.fuzz.gen import GENERATORS, derive_case
-from repro.runtime.atomic import atomic_write_json
+from repro.runtime.atomic import atomic_write_json, content_key
 from repro.runtime.quarantine import QUARANTINE_DIR, quarantine
 
 __all__ = [

@@ -26,13 +26,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ArtifactError
-from repro.runtime.atomic import atomic_write_text
+from repro.runtime.atomic import atomic_write_text, canonical
 
 __all__ = [
     "SCHEMA_VERSION",
     "KINDS",
     "Finding",
-    "canonical_line",
     "write_findings",
     "read_findings",
 ]
@@ -123,11 +122,6 @@ class Finding:
             raise ArtifactError(f"malformed finding: {exc!r}") from exc
 
 
-def canonical_line(finding: Finding) -> str:
-    """The one canonical JSONL serialization of a finding (no newline)."""
-    return json.dumps(finding.to_dict(), sort_keys=True, separators=(",", ":"))
-
-
 def write_findings(path: str | Path, findings: list[Finding]) -> Path:
     """Write a findings JSONL file atomically and durably; returns the path.
 
@@ -135,7 +129,7 @@ def write_findings(path: str | Path, findings: list[Finding]) -> Path:
     (:func:`repro.runtime.atomic.atomic_write_text`) so findings carry
     the same crash-safety guarantee as every other campaign artifact.
     """
-    body = "".join(canonical_line(finding) + "\n" for finding in findings)
+    body = "".join(canonical(finding.to_dict()) + "\n" for finding in findings)
     return atomic_write_text(path, body)
 
 

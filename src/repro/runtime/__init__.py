@@ -7,10 +7,14 @@ never leave truncated JSON behind.  This package owns that discipline so
 the two CLIs cannot drift apart:
 
 * :mod:`repro.runtime.atomic` — the one atomic-persistence helper
-  (tmp file + fsync + ``os.replace``) every JSON/JSONL writer uses;
+  (tmp file + fsync + ``os.replace``) every JSON/JSONL writer uses, and
+  the one canonical JSON serialization and content key;
 * :mod:`repro.runtime.supervisor` — a supervised process pool with
   per-task deadlines, capped deterministic retry backoff, crash
   isolation and graceful SIGINT/SIGTERM drains;
+* :mod:`repro.runtime.journal` — the one checkpoint format: an
+  append-only journal of completed tasks that ``--resume`` replays on
+  either CLI;
 * :mod:`repro.runtime.quarantine` — corrupt state files are moved aside
   with a reason file and counted, never silently deleted;
 * :mod:`repro.runtime.chaos` — the test-only fault injector that proves
@@ -21,7 +25,12 @@ the two CLIs cannot drift apart:
 See docs/resilience.md for the full semantics.
 """
 
-from repro.runtime.atomic import atomic_write_json, atomic_write_text
+from repro.runtime.atomic import (
+    atomic_write_json,
+    atomic_write_text,
+    canonical,
+    content_key,
+)
 from repro.runtime.chaos import ChaosPlan
 from repro.runtime.exitcodes import (
     EXIT_FAILURES,
@@ -29,6 +38,7 @@ from repro.runtime.exitcodes import (
     EXIT_OK,
     EXIT_USAGE,
 )
+from repro.runtime.journal import JOURNAL_SCHEMA, Journaled, run_journaled
 from repro.runtime.quarantine import QUARANTINE_DIR, quarantine, quarantined_files
 from repro.runtime.supervisor import (
     DEFAULT_GRACE_S,
@@ -42,7 +52,12 @@ from repro.runtime.supervisor import (
 __all__ = [
     "atomic_write_json",
     "atomic_write_text",
+    "canonical",
+    "content_key",
     "ChaosPlan",
+    "JOURNAL_SCHEMA",
+    "Journaled",
+    "run_journaled",
     "EXIT_OK",
     "EXIT_FAILURES",
     "EXIT_USAGE",

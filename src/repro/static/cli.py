@@ -35,7 +35,7 @@ from repro.fuzz.corpus import DEFAULT_CORPUS_DIR, Corpus, CorpusEntry, program_s
 from repro.fuzz.gen import build_program, parse_case
 from repro.mitigations import MITIGATIONS, parse_mitigations
 from repro.runtime import exitcodes
-from repro.runtime.atomic import atomic_write_text
+from repro.runtime.atomic import atomic_write_text, canonical
 from repro.runtime.cliutil import build_parser
 from repro.runtime.supervisor import DEFAULT_RETRIES, run_supervised
 from repro.static import crossval as crossval_mod
@@ -43,7 +43,6 @@ from repro.static.advisor import advise
 from repro.static.gadgets import scan_program
 from repro.static.report import (
     SCAN_SCHEMA,
-    canonical,
     render_crossval,
     render_plan,
     render_scan,

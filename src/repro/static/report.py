@@ -12,7 +12,6 @@ parses their output.
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING
 
 from repro.static.gadgets import ScanReport
@@ -23,18 +22,12 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 
 __all__ = [
     "SCAN_SCHEMA",
-    "canonical",
     "render_scan",
     "render_plan",
     "render_crossval",
 ]
 
 SCAN_SCHEMA = 1
-
-
-def canonical(data: dict) -> str:
-    """The one canonical JSON serialization used by every scan artifact."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 def render_scan(report: ScanReport, *, verbose: bool = False) -> str:

@@ -31,7 +31,7 @@ from collections import deque
 from pathlib import Path
 from typing import Any, Protocol
 
-from ..runtime import atomic_write_text
+from ..runtime.atomic import atomic_write_text, canonical
 from .events import TRACE_SCHEMA
 
 __all__ = [
@@ -52,10 +52,6 @@ class TraceSink(Protocol):
 
     def close(self) -> None:
         """Flush/finalize.  Must be idempotent."""
-
-
-def _canonical(data: dict[str, Any]) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 def trace_header(**context: Any) -> dict[str, Any]:
@@ -123,11 +119,11 @@ class JsonlSink:
 
     def __init__(self, path: str | Path, header: dict[str, Any] | None = None) -> None:
         self.path = Path(path)
-        self._lines: list[str] = [_canonical(header or trace_header())]
+        self._lines: list[str] = [canonical(header or trace_header())]
         self._closed = False
 
     def emit(self, event: dict[str, Any]) -> None:
-        self._lines.append(_canonical(event))
+        self._lines.append(canonical(event))
 
     def close(self) -> None:
         if self._closed:

@@ -4,6 +4,7 @@ Pool-mode coverage drives faults through the chaos injector
 (:mod:`repro.runtime.chaos`) rather than mocks — a chaos crash kills the
 worker process exactly like the BrokenProcessPool scenarios the old
 executor could not survive.  Fast-tier experiments keep these quick.
+The journal format itself is covered in tests/runtime/test_journal.py.
 """
 
 import json
@@ -11,7 +12,7 @@ import json
 import pytest
 
 from repro.errors import CampaignInterrupted, ConfigError
-from repro.experiments.artifacts import MANIFEST_NAME, artifact_path, read_manifest
+from repro.experiments.artifacts import CHECKPOINT_NAME, MANIFEST_NAME, read_manifest
 from repro.experiments.base import ExperimentResult
 from repro.experiments.cache import ResultCache, cache_key
 from repro.experiments.runner import EXPERIMENTS, ExperimentSpec, main, run_campaign
@@ -36,6 +37,15 @@ def _stable(names, json_dir, **kwargs):
     return run_campaign(names, **options)
 
 
+def _interrupted(json_dir, **kwargs):
+    """The journal of a SMOKE campaign interrupted after fig4, as lines."""
+    with pytest.raises(CampaignInterrupted):
+        _stable(SMOKE, json_dir, chaos="interrupt@fig4", **kwargs)
+    lines = (json_dir / CHECKPOINT_NAME).read_text().splitlines(keepends=True)
+    assert "fig4" in [json.loads(line)["task"] for line in lines[1:]]
+    return lines
+
+
 class TestKeyboardInterrupt:
     def test_inline_interrupt_checkpoints_and_raises(self, tmp_path, monkeypatch):
         monkeypatch.setitem(
@@ -48,7 +58,9 @@ class TestKeyboardInterrupt:
         with pytest.raises(CampaignInterrupted) as excinfo:
             run_campaign(["ok", "boom"], jobs=1, use_cache=False, json_dir=results)
         assert excinfo.value.partial.completed_names == ["ok"]
-        assert excinfo.value.checkpoint == results / MANIFEST_NAME
+        assert excinfo.value.checkpoint == results / CHECKPOINT_NAME
+        _, record = excinfo.value.checkpoint.read_text().splitlines()
+        assert json.loads(record)["task"] == "ok"
         manifest = read_manifest(results)
         assert manifest["interrupted"] is True
         assert [e["name"] for e in manifest["experiments"]] == ["ok"]
@@ -62,41 +74,46 @@ class TestKeyboardInterrupt:
         assert read_manifest(results)["interrupted"] is True
         resumed = _stable(SMOKE, results, resume=True)
         assert resumed.resumed >= 1
+        assert not (results / CHECKPOINT_NAME).exists()
         assert (results / MANIFEST_NAME).read_bytes() == (
             baseline / MANIFEST_NAME
         ).read_bytes()
 
 
 class TestCheckpointRecovery:
-    def test_truncated_manifest_is_quarantined_and_artifacts_resume(self, tmp_path):
+    def test_truncated_journal_is_quarantined_and_valid_lines_resume(self, tmp_path):
+        baseline = tmp_path / "baseline"
+        _stable(SMOKE, baseline)
         results = tmp_path / "results"
-        _stable(SMOKE, results)
-        manifest = results / MANIFEST_NAME
-        manifest.write_text(manifest.read_text()[: 40])
+        lines = _interrupted(results)
+        torn = "".join(lines) + lines[-1][:40]
+        (results / CHECKPOINT_NAME).write_text(torn)
         campaign = _stable(SMOKE, results, resume=True)
-        assert campaign.resumed == len(SMOKE)
-        assert campaign.quarantined >= 1
-        names = [p.name for p in quarantined_files(results)]
-        assert MANIFEST_NAME in names
-        # The rewritten manifest is whole again.
-        assert read_manifest(results)["interrupted"] is False
+        assert campaign.resumed == len(lines) - 1
+        assert campaign.quarantined == 1
+        assert [p.name for p in quarantined_files(results)] == [CHECKPOINT_NAME]
+        assert read_manifest(results)["quarantined"] == 1
+        for name in SMOKE:
+            artifact = f"{name}.json"
+            assert (results / artifact).read_bytes() == (baseline / artifact).read_bytes()
 
-    def test_corrupt_artifact_is_quarantined_and_rerun(self, tmp_path):
+    def test_corrupt_journal_line_is_quarantined_and_rerun(self, tmp_path):
         results = tmp_path / "results"
-        _stable(SMOKE, results)
-        artifact_path(results, "fig4").write_text("\xff not json")
+        lines = _interrupted(results)
+        damaged = ["\xff not json\n" if '"fig4"' in line else line for line in lines]
+        (results / CHECKPOINT_NAME).write_text("".join(damaged))
         campaign = _stable(SMOKE, results, resume=True)
-        assert campaign.resumed == len(SMOKE) - 1
-        assert campaign.quarantined >= 1
-        assert "fig4.json" in [p.name for p in quarantined_files(results)]
-        assert len(campaign) == len(SMOKE)  # fig4 was re-run, not lost
+        assert campaign.resumed == len(lines) - 2
+        assert campaign.quarantined == 1
+        assert campaign.completed_names == SMOKE  # fig4 was re-run, not lost
 
-    def test_wrong_seed_artifact_is_not_resumed(self, tmp_path):
+    def test_journal_of_another_seed_is_not_resumed(self, tmp_path):
         results = tmp_path / "results"
-        _stable(["fig4"], results)
-        campaign = _stable(["fig4"], results, resume=True, seed=999)
+        _interrupted(results)
+        campaign = _stable(SMOKE, results, resume=True, seed=999)
         assert campaign.resumed == 0
-        assert campaign[0].seed == 999
+        assert campaign.quarantined == 0
+        assert [result.seed for result in campaign] == [999, 999]
 
     def test_resume_without_json_dir_is_config_error(self):
         with pytest.raises(ConfigError):
@@ -186,11 +203,11 @@ class TestMainExitCodes:
 def test_quarantine_never_deletes(tmp_path):
     """The non-negotiable: corrupt state is preserved for post-mortems."""
     results = tmp_path / "results"
-    _stable(SMOKE, results)
-    original = artifact_path(results, "fig4").read_text()[: 25]
-    artifact_path(results, "fig4").write_text(original)
+    lines = _interrupted(results)
+    damaged = "".join(lines)[:-25]
+    (results / CHECKPOINT_NAME).write_text(damaged)
     _stable(SMOKE, results, resume=True)
-    saved = results / QUARANTINE_DIR / "fig4.json"
-    assert saved.read_text() == original
+    saved = results / QUARANTINE_DIR / CHECKPOINT_NAME
+    assert saved.read_text() == damaged
     reason = saved.with_name(saved.name + ".reason")
-    assert reason.exists()
+    assert "torn last line" in reason.read_text()

@@ -12,12 +12,8 @@ from repro.fuzz.corpus import (
     program_set,
     replay_order,
 )
-from repro.fuzz.findings import (
-    Finding,
-    canonical_line,
-    read_findings,
-    write_findings,
-)
+from repro.fuzz.findings import Finding, read_findings, write_findings
+from repro.runtime.atomic import canonical
 from repro.runtime.quarantine import QUARANTINE_DIR
 
 
@@ -132,8 +128,8 @@ class TestFindings:
         assert read_findings(path) == findings
 
     def test_canonical_line_is_stable_json(self):
-        line = canonical_line(_finding())
-        assert line == canonical_line(_finding())
+        line = canonical(_finding().to_dict())
+        assert line == canonical(_finding().to_dict())
         assert json.loads(line)["kind"] == "leak"
         assert ": " not in line  # canonical separators
 
@@ -151,7 +147,7 @@ class TestFindings:
 
     def test_damaged_line_rejected(self, tmp_path):
         path = tmp_path / "f.jsonl"
-        path.write_text(canonical_line(_finding()) + "\n{oops\n", encoding="utf-8")
+        path.write_text(canonical(_finding().to_dict()) + "\n{oops\n", encoding="utf-8")
         with pytest.raises(ArtifactError):
             read_findings(path)
 

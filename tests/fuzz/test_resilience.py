@@ -6,8 +6,9 @@ running task 3).  Campaigns here are minimal — one generated program,
 one mitigation, no shrinking, no on-disk corpus — so every test is a
 real multi-process campaign that still runs in seconds.
 
-The checkpoint is a journal: a ``{"fingerprint", "schema"}`` header
-line, then one ``{"findings", "task"}`` line per completed task.
+The checkpoint is the shared journal (:mod:`repro.runtime.journal`): a
+``{"fingerprint", "schema"}`` header line, then one ``{"result",
+"task"}`` line per completed task, whose result is the task's findings.
 """
 
 import json
@@ -15,11 +16,9 @@ import re
 
 import pytest
 
-import repro.fuzz.cli as fuzz_cli
+import repro.runtime.journal as journal_mod
 from repro.errors import CampaignInterrupted
 from repro.fuzz.cli import (
-    CHECKPOINT_SCHEMA,
-    _campaign_fingerprint,
     _run_task,
     build_tasks,
     checkpoint_path,
@@ -27,6 +26,7 @@ from repro.fuzz.cli import (
     run_fuzz_campaign,
 )
 from repro.fuzz.corpus import replay_order
+from repro.runtime.journal import JOURNAL_SCHEMA, fingerprint
 from repro.runtime.quarantine import QUARANTINE_DIR
 
 # 8 built-in regression replays + 1 generated case x (differential +
@@ -53,14 +53,18 @@ def _tasks():
     )
 
 
-def _journal(task_ids, fingerprint=None):
+def _fingerprint(tasks):
+    return fingerprint([(task["task"], task) for task in tasks])
+
+
+def _journal(task_ids, campaign=None):
     """Journal text recording ``task_ids`` of the ``_campaign()`` task list."""
     tasks = _tasks()
     records = [{
-        "fingerprint": fingerprint or _campaign_fingerprint(tasks),
-        "schema": CHECKPOINT_SCHEMA,
+        "fingerprint": campaign or _fingerprint(tasks),
+        "schema": JOURNAL_SCHEMA,
     }]
-    records += [{"findings": _run_task(tasks[i]), "task": i} for i in task_ids]
+    records += [{"result": _run_task(tasks[i]), "task": i} for i in task_ids]
     return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
 
 
@@ -112,7 +116,7 @@ class TestCheckpointResume:
 
     def test_stale_checkpoint_for_other_campaign_is_ignored(self, tmp_path):
         ckpt = checkpoint_path(tmp_path / "f.jsonl")
-        ckpt.write_text(_journal([0], fingerprint="0" * 64))
+        ckpt.write_text(_journal([0], campaign="0" * 64))
         campaign = _campaign(checkpoint=ckpt, resume=True)
         assert campaign.resumed == 0
         assert campaign.quarantined == 0
@@ -148,7 +152,7 @@ class TestCheckpointResume:
         tasks = _tasks()
         ckpt.write_text(json.dumps({
             "completed": {"9": _run_task(tasks[9])},
-            "fingerprint": _campaign_fingerprint(tasks),
+            "fingerprint": _fingerprint(tasks),
             "schema": 1,
         }, sort_keys=True) + "\n")
         campaign = _campaign(checkpoint=ckpt, resume=True)
@@ -161,13 +165,13 @@ class TestJournalLayout:
     def test_full_campaign_writes_the_checkpoint_once(self, tmp_path, monkeypatch):
         ckpt = checkpoint_path(tmp_path / "f.jsonl")
         written = []
-        real = fuzz_cli.atomic_write_text
+        real = journal_mod.atomic_write_text
 
         def recording(path, text, **kwargs):
             written.append(path)
             return real(path, text, **kwargs)
 
-        monkeypatch.setattr(fuzz_cli, "atomic_write_text", recording)
+        monkeypatch.setattr(journal_mod, "atomic_write_text", recording)
         _campaign(jobs=2, checkpoint=ckpt)
         assert written == [ckpt]
         assert not ckpt.exists()
@@ -182,14 +186,11 @@ class TestJournalLayout:
                      if re.match(r"task +\d+ (differential|oracle) ", line)]
         tasks = _tasks()
         header, *records = _read_lines(ckpt)
-        assert header == {
-            "fingerprint": _campaign_fingerprint(tasks),
-            "schema": CHECKPOINT_SCHEMA,
-        }
+        assert header == {"fingerprint": _fingerprint(tasks), "schema": JOURNAL_SCHEMA}
         assert len(records) == len(completed) >= 1
         for record in records:
-            assert list(record) == ["findings", "task"]
-            assert record["findings"] == _run_task(tasks[record["task"]])
+            assert list(record) == ["result", "task"]
+            assert record["result"] == _run_task(tasks[record["task"]])
 
 
 class TestMainExitCodes:
@@ -222,7 +223,7 @@ class TestMainExitCodes:
         # The same results in the indented whole-document layout of schema 1.
         header, *records = _read_lines(ckpt)
         ckpt.write_text(json.dumps({
-            "completed": {str(r["task"]): r["findings"] for r in records},
+            "completed": {str(r["task"]): r["result"] for r in records},
             "fingerprint": header["fingerprint"],
             "schema": 1,
         }, indent=2, sort_keys=True) + "\n")

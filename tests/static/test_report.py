@@ -3,8 +3,8 @@
 from repro.cpu.isa import Halt, Load, MovImm, Store
 from repro.static.advisor import advise
 from repro.static.gadgets import scan_program
+from repro.runtime.atomic import canonical
 from repro.static.report import (
-    canonical,
     render_crossval,
     render_plan,
     render_scan,
