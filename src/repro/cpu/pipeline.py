@@ -1215,6 +1215,10 @@ class _ExecState:
             self.result.cycles = self.dispatch
             self.result.retired = self.retired
             self._squash_stores(window.base_seq)
+            # The stores older than the fault retire before it is
+            # delivered, as in the reference interpreter, and the
+            # thread's next run starts with an empty store queue.
+            self.sq.drain(self.memory)
             self.halted = True
             raise window.fault
         self.index = handler

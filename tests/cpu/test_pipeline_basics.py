@@ -205,6 +205,33 @@ class TestMemory:
                 [MovImm("addr", 0xDEAD0000), Load("a", base="addr"), Halt()],
             )
 
+    def test_unhandled_fault_commits_older_stores(self, machine, process):
+        """Stores older than an unhandled fault reach memory, as in the
+        reference interpreter, and leave the store queue empty for the
+        thread's next run."""
+        buf = machine.kernel.map_anonymous(process, pages=1)
+        with pytest.raises(SegmentationFault):
+            run(
+                machine,
+                process,
+                [
+                    MovImm("v", 7),
+                    MovImm("sd", buf),
+                    *[ImulImm("sd", "sd", 1)] * 20,  # the store resolves late
+                    Store(base="sd", src="v"),
+                    MovImm("fp", 0),
+                    Load("x", base="fp"),
+                    Halt(),
+                ],
+            )
+        assert machine.kernel.read(process, buf, 1)[0] == 7
+        run(
+            machine,
+            process,
+            [MovImm("v", 9), MovImm("a", buf), Store(base="a", src="v"), Halt()],
+        )
+        assert machine.kernel.read(process, buf, 1)[0] == 9
+
     def test_fault_handler_label(self, machine, process):
         result = run(
             machine,
