@@ -304,11 +304,12 @@ def run_campaign(
     keys = {name: cache_key(name, effective_seed(name, seed)) for name in names}
 
     cached: dict[str, ExperimentResult] = {}
-    for name in names if cache is not None else ():
-        hit = cache.get(keys[name])
-        if hit is not None:
-            cached[name] = hit
-            say(f"{name}: cache hit ({keys[name][:12]})")
+    if cache is not None:
+        for name in names:
+            hit = cache.get(keys[name])
+            if hit is not None:
+                cached[name] = hit
+                say(f"{name}: cache hit ({keys[name][:12]})")
 
     def on_result(name: str, result: ExperimentResult) -> None:
         if cache is not None:

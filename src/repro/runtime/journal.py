@@ -56,7 +56,7 @@ class Journaled(NamedTuple):
 
 def fingerprint(tasks: Sequence[tuple[Any, Any]]) -> str:
     """Content address binding a journal to one exact task list."""
-    return content_key({"schema": JOURNAL_SCHEMA, "tasks": [list(t) for t in tasks]})
+    return content_key({"schema": JOURNAL_SCHEMA, "tasks": tasks})
 
 
 def _recover(
