@@ -69,7 +69,10 @@ fuzz-smoke:
 ## The fuzz leg drills the same paths on repro-fuzz: a crashed task is
 ## retried to a byte-identical findings file, and an interrupted campaign
 ## exits 3 leaving its checkpoint journal, then --resume exits 0, removes
-## the journal and writes the clean run's findings byte for byte.
+## the journal and writes the clean run's findings byte for byte.  The
+## scan leg sends SIGINT to a repro-scan scan 3 s into a run far longer
+## than that: it keeps no checkpoint, so it must exit 3 and write no
+## findings file rather than pass a partial scan off as complete.
 CHAOS_NAMES = fig4 sec3-selection table1 fig2
 CHAOS_FLAGS = --jobs $(JOBS) --no-cache --stable-meta --timeout 10
 CHAOS_FUZZ  = $(PY) -m repro.fuzz.cli --budget 4 --seed 1 --jobs $(JOBS) --no-corpus
@@ -93,8 +96,11 @@ chaos-smoke:
 	$(CHAOS_FUZZ) --out $(RESULTS)-chaos/fuzz-resumed.jsonl --resume
 	test ! -e $(RESULTS)-chaos/fuzz-resumed.jsonl.checkpoint.json
 	cmp $(RESULTS)-chaos/fuzz-clean.jsonl $(RESULTS)-chaos/fuzz-resumed.jsonl
+	timeout --preserve-status -s INT -k 30 3 $(PY) -m repro.static.cli scan --no-corpus \
+		--budget 20000 --jobs $(JOBS) --out $(RESULTS)-chaos/scan.jsonl; test $$? -eq 3
+	test ! -e $(RESULTS)-chaos/scan.jsonl
 	rm -rf $(RESULTS)-chaos
-	@echo "chaos-smoke: crash/hang/corruption absorbed; interrupt+resume converged (experiments and fuzz)"
+	@echo "chaos-smoke: crash/hang/corruption absorbed; interrupt+resume converged (experiments and fuzz); interrupted scan exited 3 with no output"
 
 ## Telemetry determinism + overhead gate (docs/observability.md): the
 ## same seeded targets must record byte-identical traces twice serially

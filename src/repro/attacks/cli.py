@@ -37,12 +37,11 @@ from repro.attacks.extraction import (
     run_suite,
 )
 from repro.cpu.machine import Machine
-from repro.errors import ConfigError, ReproError
 from repro.interference import PRESET_ORDER
 from repro.mitigations import MITIGATIONS
 from repro.runtime import exitcodes
 from repro.runtime.atomic import atomic_write_json
-from repro.runtime.cliutil import build_parser, require_range
+from repro.runtime.cliutil import build_parser, console_main, require_range
 
 __all__ = ["DEFAULT_SECRET", "main"]
 
@@ -58,6 +57,7 @@ examples:
   repro-attack aslr --seed 4242"""
 
 
+@console_main("repro-attack", usage=(ValueError, OSError))
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser(
         "repro-attack",
@@ -137,23 +137,13 @@ def main(argv: list[str] | None = None) -> int:
     ver.add_argument("report", help="a 'leak --mitigation all --out' JSON file")
 
     args = parser.parse_args(argv)
-    try:
-        if args.command == "channel":
-            return _channel(args)
-        if args.command == "leak":
-            return _leak(args)
-        if args.command == "aslr":
-            return _aslr(args)
-        return _verify(args)
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"repro-attack: {exc}", file=sys.stderr)
-        return exitcodes.EXIT_USAGE
-    except ReproError as exc:
-        print(f"repro-attack: {exc}", file=sys.stderr)
-        return exitcodes.EXIT_FAILURES
-    except KeyboardInterrupt:
-        print("repro-attack: interrupted", file=sys.stderr)
-        return exitcodes.EXIT_INTERRUPTED
+    if args.command == "channel":
+        return _channel(args)
+    if args.command == "leak":
+        return _leak(args)
+    if args.command == "aslr":
+        return _aslr(args)
+    return _verify(args)
 
 
 def _channel(args) -> int:

@@ -41,12 +41,12 @@ class SimulationLimitExceeded(ReproError):
     """A simulated program ran past its instruction or cycle budget."""
 
 
-class UnknownExperimentError(ReproError):
+class UnknownExperimentError(ConfigError):
     """An experiment name was not found in the campaign registry.
 
     Raised by :func:`repro.experiments.runner.run_experiment` (and the
     campaign scheduler) instead of ``SystemExit`` so that library callers
-    can recover; the CLI translates it to exit code 2.
+    can recover; like every ``ConfigError`` it exits 2 from a CLI.
     """
 
     def __init__(self, name: str, known: "list[str] | None" = None) -> None:
@@ -61,14 +61,17 @@ class ArtifactError(ReproError):
 
 
 class CampaignInterrupted(ReproError):
-    """A campaign was interrupted (SIGINT/SIGTERM) after checkpointing.
+    """A supervised campaign was interrupted (SIGINT/SIGTERM).
 
-    Raised by :func:`repro.experiments.runner.run_campaign` and
-    :func:`repro.fuzz.cli.run_fuzz_campaign` once in-flight work has been
-    drained and the resumable checkpoint written.  ``partial`` carries
-    whatever completed before the interrupt; ``checkpoint`` is the state
-    the next ``--resume`` run continues from.  The CLIs translate this to
-    exit code 3 (:data:`repro.runtime.exitcodes.EXIT_INTERRUPTED`).
+    Raised by :func:`repro.experiments.runner.run_campaign`,
+    :func:`repro.fuzz.cli.run_fuzz_campaign`,
+    :func:`repro.static.cli.run_scan_batch` and
+    :func:`repro.static.crossval.run_crossval` once in-flight work has
+    been drained.  ``partial`` carries whatever completed before the
+    interrupt; ``checkpoint`` is the journal the next ``--resume`` run
+    continues from, or ``None`` when the campaign kept none.  Every CLI
+    translates this to exit code 3
+    (:data:`repro.runtime.exitcodes.EXIT_INTERRUPTED`).
     """
 
     def __init__(

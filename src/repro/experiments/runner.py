@@ -43,7 +43,6 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from repro.errors import (
-    CampaignInterrupted,
     ConfigError,
     UnknownExperimentError,
 )
@@ -72,10 +71,16 @@ from repro.experiments.artifacts import CHECKPOINT_NAME, write_artifact, write_m
 from repro.experiments.base import ExperimentResult
 from repro.experiments.cache import DEFAULT_CACHE_DIR, ResultCache, cache_key
 from repro.runtime import exitcodes
-from repro.runtime.chaos import CHAOS_ENV_VAR
-from repro.runtime.cliutil import build_parser
+from repro.runtime.cliutil import (
+    add_resume_flags,
+    add_supervision_flags,
+    build_parser,
+    console_main,
+    print_progress,
+    supervision,
+)
 from repro.runtime.journal import run_journaled
-from repro.runtime.supervisor import DEFAULT_GRACE_S, DEFAULT_RETRIES, TaskFailure
+from repro.runtime.supervisor import TaskFailure, metered
 
 __all__ = [
     "EXPERIMENTS",
@@ -180,12 +185,7 @@ def run_experiment(name: str, seed: int | None = None) -> ExperimentResult:
     return spec.driver(seed=effective_seed(name, seed))
 
 
-def _execute(
-    name: str,
-    seed: int | None,
-    stable_meta: bool = False,
-    metrics: bool = False,
-) -> dict[str, Any]:
+def _execute(payload: dict) -> dict[str, Any]:
     """Worker entry point: run one experiment, return the artifact dict.
 
     Runs in the supervised pool processes (and inline for plain serial
@@ -199,31 +199,18 @@ def _execute(
     driven by simulated quantities, so the rollup is exactly as
     deterministic as the result rows).
     """
-    from repro.telemetry import registry
-
+    name, seed = payload["name"], payload["seed"]
     started = time.perf_counter()
-    before = registry().snapshot() if metrics else None
-    result = run_experiment(name, seed)
+    result, telemetry = metered(run_experiment, name, seed, enabled=payload["metrics"])
+    result.telemetry = telemetry
     result.seed = effective_seed(name, seed)
-    if metrics:
-        result.telemetry = registry().delta_since(before)
-    if stable_meta:
+    if payload["stable_meta"]:
         result.wall_time_s = 0.0
         result.worker = "-"
     else:
         result.wall_time_s = round(time.perf_counter() - started, 3)
         result.worker = f"pid:{os.getpid()}"
     return result.to_dict()
-
-
-def _execute_task(payload: dict) -> dict[str, Any]:
-    """Supervised-pool adapter around :func:`_execute` (payload dict in)."""
-    return _execute(
-        payload["name"],
-        payload["seed"],
-        payload["stable_meta"],
-        payload.get("metrics", False),
-    )
 
 
 class CampaignResult(list):
@@ -262,20 +249,20 @@ def run_campaign(
     cache_dir: str | Path = DEFAULT_CACHE_DIR,
     json_dir: str | Path | None = None,
     progress: Callable[[str], None] | None = None,
-    timeout: float | None = None,
-    retries: int = DEFAULT_RETRIES,
     resume: bool = False,
     chaos: str | None = None,
     stable_meta: bool = False,
-    grace_s: float = DEFAULT_GRACE_S,
     metrics: bool = False,
+    **supervision: Any,
 ) -> CampaignResult:
     """Run a set of experiments under the supervised campaign runtime.
 
     Returns completed results in ``names`` order regardless of completion
-    order; tasks that exhaust ``retries`` become :class:`TaskFailure`
-    entries on the returned :class:`CampaignResult` (and in the manifest)
-    instead of aborting the campaign.  Unknown names raise
+    order; ``supervision`` (timeout, retries, grace_s) goes to
+    :func:`~repro.runtime.supervisor.run_supervised`, and tasks that
+    exhaust their retries become :class:`TaskFailure` entries on the
+    returned :class:`CampaignResult` (and in the manifest) instead of
+    aborting the campaign.  Unknown names raise
     :class:`UnknownExperimentError` before any work is scheduled.
 
     With ``json_dir`` every completion is appended to the checkpoint
@@ -283,7 +270,7 @@ def run_campaign(
     (:mod:`repro.runtime.journal`), and ``resume`` replays the journal
     of an interrupted run.  The artifacts and the manifest are written
     once, when the campaign ends or is interrupted.  On SIGINT/SIGTERM
-    in-flight tasks are drained for ``grace_s`` seconds into the journal
+    in-flight tasks are drained into the journal
     and :class:`repro.errors.CampaignInterrupted` is raised.  ``chaos``
     arms the test-only fault injector (:mod:`repro.runtime.chaos`).
     ``progress`` (if given) receives one human-readable line per
@@ -325,7 +312,7 @@ def run_campaign(
     checkpoint = Path(json_dir) / CHECKPOINT_NAME if json_dir is not None else None
     run = run_journaled(
         tasks,
-        _execute_task,
+        _execute,
         checkpoint=checkpoint,
         resume=resume,
         validate=ExperimentResult.from_dict,
@@ -335,10 +322,8 @@ def run_campaign(
         chaos=chaos,
         progress=say,
         jobs=jobs,
-        timeout=timeout,
-        retries=retries,
         batch=1,  # experiments are heavy and heterogeneous
-        grace_s=grace_s,
+        **supervision,
     )
     # A journaled result wins over a cache hit: it is what the
     # interrupted run reported, cache_hit stamp included.
@@ -355,13 +340,8 @@ def run_campaign(
     if json_dir is not None:
         _write_outputs(json_dir, campaign, keys, jobs=jobs, metrics=metrics,
                        interrupted=run.report.interrupted)
-    if run.report.interrupted:
-        raise CampaignInterrupted(
-            f"campaign interrupted with {len(campaign)}/{len(names)} "
-            f"experiment(s) checkpointed",
-            partial=campaign,
-            checkpoint=checkpoint,
-        )
+    run.report.raise_if_interrupted(len(campaign), len(names), partial=campaign,
+                                    checkpoint=checkpoint)
     return campaign
 
 
@@ -442,6 +422,7 @@ def _select(args: argparse.Namespace) -> list[str]:
     return names
 
 
+@console_main("repro-experiments")
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser(
         "repro-experiments",
@@ -451,12 +432,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--list", action="store_true", help="list experiments")
     parser.add_argument("--all", action="store_true", help="run everything")
     parser.add_argument(
-        "--jobs", "-j", type=int, default=1, metavar="N",
-        help="worker processes (default 1 = serial)",
-    )
-    parser.add_argument(
         "--json", metavar="DIR", default=None,
-        help="write per-experiment JSON artifacts and a campaign manifest",
+        help="write per-experiment JSON artifacts and a campaign manifest; "
+             "the checkpoint journal --resume reads lives there too",
     )
     parser.add_argument(
         "--seed", type=int, default=None,
@@ -464,7 +442,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--no-cache", action="store_true",
-        help="always re-run; do not read or write the result cache",
+        help="always re-run; do not read or write the result cache "
+             "(implied by --metrics)",
     )
     parser.add_argument(
         "--cache-dir", default=DEFAULT_CACHE_DIR, metavar="DIR",
@@ -475,36 +454,12 @@ def main(argv: list[str] | None = None) -> int:
         help="filter the selection by cost tier(s), e.g. fast or fast,medium",
     )
     parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-experiment deadline; a hung worker is killed and retried",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=DEFAULT_RETRIES, metavar="N",
-        help=f"retry budget per experiment after a crash/timeout/error "
-             f"(default {DEFAULT_RETRIES}, deterministic backoff)",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="skip experiments already completed in the --json DIR checkpoint "
-             "(after a crash or Ctrl-C)",
-    )
-    parser.add_argument(
         "--stable-meta", action="store_true",
         help="zero volatile run metadata (wall times, worker pids) so "
              "artifacts and manifests are byte-comparable across runs",
     )
-    parser.add_argument(
-        "--metrics", action="store_true",
-        help="attach per-task telemetry rollups (pipeline counters and "
-             "histograms) to artifacts and a merged rollup to the "
-             "manifest; implies --no-cache",
-    )
-    parser.add_argument(
-        "--chaos", default=os.environ.get(CHAOS_ENV_VAR), metavar="SPEC",
-        help="self-test: inject runtime faults, e.g. "
-             "'crash@fig4,hang@table1,corrupt@fig2,interrupt@fig5' "
-             f"(default from ${CHAOS_ENV_VAR})",
-    )
+    add_supervision_flags(parser)
+    add_resume_flags(parser)
     args = parser.parse_args(argv)
 
     if args.list:
@@ -512,35 +467,22 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name:20s} {spec.artifact:18s} [{spec.cost}]")
         return exitcodes.EXIT_OK
 
-    try:
-        names = _select(args)
-        started = time.perf_counter()
-        results = run_campaign(
-            names,
-            jobs=max(1, args.jobs),
-            seed=args.seed,
-            use_cache=not args.no_cache,
-            cache_dir=args.cache_dir,
-            json_dir=args.json,
-            progress=lambda line: print(f"  .. {line}", file=sys.stderr),
-            timeout=args.timeout,
-            retries=max(0, args.retries),
-            resume=args.resume,
-            chaos=args.chaos,
-            stable_meta=args.stable_meta,
-            metrics=args.metrics,
-        )
-    except (UnknownExperimentError, ConfigError) as exc:
-        print(f"repro-experiments: {exc}", file=sys.stderr)
-        return exitcodes.EXIT_USAGE
-    except CampaignInterrupted as exc:
-        print(f"repro-experiments: {exc}", file=sys.stderr)
-        print(
-            f"repro-experiments: checkpoint written to {exc.checkpoint}; "
-            f"re-run with --resume --json {args.json} to continue",
-            file=sys.stderr,
-        )
-        return exitcodes.EXIT_INTERRUPTED
+    names = _select(args)
+    started = time.perf_counter()
+    pool = supervision(args)
+    results = run_campaign(
+        names,
+        **pool,
+        seed=args.seed,
+        use_cache=not args.no_cache,
+        cache_dir=args.cache_dir,
+        json_dir=args.json,
+        progress=print_progress,
+        resume=args.resume,
+        chaos=args.chaos,
+        stable_meta=args.stable_meta,
+        metrics=args.metrics,
+    )
 
     for name, result in zip(results.completed_names, results):
         print(result.render())
@@ -548,10 +490,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[{name} completed in {result.wall_time_s:.1f}s{suffix}]")
         print()
     for failure in results.failures:
-        print(
-            f"FAILED {failure.task}: {failure.kind} after "
-            f"{failure.attempts} attempt(s) — {failure.message}"
-        )
+        print(f"FAILED {failure.task}: {failure.describe()}")
     cached = sum(result.cache_hit for result in results)
     extras = ""
     if results.failures:
@@ -562,7 +501,7 @@ def main(argv: list[str] | None = None) -> int:
         extras += f", {results.quarantined} corrupt file(s) quarantined"
     print(
         f"campaign: {len(results)} experiments, {cached} from cache{extras}, "
-        f"{time.perf_counter() - started:.1f}s wall with --jobs {max(1, args.jobs)}"
+        f"{time.perf_counter() - started:.1f}s wall with --jobs {pool['jobs']}"
     )
     return exitcodes.EXIT_FAILURES if results.failures else exitcodes.EXIT_OK
 

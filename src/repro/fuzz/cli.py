@@ -36,15 +36,14 @@ working as intended and do not fail the run.
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.core.config import ZEN3_MODELS
 from repro.cpu.isa import instructions_from_reprs
-from repro.errors import ArtifactError, CampaignInterrupted, ConfigError, ReproError
+from repro.errors import ArtifactError, ReproError
 from repro.fuzz import corpus as corpus_mod
 from repro.fuzz import harness, oracle
 from repro.fuzz.corpus import DEFAULT_CORPUS_DIR, Corpus, CorpusEntry, program_set
@@ -53,12 +52,18 @@ from repro.fuzz.gen import build_program
 from repro.fuzz.shrink import shrink_report
 from repro.mitigations import MITIGATIONS, parse_mitigations
 from repro.runtime import exitcodes
-from repro.runtime.chaos import CHAOS_ENV_VAR
-from repro.runtime.cliutil import build_parser
+from repro.runtime.cliutil import (
+    add_resume_flags,
+    add_supervision_flags,
+    build_parser,
+    console_main,
+    print_progress,
+    supervision,
+)
 from repro.runtime.journal import run_journaled
-from repro.runtime.supervisor import DEFAULT_GRACE_S, DEFAULT_RETRIES, TaskFailure
+from repro.runtime.supervisor import TaskFailure, metered
 from repro.telemetry import recording
-from repro.telemetry.metrics import merge_snapshots, registry
+from repro.telemetry.metrics import merge_snapshots
 from repro.telemetry.sinks import JsonlSink, trace_header
 
 __all__ = [
@@ -124,21 +129,22 @@ def _run_task(task: dict) -> list[dict]:
     runs identically inline and in a pool process.  Dict results cross
     the process boundary, exactly like the experiment runner's workers.
     """
+    found, delta = metered(_findings, task, enabled=task["metrics"])
+    if delta is not None:
+        for data in found:
+            data["metrics"] = delta
+    return found
+
+
+def _findings(task: dict) -> list[dict]:
     hooks = [task["inject"]] if task["inject"] else []
     model = task["cpu_model"] or None
-    # Per-task metrics are a registry *delta*, so they come out identical
-    # whether the worker process is fresh (--jobs N) or reused (inline).
-    before = registry().snapshot() if task.get("metrics") else None
     found: list[dict] = []
     instructions = build_program(task["generator"], task["seed"], task["blocks"])
     check = _oracle_findings if task["check"] == "oracle" else _differential_findings
     with harness.chaos(*hooks):
         for mitigation in task["mitigations"]:
             found.extend(check(task, instructions, model, mitigation))
-    if before is not None and found:
-        delta = registry().delta_since(before)
-        for data in found:
-            data["metrics"] = delta
     return found
 
 
@@ -230,7 +236,6 @@ def run_fuzz_campaign(
     *,
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
-    jobs: int = 1,
     model_name: str | None = None,
     mitigations: Sequence[str] = DEFAULT_MITIGATIONS,
     corpus_dir: str | Path | None = DEFAULT_CORPUS_DIR,
@@ -238,12 +243,10 @@ def run_fuzz_campaign(
     metrics: bool = False,
     inject: str | None = None,
     progress: Callable[[str], None] | None = None,
-    timeout: float | None = None,
-    retries: int = DEFAULT_RETRIES,
     checkpoint: str | Path | None = None,
     resume: bool = False,
     chaos: str | None = None,
-    grace_s: float = DEFAULT_GRACE_S,
+    **supervision: Any,
 ) -> FuzzCampaignResult:
     """Run one campaign; returns findings in stable task order.
 
@@ -251,10 +254,11 @@ def run_fuzz_campaign(
     entries are still replayed); otherwise new architectural findings are
     persisted there for future campaigns to replay first.
 
-    Execution is supervised (:mod:`repro.runtime.supervisor`): hung
-    workers are killed at ``timeout`` and retried, crashes cost one
-    attempt, and tasks that exhaust ``retries`` become failure entries on
-    the returned :class:`FuzzCampaignResult`.  With ``checkpoint`` set,
+    Execution is supervised (:mod:`repro.runtime.supervisor`, which
+    ``supervision`` — jobs, timeout, retries, grace_s — configures): hung
+    workers are killed at the deadline and retried, crashes cost one
+    attempt, and tasks that exhaust their retries become failure entries
+    on the returned :class:`FuzzCampaignResult`.  With ``checkpoint`` set,
     each completed task is appended to the journal as one fsync'd line;
     ``resume`` replays them (the journal is deleted on clean completion).
     On SIGINT/SIGTERM the in-flight tasks are drained into the journal
@@ -287,14 +291,11 @@ def run_fuzz_campaign(
         on_result=on_result,
         chaos=chaos,
         progress=say,
-        jobs=jobs,
-        timeout=timeout,
-        retries=retries,
         # Oracle tasks are small and homogeneous: batch them onto warm
         # workers so the decode cache stays hot and the per-task pipe
         # round-trip amortizes away.
         batch="adaptive",
-        grace_s=grace_s,
+        **supervision,
     )
     findings = [
         Finding.from_dict(data)
@@ -309,13 +310,8 @@ def run_fuzz_campaign(
         resumed=resumed,
         retried=report.retried,
     )
-    if report.interrupted:
-        raise CampaignInterrupted(
-            f"fuzz campaign interrupted with {len(results)}/{len(tasks)} "
-            f"task(s) checkpointed",
-            partial=campaign,
-            checkpoint=checkpoint,
-        )
+    report.raise_if_interrupted(len(results), len(tasks), partial=campaign,
+                                checkpoint=checkpoint)
     if corp is not None:
         for finding in findings:
             if finding.kind != "leak" and finding.origin == "generated":
@@ -404,6 +400,7 @@ oracle-invariant violation, or a leak under an active mitigation
 intended and do not fail the run"""
 
 
+@console_main("repro-fuzz")
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser(
         "repro-fuzz",
@@ -419,10 +416,6 @@ def main(argv: list[str] | None = None) -> int:
         "--seed", type=int, default=0, help="master campaign seed (default 0)"
     )
     parser.add_argument(
-        "--jobs", "-j", type=int, default=1, metavar="N",
-        help="worker processes (default 1 = serial; output is identical)",
-    )
-    parser.add_argument(
         "--cpu-model", default=None, choices=sorted(ZEN3_MODELS), metavar="NAME",
         help="TABLE III platform to fuzz (default: ryzen9-5900x)",
     )
@@ -436,7 +429,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--out", default="fuzz-findings.jsonl", metavar="FILE",
-        help="findings JSONL path (default fuzz-findings.jsonl)",
+        help="findings JSONL path (default fuzz-findings.jsonl); the "
+             "checkpoint journal --resume reads sits next to it",
     )
     parser.add_argument(
         "--corpus-dir", default=DEFAULT_CORPUS_DIR, metavar="DIR",
@@ -458,76 +452,36 @@ def main(argv: list[str] | None = None) -> int:
              "gains a 'trace' field (see docs/observability.md)",
     )
     parser.add_argument(
-        "--metrics", action="store_true",
-        help="attach each finding task's deterministic telemetry-counter "
-             "delta as a 'metrics' field and print the campaign rollup",
-    )
-    parser.add_argument(
         "--inject", default=None, choices=harness.CHAOS_HOOK_NAMES, metavar="HOOK",
         help="self-test: arm a pipeline fault-injection hook; the campaign "
              "must then report (and shrink) architectural divergences",
     )
-    parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-task deadline; a hung worker is killed and retried",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=DEFAULT_RETRIES, metavar="N",
-        help=f"retry budget per task after a crash/timeout/error "
-             f"(default {DEFAULT_RETRIES}, deterministic backoff)",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="replay tasks already completed in the checkpoint next to --out "
-             "(after a crash or Ctrl-C)",
-    )
-    parser.add_argument(
-        "--chaos", default=os.environ.get(CHAOS_ENV_VAR), metavar="SPEC",
-        help="self-test: inject runtime faults, e.g. "
-             "'crash@3,hang@5,corrupt@7,interrupt@9' "
-             f"(default from ${CHAOS_ENV_VAR})",
-    )
+    add_supervision_flags(parser)
+    add_resume_flags(parser)
     args = parser.parse_args(argv)
 
-    corpus_dir = None if args.no_corpus else args.corpus_dir
     started = time.perf_counter()
-    try:
-        mitigations = parse_mitigations(args.mitigation)
-        findings = run_fuzz_campaign(
-            budget=max(0, args.budget),
-            seed=args.seed,
-            jobs=max(1, args.jobs),
-            model_name=args.cpu_model,
-            mitigations=mitigations,
-            corpus_dir=corpus_dir,
-            shrink=not args.no_shrink,
-            metrics=args.metrics,
-            inject=args.inject,
-            progress=lambda line: print(f"  .. {line}", file=sys.stderr),
-            timeout=args.timeout,
-            retries=max(0, args.retries),
-            checkpoint=checkpoint_path(args.out),
-            resume=args.resume,
-            chaos=args.chaos,
-        )
-    except ConfigError as exc:
-        print(f"repro-fuzz: {exc}", file=sys.stderr)
-        return exitcodes.EXIT_USAGE
-    except CampaignInterrupted as exc:
-        print(f"repro-fuzz: {exc}", file=sys.stderr)
-        print(
-            f"repro-fuzz: checkpoint written to {exc.checkpoint}; "
-            f"re-run with --resume to continue",
-            file=sys.stderr,
-        )
-        return exitcodes.EXIT_INTERRUPTED
+    pool = supervision(args)
+    mitigations = parse_mitigations(args.mitigation)
+    findings = run_fuzz_campaign(
+        **pool,
+        budget=max(0, args.budget),
+        seed=args.seed,
+        model_name=args.cpu_model,
+        mitigations=mitigations,
+        corpus_dir=None if args.no_corpus else args.corpus_dir,
+        shrink=not args.no_shrink,
+        metrics=args.metrics,
+        inject=args.inject,
+        progress=print_progress,
+        checkpoint=checkpoint_path(args.out),
+        resume=args.resume,
+        chaos=args.chaos,
+    )
 
     traced = 0
     if args.trace_findings:
-        traced = trace_shrunk_findings(
-            findings, args.out,
-            progress=lambda line: print(f"  .. {line}", file=sys.stderr),
-        )
+        traced = trace_shrunk_findings(findings, args.out, progress=print_progress)
     path = write_findings(args.out, findings)
     by_kind: dict[str, int] = {}
     for finding in findings:
@@ -536,7 +490,7 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"fuzz campaign: {args.budget} generated programs + {findings.replayed} corpus "
         f"replays, mitigations [{', '.join(mitigations)}], "
-        f"{time.perf_counter() - started:.1f}s wall with --jobs {max(1, args.jobs)}"
+        f"{time.perf_counter() - started:.1f}s wall with --jobs {pool['jobs']}"
     )
     for kind in sorted(by_kind):
         print(f"  {kind}: {by_kind[kind]}")
@@ -557,10 +511,7 @@ def main(argv: list[str] | None = None) -> int:
     if findings.quarantined:
         print(f"  quarantined {findings.quarantined} corrupt file(s)")
     for failure in findings.failures:
-        print(
-            f"  FAILED task {failure.task}: {failure.kind} after "
-            f"{failure.attempts} attempt(s) — {failure.message}"
-        )
+        print(f"  FAILED task {failure.task}: {failure.describe()}")
     if bad or findings.failures:
         if bad:
             print(f"REGRESSIONS: {len(bad)} finding(s) that must not happen "

@@ -41,7 +41,7 @@ __all__ = ["FAULT_KINDS", "CHAOS_ENV_VAR", "ChaosPlan"]
 
 FAULT_KINDS = ("crash", "hang", "corrupt", "interrupt")
 
-#: Environment variable consulted by both CLIs when ``--chaos`` is absent.
+#: Environment variable consulted by the resumable CLIs when ``--chaos`` is absent.
 CHAOS_ENV_VAR = "REPRO_RUNTIME_CHAOS"
 
 #: Exit code of a chaos-crashed worker (distinct from signal deaths).

@@ -49,7 +49,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.errors import ConfigError
+from repro.errors import CampaignInterrupted, ConfigError
 from repro.runtime.chaos import ChaosPlan
 from repro.telemetry.metrics import registry
 
@@ -61,6 +61,7 @@ __all__ = [
     "TaskFailure",
     "SupervisorReport",
     "backoff_schedule",
+    "metered",
     "run_supervised",
 ]
 
@@ -131,6 +132,10 @@ class TaskFailure:
             message=str(data["message"]),
         )
 
+    def describe(self) -> str:
+        """The text after ``FAILED <task>:`` in every campaign summary."""
+        return f"{self.kind} after {self.attempts} attempt(s) — {self.message}"
+
 
 @dataclass
 class SupervisorReport:
@@ -140,6 +145,27 @@ class SupervisorReport:
     failures: list = field(default_factory=list)
     interrupted: bool = False
     retried: int = 0
+
+    def raise_if_interrupted(self, done: int, total: int, *, partial: Any = None,
+                             checkpoint: Any = None) -> None:
+        """Turn an interrupted run into :class:`~repro.errors.CampaignInterrupted`."""
+        if self.interrupted:
+            raise CampaignInterrupted(
+                f"interrupted with {done}/{total} task(s) completed",
+                partial=partial, checkpoint=checkpoint,
+            )
+
+
+def metered(work: Callable[..., Any], *args: Any, enabled: bool = True) -> tuple[Any, Any]:
+    """``work(*args)`` and, when ``enabled``, the telemetry-registry delta
+    it caused (else ``None``): a delta, so a task's metrics are the same
+    whether its worker process is fresh (``--jobs N``) or reused (inline).
+    """
+    if not enabled:
+        return work(*args), None
+    before = registry().snapshot()
+    result = work(*args)
+    return result, registry().delta_since(before)
 
 
 def _worker_main(worker, chaos_spec, chaos_dir, inbox, results) -> None:

@@ -19,25 +19,32 @@ Three subcommands over the same analyzer:
 
 Exit codes follow the shared campaign contract
 (:mod:`repro.runtime.exitcodes`): 0 clean, 1 failures/violations, 2 bad
-usage, 3 interrupted.
+usage, 3 interrupted (``scan`` and ``crossval`` keep no checkpoint, so
+an interrupted run writes no ``--out`` file).
 """
 
 from __future__ import annotations
 
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.core.config import ZEN3_MODELS
-from repro.errors import ArtifactError, ConfigError, ReproError
+from repro.errors import ArtifactError
 from repro.fuzz import corpus as corpus_mod
 from repro.fuzz.corpus import DEFAULT_CORPUS_DIR, Corpus, CorpusEntry, program_set
 from repro.fuzz.gen import build_program, parse_case
 from repro.mitigations import MITIGATIONS, parse_mitigations
 from repro.runtime import exitcodes
 from repro.runtime.atomic import atomic_write_text, canonical
-from repro.runtime.cliutil import build_parser
-from repro.runtime.supervisor import DEFAULT_RETRIES, run_supervised
+from repro.runtime.cliutil import (
+    add_supervision_flags,
+    build_parser,
+    console_main,
+    print_progress,
+    supervision,
+)
+from repro.runtime.supervisor import run_supervised
 from repro.static import crossval as crossval_mod
 from repro.static.advisor import advise
 from repro.static.gadgets import scan_program
@@ -114,12 +121,12 @@ def _validate_records(records: object) -> list[dict]:
 def run_scan_batch(
     tasks: list[dict],
     *,
-    jobs: int = 1,
-    timeout: float | None = None,
-    retries: int = DEFAULT_RETRIES,
     progress: Callable[[str], None] | None = None,
+    **supervision: Any,
 ):
-    """Supervised fan-out of scan tasks; records in stable task order."""
+    """Supervised fan-out of scan tasks under ``supervision`` (jobs,
+    timeout, retries); records in stable task order.  An interrupted run
+    raises :class:`~repro.errors.CampaignInterrupted`."""
     say = progress or (lambda line: None)
 
     def on_result(task_id: int, records: list[dict]) -> None:
@@ -132,21 +139,18 @@ def run_scan_batch(
     report = run_supervised(
         [(task["task"], task) for task in tasks],
         _scan_one,
-        jobs=jobs,
-        timeout=timeout,
-        retries=retries,
         validate=_validate_records,
         on_result=on_result,
         progress=say,
+        **supervision,
     )
     records = [record for task_id in sorted(report.results)
                for record in report.results[task_id]]
+    report.raise_if_interrupted(len(report.results), len(tasks), partial=records)
     return records, report
 
 
 def _cmd_scan(args) -> int:
-    say = (lambda line: print(f"  .. {line}", file=sys.stderr)) if args.progress \
-        else (lambda line: None)
     tasks = _scan_tasks(
         args.targets,
         corpus_dir=None if args.no_corpus else args.corpus_dir,
@@ -155,8 +159,8 @@ def _cmd_scan(args) -> int:
         mitigations=parse_mitigations(args.mitigation),
     )
     records, report = run_scan_batch(
-        tasks, jobs=max(1, args.jobs), timeout=args.timeout,
-        retries=max(0, args.retries), progress=say,
+        tasks, progress=print_progress if args.progress else None,
+        **supervision(args),
     )
     if args.out:
         path = atomic_write_text(
@@ -175,10 +179,7 @@ def _cmd_scan(args) -> int:
                 print(f"  {record['name']} [{record['mitigation']}]: "
                       f"{record['kinds']}")
     for failure in report.failures:
-        print(
-            f"  FAILED task {failure.task}: {failure.kind} after "
-            f"{failure.attempts} attempt(s) — {failure.message}"
-        )
+        print(f"  FAILED task {failure.task}: {failure.describe()}")
     return exitcodes.EXIT_FAILURES if report.failures else exitcodes.EXIT_OK
 
 
@@ -197,8 +198,6 @@ def _cmd_advise(args) -> int:
 
 
 def _cmd_crossval(args) -> int:
-    say = (lambda line: print(f"  .. {line}", file=sys.stderr)) if args.progress \
-        else (lambda line: None)
     report = crossval_mod.run_crossval(
         corpus_dir=None if args.no_corpus else args.corpus_dir,
         findings=args.findings,
@@ -206,23 +205,19 @@ def _cmd_crossval(args) -> int:
         seed=args.seed,
         mitigations=parse_mitigations(args.mitigation),
         model_name=args.cpu_model,
-        jobs=max(1, args.jobs),
-        timeout=args.timeout,
-        retries=max(0, args.retries),
-        progress=say,
+        progress=print_progress if args.progress else None,
+        **supervision(args),
     )
     if args.out:
         path = atomic_write_text(args.out, canonical(report.to_dict()) + "\n")
         print(f"agreement report written to {path}")
     print(render_crossval(report))
     for failure in report.failures:
-        print(
-            f"  FAILED case {failure.task}: {failure.kind} after "
-            f"{failure.attempts} attempt(s) — {failure.message}"
-        )
+        print(f"  FAILED case {failure.task}: {failure.describe()}")
     return exitcodes.EXIT_OK if report.sound else exitcodes.EXIT_FAILURES
 
 
+@console_main("repro-scan", usage=(ArtifactError,))
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser(
         "repro-scan",
@@ -233,85 +228,59 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, targets_help: str, nargs: str) -> None:
+    def targets(p, targets_help: str, nargs: str) -> None:
         p.add_argument("targets", nargs=nargs, help=targets_help)
         p.add_argument("--verbose", "-v", action="store_true",
                        help="print per-gadget spans and preconditions")
 
+    def campaign(p) -> None:
+        """The program set and pool flags ``scan`` and ``crossval`` share."""
+        p.add_argument("--mitigation", default=",".join(MITIGATIONS), metavar="LIST",
+                       help=f"comma-separated configs to run under "
+                            f"(default {','.join(MITIGATIONS)})")
+        p.add_argument("--budget", type=int, default=0, metavar="N",
+                       help="additionally run N generated cases "
+                            "(fuzz-v1 + oracle-v1 each, default 0)")
+        p.add_argument("--seed", type=int, default=0,
+                       help="master seed for --budget derivation (default 0)")
+        p.add_argument("--corpus-dir", default=DEFAULT_CORPUS_DIR, metavar="DIR",
+                       help=f"corpus location (default {DEFAULT_CORPUS_DIR})")
+        p.add_argument("--no-corpus", action="store_true",
+                       help="skip on-disk corpus entries "
+                            "(built-in regressions still run)")
+        p.add_argument("--progress", action="store_true",
+                       help="stream per-task progress to stderr")
+        add_supervision_flags(p)
+
     scan = sub.add_parser("scan", help="scan programs for leakage gadgets")
-    common(scan, "case:<generator>:<seed>:<blocks> targets "
-                 "(default: the corpus replay set)", "*")
-    scan.add_argument("--mitigation", default=",".join(MITIGATIONS), metavar="LIST",
-                      help=f"comma-separated configs to scan under "
-                           f"(default {','.join(MITIGATIONS)})")
-    scan.add_argument("--budget", type=int, default=0, metavar="N",
-                      help="additionally scan N generated cases "
-                           "(fuzz-v1 + oracle-v1 each, default 0)")
-    scan.add_argument("--seed", type=int, default=0,
-                      help="master seed for --budget derivation (default 0)")
-    scan.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                      help="worker processes (default 1; output is identical)")
+    targets(scan, "case:<generator>:<seed>:<blocks> targets "
+                  "(default: the corpus replay set)", "*")
+    campaign(scan)
     scan.add_argument("--out", default="scan-findings.jsonl", metavar="FILE",
                       help="findings JSONL path (default scan-findings.jsonl; "
                            "'' disables)")
-    scan.add_argument("--corpus-dir", default=DEFAULT_CORPUS_DIR, metavar="DIR",
-                      help=f"corpus location (default {DEFAULT_CORPUS_DIR})")
-    scan.add_argument("--no-corpus", action="store_true",
-                      help="skip on-disk corpus entries "
-                           "(built-in regressions still scan)")
-    scan.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                      help="per-task deadline; hung workers are retried")
-    scan.add_argument("--retries", type=int, default=DEFAULT_RETRIES, metavar="N",
-                      help=f"retry budget per task (default {DEFAULT_RETRIES})")
-    scan.add_argument("--progress", action="store_true",
-                      help="stream per-task progress to stderr")
     scan.set_defaults(func=_cmd_scan)
 
     adv = sub.add_parser("advise", help="minimal fence placement per target")
-    common(adv, "case:<generator>:<seed>:<blocks> targets", "+")
+    targets(adv, "case:<generator>:<seed>:<blocks> targets", "+")
     adv.set_defaults(func=_cmd_advise)
 
     cross = sub.add_parser(
         "crossval", help="agreement matrix: scanner vs dynamic oracle"
     )
-    cross.add_argument("--mitigation", default=",".join(MITIGATIONS), metavar="LIST",
-                       help=f"comma-separated configs "
-                            f"(default {','.join(MITIGATIONS)})")
-    cross.add_argument("--budget", type=int, default=0, metavar="N",
-                       help="generated cases on top of the corpus (default 0)")
-    cross.add_argument("--seed", type=int, default=0,
-                       help="master seed for --budget derivation (default 0)")
+    campaign(cross)
     cross.add_argument("--findings", action="append", default=[], metavar="FILE",
                        help="replay shrunk reproducers from this findings "
                             "JSONL (repeatable)")
     cross.add_argument("--cpu-model", default=None, choices=sorted(ZEN3_MODELS),
                        metavar="NAME", help="TABLE III platform "
                                             "(default: ryzen9-5900x)")
-    cross.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                       help="worker processes (default 1; output is identical)")
     cross.add_argument("--out", default="", metavar="FILE",
                        help="also write the full agreement report as JSON")
-    cross.add_argument("--corpus-dir", default=DEFAULT_CORPUS_DIR, metavar="DIR",
-                       help=f"corpus location (default {DEFAULT_CORPUS_DIR})")
-    cross.add_argument("--no-corpus", action="store_true",
-                       help="skip on-disk corpus entries")
-    cross.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                       help="per-case deadline; hung workers are retried")
-    cross.add_argument("--retries", type=int, default=DEFAULT_RETRIES, metavar="N",
-                       help=f"retry budget per case (default {DEFAULT_RETRIES})")
-    cross.add_argument("--progress", action="store_true",
-                       help="stream per-case progress to stderr")
     cross.set_defaults(func=_cmd_crossval)
 
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ConfigError, ArtifactError) as exc:
-        print(f"repro-scan: {exc}", file=sys.stderr)
-        return exitcodes.EXIT_USAGE
-    except ReproError as exc:
-        print(f"repro-scan: {exc}", file=sys.stderr)
-        return exitcodes.EXIT_FAILURES
+    return args.func(args)
 
 
 if __name__ == "__main__":

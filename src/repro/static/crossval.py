@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.cpu.isa import instructions_from_reprs
 from repro.errors import ArtifactError
@@ -50,7 +50,7 @@ from repro.fuzz.findings import read_findings
 from repro.fuzz.gen import build_program
 from repro.fuzz.oracle import leak_check_instructions
 from repro.mitigations import MITIGATIONS, parse_mitigations
-from repro.runtime.supervisor import DEFAULT_RETRIES, TaskFailure, run_supervised
+from repro.runtime.supervisor import TaskFailure, run_supervised
 from repro.static.gadgets import scan_program
 from repro.telemetry.metrics import registry
 
@@ -253,12 +253,13 @@ def run_crossval(
     seed: int = 0,
     mitigations: Sequence[str] = MITIGATIONS,
     model_name: str | None = None,
-    jobs: int = 1,
-    timeout: float | None = None,
-    retries: int = DEFAULT_RETRIES,
     progress: Callable[[str], None] | None = None,
+    **supervision: Any,
 ) -> CrossValReport:
-    """Run the full cross-validation; rows come back in stable case order."""
+    """Run the full cross-validation under ``supervision`` (jobs, timeout,
+    retries); rows come back in stable case order.  An interrupted run
+    raises :class:`~repro.errors.CampaignInterrupted`: a partial matrix
+    proves nothing about soundness."""
     say = progress or (lambda line: None)
     cases = build_cases(
         corpus_dir=corpus_dir, findings=findings, budget=budget, seed=seed,
@@ -275,16 +276,15 @@ def run_crossval(
     report = run_supervised(
         [(case["case"], case) for case in cases],
         run_case,
-        jobs=jobs,
-        timeout=timeout,
-        retries=retries,
         batch="adaptive",  # homogeneous small cases: batch onto warm workers
         validate=_validate_rows,
         on_result=on_result,
         progress=say,
+        **supervision,
     )
     rows = [row for case_id in sorted(report.results) for row in report.results[case_id]]
     out = CrossValReport(rows, failures=list(report.failures))
+    report.raise_if_interrupted(len(report.results), len(cases), partial=out)
     registry().counter("scan.crossval_cases").inc(len(rows))
     registry().counter("scan.crossval_violations").inc(len(out.violations))
     return out

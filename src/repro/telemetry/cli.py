@@ -19,9 +19,8 @@ from __future__ import annotations
 import json
 import sys
 
-from ..errors import ConfigError, UnknownExperimentError
 from ..runtime import atomic_write_text, exitcodes
-from ..runtime.cliutil import build_parser
+from ..runtime.cliutil import build_parser, console_main, print_progress
 from .diff import first_divergence
 from .export import summarize_events, to_chrome_trace, to_timeline
 from .record import record_many
@@ -38,6 +37,7 @@ targets for record:
                               diff the two traces"""
 
 
+@console_main("repro-trace", usage=(OSError, ValueError))
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser(
         "repro-trace",
@@ -80,17 +80,13 @@ def main(argv: list[str] | None = None) -> int:
                      help="output file (default stdout)")
 
     args = parser.parse_args(argv)
-    try:
-        if args.command == "record":
-            return _record(args)
-        if args.command == "summarize":
-            return _summarize(args)
-        if args.command == "diff":
-            return _diff(args)
-        return _export(args)
-    except (OSError, ValueError, ConfigError, UnknownExperimentError) as exc:
-        print(f"repro-trace: {exc}", file=sys.stderr)
-        return exitcodes.EXIT_USAGE
+    if args.command == "record":
+        return _record(args)
+    if args.command == "summarize":
+        return _summarize(args)
+    if args.command == "diff":
+        return _diff(args)
+    return _export(args)
 
 
 def _record(args) -> int:
@@ -101,7 +97,7 @@ def _record(args) -> int:
         mitigation=args.mitigation,
         model=args.model,
         jobs=max(1, args.jobs),
-        progress=lambda line: print(f"  .. {line}", file=sys.stderr),
+        progress=print_progress,
     )
     for row in rows:
         print(f"{row['target']}: {row['events']} events -> {row['path']}")

@@ -108,9 +108,6 @@ class TestUsageErrors:
             main([])
         assert exc.value.code == exitcodes.EXIT_USAGE
 
-    def test_unreadable_verify_file(self, tmp_path):
-        assert main(["verify", str(tmp_path / "nope.json")]) == exitcodes.EXIT_USAGE
-
 
 class TestRangeValidation:
     """Out-of-range numeric flags exit 2 up front, naming the flag."""

@@ -185,6 +185,14 @@ class TestMainExitCodes:
         assert code == 0
         assert "resumed" in capsys.readouterr().out
 
+    def test_interrupt_without_json_says_no_checkpoint(self, capsys):
+        code = main(["fig4", "sec3-selection", "--jobs", "2", "--no-cache",
+                     "--chaos", "interrupt@fig4"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "None" not in err and "--resume" not in err
+        assert "no checkpoint was written" in err
+
     def test_exhausted_task_exits_1(self, tmp_path, capsys):
         code = main(
             self._args(tmp_path, "--chaos", "crash@fig4", "--retries", "0")
@@ -195,9 +203,6 @@ class TestMainExitCodes:
 
     def test_resume_without_json_is_usage_error(self, capsys):
         assert main(["fig4", "--resume", "--no-cache"]) == 2
-
-    def test_bad_chaos_spec_is_usage_error(self, tmp_path, capsys):
-        assert main(self._args(tmp_path, "--chaos", "explode@fig4")) == 2
 
 
 def test_quarantine_never_deletes(tmp_path):

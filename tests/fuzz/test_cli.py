@@ -148,10 +148,3 @@ class TestMain:
         ])
         assert code == 1
         assert "REGRESSIONS" in capsys.readouterr().out
-
-    def test_bad_mitigation_is_usage_error(self, tmp_path):
-        code = main([
-            "--budget", "0", "--mitigation", "prayer",
-            "--out", str(tmp_path / "f.jsonl"), "--no-corpus",
-        ])
-        assert code == 2

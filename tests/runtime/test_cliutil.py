@@ -17,6 +17,12 @@ from pathlib import Path
 import pytest
 
 from repro import __version__
+from repro.errors import (
+    CampaignInterrupted,
+    ConfigError,
+    ReproError,
+    UnknownExperimentError,
+)
 from repro.runtime.cliutil import EXIT_CODE_EPILOG, build_parser, version_string
 
 _CLIS = {
@@ -107,6 +113,17 @@ _SURFACE = {
 }
 
 
+#: One bad invocation per CLI, given a path that does not exist.
+_BAD_USAGE = {
+    "repro-experiments": lambda _: ["fig4", "--no-cache", "--chaos", "explode@fig4"],
+    "repro-fuzz": lambda missing: ["--budget", "0", "--mitigation", "prayer",
+                                   "--out", str(missing), "--no-corpus"],
+    "repro-scan": lambda _: ["crossval", "--mitigation", "prayer"],
+    "repro-trace": lambda missing: ["diff", str(missing), str(missing)],
+    "repro-attack": lambda missing: ["verify", str(missing)],
+}
+
+
 class _Parsed(Exception):
     """Carries the parser out of ``main`` at its ``parse_args`` call."""
 
@@ -177,6 +194,33 @@ class TestUnifiedSurface:
         with pytest.raises(_Parsed) as parsed:
             self._main(module)([])
         assert _surface(parsed.value.args[0]) == _SURFACE[prog]
+
+    @pytest.mark.parametrize("exc,code", [
+        (ConfigError("bad flag"), 2),
+        (UnknownExperimentError("fig99"), 2),
+        (ReproError("broke"), 1),
+        (KeyboardInterrupt(), 3),
+        (CampaignInterrupted("stopped"), 3),
+        (CampaignInterrupted("stopped", checkpoint="run.ckpt"), 3),
+    ], ids=["config", "unknown", "repro", "ctrl-c", "no-ckpt", "ckpt"])
+    def test_one_exit_code_table(self, prog, module, exc, code, monkeypatch, capsys):
+        def fail(parser, *args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", fail)
+        assert self._main(module)([]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"{prog}: ")
+        if code == 3 and getattr(exc, "checkpoint", None):
+            assert f"written to run.ckpt; continue with: {prog} --resume" in err
+        elif code == 3:
+            assert "no checkpoint was written" in err and "--resume" not in err
+
+    def test_bad_usage_exits_2(self, prog, module, tmp_path, capsys):
+        assert self._main(module)(_BAD_USAGE[prog](tmp_path / "missing")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{prog}: ") and len(err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
 
     def test_engine_flag_rejects_unknown_engine(self, prog, module, capsys):
         """There is one execution engine and no flag to choose it: a

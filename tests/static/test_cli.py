@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.fuzz.corpus import REGRESSION_ENTRIES
 from repro.fuzz.gen import parse_case
+from repro.static import cli, crossval
 from repro.static.cli import main
 
 
@@ -129,5 +130,27 @@ class TestCrossval:
         assert main(args + ["--jobs", "4", "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
-    def test_bad_mitigation_is_usage_error(self):
-        assert main(["crossval", "--mitigation", "prayer"]) == 2
+
+@pytest.mark.parametrize("module,worker,argv", [
+    (cli, "_scan_one", ["scan"]),
+    (crossval, "run_case", ["crossval", "--mitigation", "none"]),
+], ids=["scan", "crossval"])
+def test_interrupt_exits_3_with_no_output_and_no_verdict(
+    module, worker, argv, tmp_path, monkeypatch, capsys
+):
+    """Ctrl-C during the third task of an inline (``--jobs 1``) run."""
+    real, calls = getattr(module, worker), []
+
+    def interrupted(task):
+        calls.append(task)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return real(task)
+
+    monkeypatch.setattr(module, worker, interrupted)
+    out = tmp_path / "out"
+    assert main([*argv, "--no-corpus", "--jobs", "1", "--out", str(out)]) == 3
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert "SOUND" not in captured.out
+    assert "no checkpoint was written" in captured.err
