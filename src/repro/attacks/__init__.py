@@ -26,6 +26,8 @@ from repro.attacks.flush_reload import FlushReloadChannel
 from repro.attacks.victim_gadgets import (
     CTL_REGS,
     STL_REGS,
+    StlVictim,
+    flush_line_program,
     spectre_ctl_gadget,
     spectre_stl_gadget,
 )
@@ -62,8 +64,10 @@ __all__ = [
     "SsbpCollisionFinder",
     "SsbpFingerprinter",
     "StlPredictorChannel",
+    "StlVictim",
     "build_channel",
     "collect_dataset",
+    "flush_line_program",
     "measure_capacity",
     "run_suite",
     "spectre_ctl_gadget",

@@ -54,7 +54,6 @@ class SsbpCollisionFinder:
         self,
         start_offset: int = 0,
         max_attempts: int | None = None,
-        step: int = 1,
     ) -> CollisionResult:
         """Slide byte by byte until a probe shows the sticky timing.
 
@@ -65,7 +64,7 @@ class SsbpCollisionFinder:
         attacker = self.attacker
         span = attacker.slide_limit - attacker.slide_base
         if max_attempts is None:
-            max_attempts = span // step
+            max_attempts = span
         self.recharge()
         attempts = 0
         offset = start_offset
@@ -75,7 +74,7 @@ class SsbpCollisionFinder:
             program = attacker.place_at(iva)
             if self._is_sticky(program):
                 return CollisionResult(program=program, iva=iva, attempts=attempts)
-            offset += step
+            offset += 1
         raise CollisionNotFound(
             f"no SSBP collision in {attempts} attempts "
             f"({span // PAGE_SIZE + 1} pages scanned)"

@@ -306,7 +306,7 @@ class SecretExtraction:
         if not secret:
             raise ValueError("refusing to extract an empty secret")
         machine = self.machine
-        machine.kernel.write(self.attack.process, self.attack.secret_va, secret)
+        self.attack.victim.plant(secret)
         thread = machine.core.thread(0)
         start = thread.cycles
         failure = None
@@ -318,8 +318,8 @@ class SecretExtraction:
             )
             out = bytearray()
             for index in range(len(secret)):
-                offset = self.attack.secret_va + index - self.attack.array1
-                byte, byte_confidence = self._read_byte(offset, candidate)
+                x = self.attack.victim.secret_x(index)
+                byte, byte_confidence = self._read_byte(x, candidate)
                 out.append(byte)
                 confidence[index] = byte_confidence
                 if self.attack.attacker.robust:

@@ -27,10 +27,9 @@ from dataclasses import dataclass, field
 
 from repro.attacks.collision import CollisionResult, SsbpCollisionFinder
 from repro.attacks.leak_report import TimedSecretLeak
-from repro.attacks.victim_gadgets import spectre_ctl_gadget
+from repro.attacks.victim_gadgets import flush_line_program, spectre_ctl_gadget
 from repro.attacks.runtime import AttackerStld
 from repro.core.exec_types import TimingClass
-from repro.cpu.isa import Clflush, Halt, MovImm, Program
 from repro.cpu.machine import Machine
 from repro.errors import AttackError, CollisionNotFound
 from repro.osm.domains import SecurityDomain
@@ -81,15 +80,7 @@ class SpectreCTL:
         self.gadget = self.machine.load_program(self.victim, spectre_ctl_gadget())
         self.attacker = self._create_attacker(slide_pages)
         self._flush_idx_program = self.machine.load_program(
-            self.attacker_process,
-            Program(
-                [
-                    MovImm("p", self.attacker_array2 + 0x800),
-                    Clflush(base="p"),
-                    Halt(),
-                ],
-                name="flush-idx",
-            ),
+            self.attacker_process, flush_line_program(self.attacker_array2 + 0x800)
         )
         self.load1_collision: CollisionResult | None = None
         self.load3_collision: CollisionResult | None = None

@@ -27,26 +27,19 @@ from dataclasses import dataclass, field
 from repro.attacks.collision import CollisionResult, SsbpCollisionFinder
 from repro.attacks.flush_reload import FlushReloadChannel
 from repro.attacks.leak_report import TimedSecretLeak
-from repro.attacks.victim_gadgets import spectre_stl_gadget
+from repro.attacks.victim_gadgets import STL_ATTACK_IDX, StlVictim
 from repro.attacks.runtime import AttackerStld
-from repro.cpu.isa import Clflush, Halt, MovImm, Program
+from repro.cpu.isa import Program
 from repro.cpu.machine import Machine
 from repro.errors import AttackError, CollisionNotFound
 from repro.osm.process import Process
 
 __all__ = ["SpectreSTL", "LeakReport"]
 
-#: Store index used in attack runs: disjoint from the first 256 probe
-#: slots of array2 so the store never aliases the encoded line.
-_ATTACK_IDX = 300
 #: array1 offset whose byte the attacker controls, used to validate a
 #: collision candidate by leaking a known value.
 _VALIDATE_OFF = 0x180
 _VALIDATE_BYTE = 0xA7
-#: Architectural content of array2[0]: the squash replay re-encodes
-#: array1[array2[0]]; pointing it at a zero byte pins the replay's cache
-#: touch to slot 0, which reception accounts for.
-_DECOY_SLOT = 0
 
 
 @dataclass
@@ -71,22 +64,12 @@ class SpectreSTL:
         self.machine = machine or Machine(seed=1337)
         kernel = self.machine.kernel
         self.process: Process = kernel.create_process("victim-with-attacker")
-        # Victim state: array1 (byte pool the gadget indexes), array2
-        # (doubles as the Flush+Reload probe array), the secret, and the
-        # memory slot holding idx (flushed to delay the store).
-        self.array1 = kernel.map_anonymous(self.process, pages=2)
-        self.array2 = kernel.map_anonymous(self.process, pages=512)
-        self.idx_slot = kernel.map_anonymous(self.process, pages=1)
-        self.secret_va = kernel.map_anonymous(self.process, pages=4)
-        kernel.write(self.process, self.idx_slot, _ATTACK_IDX.to_bytes(8, "little"))
-        kernel.write(self.process, self.array1 + _VALIDATE_OFF, bytes([_VALIDATE_BYTE]))
-        # array2[0] architectural value: points the squash replay at a
-        # known-zero array1 byte (slot 0 decoy).
-        kernel.write(self.process, self.array2, (0).to_bytes(8, "little"))
         # ``gadget`` lets callers transform the victim routine — the
         # mitigation evaluation passes a fenced variant (Section VI-A).
-        self.victim = self.machine.load_program(
-            self.process, gadget if gadget is not None else spectre_stl_gadget()
+        self.victim = StlVictim(self.machine, self.process, gadget)
+        self.victim.set_idx(STL_ATTACK_IDX)
+        kernel.write(
+            self.process, self.victim.array1 + _VALIDATE_OFF, bytes([_VALIDATE_BYTE])
         )
         # ``hardened=True`` (default) lets the attacker select its robust
         # protocols when a non-quiet interference model is attached;
@@ -100,46 +83,20 @@ class SpectreSTL:
             robust=None if hardened else False,
         )
         self.channel = FlushReloadChannel(
-            self.machine, self.process, self.array2, robust=self.attacker.robust
-        )
-        self._flush_idx_program = self.machine.load_program(
-            self.process,
-            Program(
-                [MovImm("p", self.idx_slot), Clflush(base="p"), Halt()],
-                name="flush-idx",
-            ),
+            self.machine, self.process, self.victim.array2, robust=self.attacker.robust
         )
         self.collision: CollisionResult | None = None
         self.validation_attempts = 0
-
-    # ------------------------------------------------------------------
-    # Victim invocation (the only interface the attacker has)
-    # ------------------------------------------------------------------
-    def run_victim(self, x: int, flush_idx: bool = True) -> None:
-        if flush_idx:
-            self.machine.run(self.process, self._flush_idx_program)
-        self.machine.run(
-            self.process,
-            self.victim,
-            {
-                "x": x & ((1 << 64) - 1),
-                "idx_ptr": self.idx_slot,
-                "array1": self.array1,
-                "array2": self.array2,
-            },
-        )
 
     def _charge_victim_load(self) -> None:
         """Charge the gadget load's SSBP stickiness so the collision scan
         has something to observe: aliasing victim runs (idx = 0) deliver
         G events; a syscall between them clears C0 so each run bypasses."""
-        kernel = self.machine.kernel
-        original = kernel.read(self.process, self.idx_slot, 8)
-        kernel.write(self.process, self.idx_slot, (0).to_bytes(8, "little"))
+        self.victim.set_idx(0)
         for _ in range(4):
-            kernel.syscall(self.process)
-            self.run_victim(x=0, flush_idx=True)
-        kernel.write(self.process, self.idx_slot, original)
+            self.machine.kernel.syscall(self.process)
+            self.victim.call(0)
+        self.victim.set_idx(STL_ATTACK_IDX)
 
     # ------------------------------------------------------------------
     # Phase 1: collision search + validation
@@ -211,21 +168,15 @@ class SpectreSTL:
         if not self.attacker.train_psf(candidate.program):
             return None, 0.0
         self.channel.flush_all()
-        self.run_victim(x=array1_offset)
-        times = self.channel.reload_times()
-        hits = [
-            (slot, t)
-            for slot, t in enumerate(times)
-            if t < self.channel.threshold and slot != _DECOY_SLOT
-        ]
-        if len(hits) == 1:
-            slot, t = hits[0]
-            scale = max(1.0, self.channel.threshold - self.channel.hit_center)
-            return slot, max(0.0, min(1.0, (self.channel.threshold - t) / scale))
-        if not hits:
+        self.victim.call(array1_offset)
+        slot, t = self.victim.receive(self.channel)
+        if slot is None:
+            return None, 0.0
+        if t is None:
             # Only the decoy fired: the leaked byte was the decoy value.
-            return _DECOY_SLOT, self._DECOY_CONFIDENCE
-        return None, 0.0
+            return slot, self._DECOY_CONFIDENCE
+        scale = max(1.0, self.channel.threshold - self.channel.hit_center)
+        return slot, max(0.0, min(1.0, (self.channel.threshold - t) / scale))
 
     def recalibrate(self) -> None:
         """Refresh both timing calibrations against the drifted clock —
@@ -236,17 +187,16 @@ class SpectreSTL:
 
     def leak(self, secret: bytes) -> LeakReport:
         """Plant ``secret`` in victim memory and leak it byte by byte."""
-        kernel = self.machine.kernel
-        kernel.write(self.process, self.secret_va, secret)
+        self.victim.plant(secret)
         candidate = self.collision or self.find_collision()
         start_cycles = self.machine.core.thread(0).cycles
         recovered = bytearray()
         errors = []
         for index in range(len(secret)):
-            offset = self.secret_va + index - self.array1
-            byte = self.leak_byte(offset, candidate)
+            x = self.victim.secret_x(index)
+            byte = self.leak_byte(x, candidate)
             if byte is None:  # retry once on a failed round
-                byte = self.leak_byte(offset, candidate)
+                byte = self.leak_byte(x, candidate)
             recovered.append(byte if byte is not None else 0)
             if recovered[-1] != secret[index]:
                 errors.append(index)

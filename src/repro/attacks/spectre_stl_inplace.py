@@ -19,14 +19,12 @@ from dataclasses import dataclass
 
 from repro.attacks.flush_reload import FlushReloadChannel
 from repro.attacks.leak_report import SecretLeak
-from repro.attacks.victim_gadgets import spectre_stl_gadget
-from repro.cpu.isa import Clflush, Halt, MovImm, Program
+from repro.attacks.victim_gadgets import STL_ATTACK_IDX, StlVictim
 from repro.cpu.machine import Machine
 from repro.osm.process import Process
 
 __all__ = ["InPlaceLeakReport", "SpectreSTLInPlace"]
 
-_ATTACK_IDX = 300
 _TRAIN_RUNS = 8
 #: Non-aliasing victim runs needed to drain a fully charged C3 (max 32).
 _DRAIN_RUNS = 34
@@ -46,40 +44,9 @@ class SpectreSTLInPlace:
 
     def __init__(self, machine: Machine | None = None) -> None:
         self.machine = machine or Machine(seed=4242)
-        kernel = self.machine.kernel
-        self.process: Process = kernel.create_process("inplace-victim")
-        self.array1 = kernel.map_anonymous(self.process, pages=2)
-        self.array2 = kernel.map_anonymous(self.process, pages=512)
-        self.idx_slot = kernel.map_anonymous(self.process, pages=1)
-        self.secret_va = kernel.map_anonymous(self.process, pages=4)
-        kernel.write(self.process, self.array2, (0).to_bytes(8, "little"))
-        self.victim = self.machine.load_program(self.process, spectre_stl_gadget())
-        self.channel = FlushReloadChannel(self.machine, self.process, self.array2)
-        self._flush_idx = self.machine.load_program(
-            self.process,
-            Program(
-                [MovImm("p", self.idx_slot), Clflush(base="p"), Halt()],
-                name="flush-idx",
-            ),
-        )
-        self.victim_invocations = 0
-
-    def _run_victim(self, x: int, idx: int, flush_idx: bool) -> None:
-        kernel = self.machine.kernel
-        kernel.write(self.process, self.idx_slot, idx.to_bytes(8, "little"))
-        if flush_idx:
-            self.machine.run(self.process, self._flush_idx)
-        self.machine.run(
-            self.process,
-            self.victim,
-            {
-                "x": x & ((1 << 64) - 1),
-                "idx_ptr": self.idx_slot,
-                "array1": self.array1,
-                "array2": self.array2,
-            },
-        )
-        self.victim_invocations += 1
+        self.process: Process = self.machine.kernel.create_process("inplace-victim")
+        self.victim = StlVictim(self.machine, self.process)
+        self.channel = FlushReloadChannel(self.machine, self.process, self.victim.array2)
 
     def _train_in_place(self) -> None:
         """Drive the victim's own pair to the PSF state, using only
@@ -93,39 +60,32 @@ class SpectreSTLInPlace:
         forwards predictively.  This is why the in-place attack costs so
         many victim executions per byte."""
         self.machine.kernel.syscall(self.process)  # reset PSFP state
+        self.victim.set_idx(STL_ATTACK_IDX)
         for _ in range(_DRAIN_RUNS):
-            self._run_victim(x=0, idx=_ATTACK_IDX, flush_idx=True)
+            self.victim.call(0)
+        self.victim.set_idx(0)
         for _ in range(_TRAIN_RUNS):
-            self._run_victim(x=0, idx=0, flush_idx=True)
+            self.victim.call(0)
 
     def _leak_byte(self, array1_offset: int) -> int | None:
         self._train_in_place()
         self.channel.flush_all()
-        self._run_victim(x=array1_offset, idx=_ATTACK_IDX, flush_idx=True)
-        hits = [
-            slot
-            for slot, t in enumerate(self.channel.reload_times())
-            if t < self.channel.threshold and slot != 0
-        ]
-        if len(hits) == 1:
-            return hits[0]
-        if not hits:
-            return 0
-        return None
+        self.victim.set_idx(STL_ATTACK_IDX)
+        self.victim.call(array1_offset)
+        return self.victim.receive(self.channel)[0]
 
     def leak(self, secret: bytes) -> InPlaceLeakReport:
-        kernel = self.machine.kernel
-        kernel.write(self.process, self.secret_va, secret)
-        self.victim_invocations = 0
+        self.victim.plant(secret)
+        start = self.victim.calls
         recovered = bytearray()
         for index in range(len(secret)):
-            offset = self.secret_va + index - self.array1
-            byte = self._leak_byte(offset)
+            x = self.victim.secret_x(index)
+            byte = self._leak_byte(x)
             if byte is None:
-                byte = self._leak_byte(offset) or 0
+                byte = self._leak_byte(x) or 0
             recovered.append(byte)
         return InPlaceLeakReport(
             recovered=bytes(recovered),
             expected=secret,
-            victim_invocations=self.victim_invocations,
+            victim_invocations=self.victim.calls - start,
         )

@@ -35,6 +35,7 @@ did is replayed by the result cache, not by ``--resume``.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 import time
@@ -103,55 +104,55 @@ class ExperimentSpec:
     driver: Callable[..., ExperimentResult]
     artifact: str          # paper table/figure/section this regenerates
     cost: str              # "fast" | "medium" | "slow"
-    default_seed: int      # the driver's own default, made explicit
+
+    @property
+    def default_seed(self) -> int:
+        """The ``seed=`` default of the driver's own signature."""
+        return inspect.signature(self.driver).parameters["seed"].default
 
 
 #: name -> spec; insertion order is the paper's presentation order.
 EXPERIMENTS: dict[str, ExperimentSpec] = {
-    "fig2": ExperimentSpec(fig2_exec_types.run, "Fig 2", "fast", 2024),
-    "table1": ExperimentSpec(table1_state_machine.run, "TABLE I", "fast", 11),
-    "sec3-selection": ExperimentSpec(sec3_selection.run, "Section III-C.1", "fast", 31),
-    "fig4": ExperimentSpec(fig4_hash.run, "Fig 4", "fast", 4),
-    "table2": ExperimentSpec(table2_counters.run, "TABLE II", "fast", 2024),
-    "fig5": ExperimentSpec(fig5_eviction.run, "Fig 5", "medium", 2024),
-    "sec4-isolation": ExperimentSpec(sec4_isolation.run, "Section IV-A", "fast", 77),
-    "fig7": ExperimentSpec(fig7_collisions.run, "Fig 7", "medium", 900),
-    "sec4-transient": ExperimentSpec(sec4_transient.run, "Figs 8-9", "fast", 8),
-    "spectre-stl": ExperimentSpec(attack_evals.run_stl, "Section V-B", "slow", 5150),
-    "spectre-ctl": ExperimentSpec(attack_evals.run_ctl, "Section V-C.1", "slow", 5151),
-    "spectre-ctl-web": ExperimentSpec(attack_evals.run_web, "Section V-C.2", "slow", 5152),
-    "attack-comparison": ExperimentSpec(attack_evals.run_all, "Section V", "slow", 5150),
-    "fig11": ExperimentSpec(fig11_fingerprint.run, "Fig 11", "slow", 7),
-    "fig12": ExperimentSpec(fig12_ssbd_overhead.run, "Fig 12", "fast", 0),
-    "table3": ExperimentSpec(table3_platforms.run, "TABLE III", "slow", 1900),
-    "table4": ExperimentSpec(table4_comparison.run, "TABLE IV", "medium", 4000),
-    "sec6-mitigations": ExperimentSpec(sec6_mitigations.run, "Section VI", "slow", 616),
+    "fig2": ExperimentSpec(fig2_exec_types.run, "Fig 2", "fast"),
+    "table1": ExperimentSpec(table1_state_machine.run, "TABLE I", "fast"),
+    "sec3-selection": ExperimentSpec(sec3_selection.run, "Section III-C.1", "fast"),
+    "fig4": ExperimentSpec(fig4_hash.run, "Fig 4", "fast"),
+    "table2": ExperimentSpec(table2_counters.run, "TABLE II", "fast"),
+    "fig5": ExperimentSpec(fig5_eviction.run, "Fig 5", "medium"),
+    "sec4-isolation": ExperimentSpec(sec4_isolation.run, "Section IV-A", "fast"),
+    "fig7": ExperimentSpec(fig7_collisions.run, "Fig 7", "medium"),
+    "sec4-transient": ExperimentSpec(sec4_transient.run, "Figs 8-9", "fast"),
+    "spectre-stl": ExperimentSpec(attack_evals.run_stl, "Section V-B", "slow"),
+    "spectre-ctl": ExperimentSpec(attack_evals.run_ctl, "Section V-C.1", "slow"),
+    "spectre-ctl-web": ExperimentSpec(attack_evals.run_web, "Section V-C.2", "slow"),
+    "attack-comparison": ExperimentSpec(attack_evals.run_all, "Section V", "slow"),
+    "fig11": ExperimentSpec(fig11_fingerprint.run, "Fig 11", "slow"),
+    "fig12": ExperimentSpec(fig12_ssbd_overhead.run, "Fig 12", "fast"),
+    "table3": ExperimentSpec(table3_platforms.run, "TABLE III", "slow"),
+    "table4": ExperimentSpec(table4_comparison.run, "TABLE IV", "medium"),
+    "sec6-mitigations": ExperimentSpec(sec6_mitigations.run, "Section VI", "slow"),
     "covert-channel": ExperimentSpec(
-        sec5_extensions.run_covert_channel, "Section IV-D", "medium", 42
+        sec5_extensions.run_covert_channel, "Section IV-D", "medium"
     ),
     "stl-inplace": ExperimentSpec(
-        sec5_extensions.run_stl_inplace, "Section V-B", "slow", 24
+        sec5_extensions.run_stl_inplace, "Section V-B", "slow"
     ),
     "address-leak": ExperimentSpec(
-        sec5_extensions.run_address_leak, "Section V-D", "medium", 808
+        sec5_extensions.run_address_leak, "Section V-D", "medium"
     ),
     "channel-capacity": ExperimentSpec(
-        attack_e2e.run_capacity, "Section IV-D", "medium", 713
+        attack_e2e.run_capacity, "Section IV-D", "medium"
     ),
-    "stl-extraction": ExperimentSpec(
-        attack_e2e.run_extraction, "Section V-B", "slow", 2024
-    ),
-    "aslr-derand": ExperimentSpec(
-        attack_e2e.run_aslr, "Section V-D", "medium", 4096
-    ),
+    "stl-extraction": ExperimentSpec(attack_e2e.run_extraction, "Section V-B", "slow"),
+    "aslr-derand": ExperimentSpec(attack_e2e.run_aslr, "Section V-D", "medium"),
     "robustness-channel": ExperimentSpec(
-        robustness.run_channel, "Section IV-D", "medium", 2601
+        robustness.run_channel, "Section IV-D", "medium"
     ),
     "robustness-extraction": ExperimentSpec(
-        robustness.run_extraction, "Section V-B", "slow", 2024
+        robustness.run_extraction, "Section V-B", "slow"
     ),
     "scan-crossval": ExperimentSpec(
-        scan_crossval.run, "Section VI (tooling)", "medium", 902
+        scan_crossval.run, "Section VI (tooling)", "medium"
     ),
 }
 
@@ -169,8 +170,8 @@ def _spec(name: str) -> ExperimentSpec:
 def effective_seed(name: str, seed: int | None = None) -> int:
     """The seed experiment ``name`` actually runs with.
 
-    ``seed`` overrides; None falls back to the driver's published default
-    (part of the registry so cache keys are stable and documented).
+    ``seed`` overrides; None falls back to the ``seed=`` default of the
+    driver's signature, the one place each default seed is written.
     """
     return _spec(name).default_seed if seed is None else seed
 

@@ -121,7 +121,10 @@ def compare_architectural(
     result registers ``r0..r3``); ``Rdpru`` destinations found in
     ``instructions`` are always removed from it.  Memory regions are
     compared byte-wise when both are given.  Mismatched outcomes (one run
-    faulted, the other completed) are themselves a divergence.
+    faulted, the other completed) are themselves a divergence.  When both
+    runs end in the same fault or limit, memory is still compared but
+    registers are not: a stopped run's registers are not its architectural
+    state at the faulting instruction.
     """
     excluded = rdpru_destinations(instructions)
     names = sorted(set(tracked if tracked is not None else REGS) - excluded)
@@ -129,8 +132,7 @@ def compare_architectural(
     if outcome_a != outcome_b:
         return Divergence(outcomes=(outcome_a, outcome_b))
     if outcome_a != "ok":
-        # Both runs failed identically: architecturally equivalent.
-        return None
+        names = []
 
     registers = {
         name: (regs_a.get(name, 0), regs_b.get(name, 0))

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import multiprocessing.connection as mp_connection
-import os
 import signal
 import time
 from contextlib import contextmanager

@@ -41,9 +41,6 @@ RECORD_BUILTINS = ("stl",)
 
 #: Mistraining calls before the attack call in the ``stl`` demo.
 _STL_TRAINING_RUNS = 6
-#: The out-of-bounds index used by the attack call (paper's Listing 2
-#: driver uses array2[idx*4096] with idx far outside the probe range).
-_STL_ATTACK_IDX = 300
 
 
 def target_slug(target: str, mitigation: str = "none") -> str:
@@ -99,8 +96,7 @@ def _run_stl_demo(seed: int, mitigation: str) -> None:
     resolves); under SSBD the predictor is pinned in Block and the same
     load stalls (stld-stall, type A/E) — the first trace divergence.
     """
-    from ..attacks.victim_gadgets import spectre_stl_gadget
-    from ..cpu.isa import Clflush, Halt, MovImm, Program
+    from ..attacks.victim_gadgets import STL_ATTACK_IDX, StlVictim
     from ..cpu.machine import Machine
 
     machine = Machine(seed=seed)
@@ -108,30 +104,12 @@ def _run_stl_demo(seed: int, mitigation: str) -> None:
         machine.core.set_ssbd(True)
     elif mitigation != "none":
         raise ValueError(f"stl target supports mitigations none/ssbd, not {mitigation!r}")
-    kernel = machine.kernel
-    process = kernel.create_process("victim")
-    array1 = kernel.map_anonymous(process, pages=2)
-    array2 = kernel.map_anonymous(process, pages=512)
-    idx_slot = kernel.map_anonymous(process, pages=1)
-    victim = machine.load_program(process, spectre_stl_gadget())
-    flush_idx = machine.load_program(
-        process,
-        Program([MovImm("p", idx_slot), Clflush(base="p"), Halt()], name="flush-idx"),
-    )
-
-    def run_victim(x: int) -> None:
-        machine.run(process, flush_idx)  # delay the store's address gen
-        machine.run(
-            process,
-            victim,
-            {"x": x, "idx_ptr": idx_slot, "array1": array1, "array2": array2},
-        )
-
-    kernel.write(process, idx_slot, (0).to_bytes(8, "little"))
+    victim = StlVictim(machine, machine.kernel.create_process("victim"), secret_pages=0)
+    victim.set_idx(0)
     for _ in range(_STL_TRAINING_RUNS):
-        run_victim(0x40)
-    kernel.write(process, idx_slot, _STL_ATTACK_IDX.to_bytes(8, "little"))
-    run_victim(0x41)
+        victim.call(0x40)
+    victim.set_idx(STL_ATTACK_IDX)
+    victim.call(0x41)
 
 
 def record_target(

@@ -38,6 +38,14 @@ class TestSpectreSTL:
         assert report.recovered == b"\x01\x7f\xfe"
         assert report.accuracy == 1.0
 
+    def test_one_victim_call_per_byte(self, stl):
+        """The paper's claim: out-of-place training leaves the victim
+        with exactly one invocation per leaked byte."""
+        start = stl.victim.calls
+        report = stl.leak(b"\x05\x50\xa5\xff")
+        assert report.accuracy == 1.0
+        assert stl.victim.calls - start == 4
+
     def test_leaks_zero_byte_via_decoy(self, stl):
         report = stl.leak(b"\x00A")
         assert report.recovered == b"\x00A"

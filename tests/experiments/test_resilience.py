@@ -49,10 +49,10 @@ def _interrupted(json_dir, **kwargs):
 class TestKeyboardInterrupt:
     def test_inline_interrupt_checkpoints_and_raises(self, tmp_path, monkeypatch):
         monkeypatch.setitem(
-            EXPERIMENTS, "ok", ExperimentSpec(_ok_driver, "X", "fast", 1)
+            EXPERIMENTS, "ok", ExperimentSpec(_ok_driver, "X", "fast")
         )
         monkeypatch.setitem(
-            EXPERIMENTS, "boom", ExperimentSpec(_interrupt_driver, "X", "fast", 1)
+            EXPERIMENTS, "boom", ExperimentSpec(_interrupt_driver, "X", "fast")
         )
         results = tmp_path / "results"
         with pytest.raises(CampaignInterrupted) as excinfo:

@@ -63,6 +63,17 @@ def test_identical_failures_are_not_divergent():
     assert divergence is None
 
 
+def test_identical_faults_still_compare_memory():
+    # The stores older than a fault must reach memory in both executors.
+    divergence = compare_architectural(
+        PROGRAM, {"r1": 1}, {"r1": 2}, mem_a=b"\x07\x00", mem_b=b"\x00\x00",
+        outcome_a="fault:x", outcome_b="fault:x",
+    )
+    assert divergence is not None
+    assert divergence.memory_offsets == (0,)
+    assert divergence.registers == {}
+
+
 def test_tracked_override_narrows_comparison():
     a = {"r0": 5, "r1": 10}
     b = {"r0": 5, "r1": 999}
