@@ -13,6 +13,7 @@ from repro.attacks.extraction import (
     SecretExtraction,
     run_suite,
 )
+from repro.runtime.atomic import content_key
 
 SECRET = bytes((index * 37 + 11) & 0xFF for index in range(16))
 
@@ -70,9 +71,21 @@ class TestMitigationDeltas:
 
 
 class TestDeterminism:
+    #: ``content_key`` of each report's ``to_dict()``: any drift in the
+    #: simulator, the attack or the report shows up here in tier-1.
+    PINNED = {
+        "none": "63e3cd26fc65758dcee214edac924d380434472e708a8f7be286a66672c9b580",
+        "ssbd": "9d3711753638e4558f062075e5c4238bbd6080322d53dc027c9f35a3a8b06770",
+        "fence": "d870846684bfcccc9339e4022fde92523d261bcc2e1cc1f1bc82640a62ac2363",
+    }
+
     def test_same_seed_same_report(self, suite):
         again = SecretExtraction(seed=2024, mitigation="none").run(SECRET)
         assert again.to_dict() == suite["none"].to_dict()
+
+    @pytest.mark.parametrize("mitigation", ["none", "ssbd", "fence"])
+    def test_report_matches_pinned_digest(self, suite, mitigation):
+        assert content_key(suite[mitigation].to_dict()) == self.PINNED[mitigation]
 
 
 class TestValidation:

@@ -12,6 +12,7 @@ from repro.attacks.spectre_stl import SpectreSTL
 from repro.cpu.machine import Machine
 from repro.interference.model import InterferenceModel
 from repro.interference.profile import get_profile
+from repro.runtime.atomic import content_key
 from repro.telemetry.metrics import registry
 
 
@@ -138,6 +139,14 @@ class TestHardenedExtraction:
         )
         assert report.low_confidence_bytes == flagged
         assert report.degraded == (report.failure is None and flagged > 0)
+
+    def test_report_matches_pinned_digest(self, noisy_report):
+        # Pins the whole hardened read: votes, retries, backoff and
+        # confidences, so any drift fails here rather than in the golden.
+        report, _ = noisy_report
+        assert content_key(report.to_dict()) == (
+            "41526708718ca8db0c91bea9acfeac0e7ec24ede3d2533c480d08bcd662615d7"
+        )
 
     def test_quiet_campaign_reports_unattached(self):
         secret = b"\x11\x22\x33\x44"
