@@ -192,7 +192,8 @@ scan-smoke:
 ## against benchmarks/GOLDEN.json, then hold every experiment's result to
 ## its paper claim (repro.bench.equivalence.PAPER_CLAIMS) — full tier,
 ## several minutes.  Run this before committing any change to cpu/,
-## core/ or mem/ hot paths.
+## core/ or mem/ hot paths, or to attacks/ (the full golden holds every
+## attack experiment).
 equivalence-check:
 	$(PY) -m repro.bench.equivalence --golden benchmarks/GOLDEN.json
 

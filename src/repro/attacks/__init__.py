@@ -24,8 +24,6 @@ from repro.attacks.extraction import ExtractionReport, SecretExtraction, run_sui
 from repro.attacks.fingerprint import SsbpFingerprinter, collect_dataset
 from repro.attacks.flush_reload import FlushReloadChannel
 from repro.attacks.victim_gadgets import (
-    CTL_REGS,
-    STL_REGS,
     StlVictim,
     flush_line_program,
     spectre_ctl_gadget,
@@ -43,7 +41,6 @@ __all__ = [
     "AslrReport",
     "AttackerStld",
     "BrowserTimer",
-    "CTL_REGS",
     "CacheLineChannel",
     "CapacityConfig",
     "CapacityReport",
@@ -55,7 +52,6 @@ __all__ = [
     "LeakReport",
     "NoisyChannel",
     "RelativeHashLeak",
-    "STL_REGS",
     "SecretExtraction",
     "SpectreCTL",
     "SpectreCTLWeb",

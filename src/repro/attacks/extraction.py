@@ -4,9 +4,10 @@ This is the exploitation capstone of Section V-B: a victim process owns
 a secret buffer; the attacker mistrains the store-to-load predictors
 through a validated hash collision (:class:`~repro.attacks.spectre_stl.
 SpectreSTL`) and transmits out-of-bounds bytes through the cache
-channel, optionally reading each byte several times and taking a
-plurality vote (the redundancy knob of :mod:`repro.attacks.coding`
-applied to extraction).
+channel.  The byte reads, their votes and retries are
+:meth:`SpectreSTL.leak <repro.attacks.spectre_stl.SpectreSTL.leak>`'s;
+this module is the campaign around them: machine, interference,
+mitigation, failure capture and the report.
 
 The same campaign runs under each mitigation, giving the measured
 degradation story the paper's Section VI argues qualitatively:
@@ -27,14 +28,13 @@ cycles-per-byte inflation the mitigation buys.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.attacks.leak_report import TimedSecretLeak
 from repro.attacks.spectre_stl import SpectreSTL
 from repro.cpu.isa import Program
 from repro.cpu.machine import Machine
-from repro.errors import AttackError, CollisionNotFound, ReproError
+from repro.errors import ReproError
 from repro.interference import InterferenceModel, InterferenceProfile, get_profile
 from repro.mitigations import MITIGATIONS
 from repro.mitigations.fences import fence_after_stores
@@ -73,7 +73,7 @@ class ExtractionReport(TimedSecretLeak):
     recalibrations: int = 0
 
     #: Bytes at or above this confidence count as confidently recovered.
-    CONFIDENCE_FLOOR = 0.5
+    CONFIDENCE_FLOOR = SpectreSTL.CONFIDENCE_FLOOR
 
     @property
     def byte_errors(self) -> int:
@@ -140,14 +140,6 @@ class ExtractionReport(TimedSecretLeak):
 class SecretExtraction:
     """One seeded extraction campaign under one mitigation."""
 
-    #: Extra leak rounds the hardened path may spend per byte beyond
-    #: ``redundancy`` (bounded retry).
-    MAX_RETRIES = 4
-    #: Cap on the exponential backoff between retries (syscalls idled).
-    BACKOFF_CAP = 4
-    #: Consecutive low-confidence bytes that trigger a recalibration.
-    RECALIBRATE_AFTER = 2
-
     def __init__(
         self,
         seed: int = 2024,
@@ -162,10 +154,7 @@ class SecretExtraction:
             raise ValueError(
                 f"unknown mitigation {mitigation!r} (know {MITIGATIONS})"
             )
-        if redundancy < 1:
-            raise ValueError(f"redundancy must be >= 1, got {redundancy}")
         self.mitigation = mitigation
-        self.redundancy = redundancy
         self.collision_budget = collision_budget
         self.hardened = hardened
         self.machine = Machine(seed=seed)
@@ -192,150 +181,42 @@ class SecretExtraction:
             slide_pages=slide_pages,
             gadget=gadget,
             hardened=hardened,
+            redundancy=redundancy,
         )
         if mitigation == "ssbd":
             # Machine-wide SSBD, enabled after the attacker calibrated
             # its timing classifier — the most attacker-favorable
             # ordering, and the attack still collapses.
             self.machine.core.set_ssbd(True)
-        self.retries = 0
-        self.recalibrations = 0
-        self._low_confidence_streak = 0
-
-    def _read_byte(self, offset: int, candidate) -> tuple[int, float]:
-        """One secret byte plus its confidence.
-
-        The attacker's one switch, ``attacker.robust``, picks the path
-        (robust only when ``hardened`` and the machine is noisy).
-
-        Quiet path: ``redundancy`` channel reads, plurality vote — ties
-        and all-failed rounds resolve deterministically (smallest byte
-        value; 0 for no reads), the decode bias is part of the attack,
-        not hidden randomness.  Confidence is the winner's share of the
-        successful reads.
-
-        Hardened path: confidence-weighted voting with bounded retries
-        and deterministic capped backoff (see :meth:`_backoff`); reads
-        continue until the winner is corroborated (two agreeing reads,
-        or one read at or above the confidence floor) or the retry
-        budget is spent.
-        """
-        if not self.attack.attacker.robust:
-            reads = []
-            for _ in range(self.redundancy):
-                byte = self.attack.leak_byte(offset, candidate)
-                if byte is None and self.redundancy == 1:
-                    byte = self.attack.leak_byte(offset, candidate)  # single retry
-                if byte is not None:
-                    reads.append(byte)
-            if not reads:
-                return 0, 0.0
-            best = max(Counter(reads).items(), key=lambda item: (item[1], -item[0]))
-            return best[0], best[1] / len(reads)
-        return self._read_byte_hardened(offset, candidate)
-
-    def _read_byte_hardened(self, offset: int, candidate) -> tuple[int, float]:
-        floor = ExtractionReport.CONFIDENCE_FLOOR
-        budget = self.redundancy + self.MAX_RETRIES
-        reads: list[tuple[int, float]] = []
-        attempts = 0
-        failures = 0
-        while attempts < budget:
-            attempts += 1
-            byte, confidence = self.attack.leak_byte_scored(offset, candidate)
-            if byte is None:
-                failures += 1
-                if attempts < budget:
-                    self.retries += 1
-                    registry().counter("attack.retry").inc()
-                    self._backoff(failures)
-                continue
-            reads.append((byte, confidence))
-            if len(reads) < self.redundancy:
-                continue
-            winner, total = self._tally(reads)
-            support = sum(1 for b, _ in reads if b == winner)
-            mean = total / support
-            if support >= max(self.redundancy, 2) or mean >= floor:
-                break
-            if attempts < budget:
-                self.retries += 1
-                registry().counter("attack.retry").inc()
-        if not reads:
-            return 0, 0.0
-        winner, total = self._tally(reads)
-        # Confidence is the winner's evidence averaged over *attempts*:
-        # failed and dissenting rounds dilute it.
-        return winner, min(1.0, total / attempts)
-
-    @staticmethod
-    def _tally(reads: list[tuple[int, float]]) -> tuple[int, float]:
-        """Confidence-weighted plurality; ties resolve to the smallest
-        byte value (the same deterministic bias as the quiet path)."""
-        totals: dict[int, float] = {}
-        for byte, confidence in reads:
-            totals[byte] = totals.get(byte, 0.0) + confidence
-        return min(totals.items(), key=lambda item: (-item[1], item[0]))
-
-    def _backoff(self, failures: int) -> None:
-        """Deterministic capped exponential backoff between retries.
-
-        Idling is modeled as kernel round-trips: each one burns cycles
-        *and* flushes PSFP, clearing whatever poisoned predictor state
-        made the read fail — which is why backing off helps at all.
-        """
-        rounds = min(2 ** (failures - 1), self.BACKOFF_CAP)
-        for _ in range(rounds):
-            self.machine.kernel.syscall(self.attack.process)
-
-    def _maybe_recalibrate(self, confidence: float) -> None:
-        """Drift response: a streak of low-confidence bytes means the
-        calibrated centroids/thresholds no longer match the clock."""
-        if confidence >= ExtractionReport.CONFIDENCE_FLOOR:
-            self._low_confidence_streak = 0
-            return
-        self._low_confidence_streak += 1
-        if self._low_confidence_streak >= self.RECALIBRATE_AFTER:
-            self.attack.recalibrate()
-            self.recalibrations += 1
-            registry().counter("attack.recalibrations").inc()
-            self._low_confidence_streak = 0
 
     def run(self, secret: bytes) -> ExtractionReport:
         """Plant ``secret`` in the victim and run the whole campaign."""
         if not secret:
             raise ValueError("refusing to extract an empty secret")
         machine = self.machine
-        self.attack.victim.plant(secret)
+        attack = self.attack
+        attack.victim.plant(secret)
         thread = machine.core.thread(0)
         start = thread.cycles
         failure = None
-        recovered = b"\x00" * len(secret)
-        confidence = [0.0] * len(secret)
+        recovered = bytes(len(secret))
         try:
-            candidate = self.attack.find_collision(
-                max_attempts=self.collision_budget
-            )
-            out = bytearray()
-            for index in range(len(secret)):
-                x = self.attack.victim.secret_x(index)
-                byte, byte_confidence = self._read_byte(x, candidate)
-                out.append(byte)
-                confidence[index] = byte_confidence
-                if self.attack.attacker.robust:
-                    self._maybe_recalibrate(byte_confidence)
-            recovered = bytes(out)
-        except (AttackError, CollisionNotFound, ReproError) as exc:
+            attack.find_collision(max_attempts=self.collision_budget)
+            recovered = attack.leak(secret).recovered
+        except ReproError as exc:
             failure = f"{type(exc).__name__}: {exc}"
         cycles = thread.cycles - start
+        # A leak that failed part-way keeps the confidence of the bytes
+        # it read; the rest (and a campaign with no collision) read 0.
+        read = attack.byte_confidence
         report = ExtractionReport(
             mitigation=self.mitigation,
             expected=secret,
             recovered=recovered,
             cycles=cycles,
             clock_ghz=machine.core.model.clock_ghz,
-            redundancy=self.redundancy,
-            validation_attempts=self.attack.validation_attempts,
+            redundancy=attack.redundancy,
+            validation_attempts=attack.validation_attempts,
             failure=failure,
             interference=(
                 self.interference_profile.name
@@ -343,9 +224,9 @@ class SecretExtraction:
                 else None
             ),
             hardened=self.hardened,
-            byte_confidence=confidence,
-            retries=self.retries,
-            recalibrations=self.recalibrations,
+            byte_confidence=read + [0.0] * (len(secret) - len(read)),
+            retries=attack.retries,
+            recalibrations=attack.recalibrations,
         )
         metrics = registry()
         metrics.counter("attack.extract.bytes").inc(len(secret))

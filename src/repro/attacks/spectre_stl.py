@@ -18,10 +18,16 @@ cannot cross processes — a paper finding this module embodies):
    the secret, and recovers the byte with Flush+Reload: in the transient
    window ``x`` was forwarded to the gadget's first load, the second load
    fetched ``array1[x]``, and the third encoded it into a cache line.
+
+:meth:`SpectreSTL.read_byte` is the one byte read (vote, retries,
+backoff); :meth:`SpectreSTL.leak` loops over it and recalibrates when
+confidence collapses.  :mod:`repro.attacks.extraction` is the campaign
+around that loop.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from repro.attacks.collision import CollisionResult, SsbpCollisionFinder
@@ -33,6 +39,7 @@ from repro.cpu.isa import Program
 from repro.cpu.machine import Machine
 from repro.errors import AttackError, CollisionNotFound
 from repro.osm.process import Process
+from repro.telemetry.metrics import registry
 
 __all__ = ["SpectreSTL", "LeakReport"]
 
@@ -49,10 +56,30 @@ class LeakReport(TimedSecretLeak):
     collision: CollisionResult | None = None
     validation_attempts: int = 0
     per_byte_errors: list[int] = field(default_factory=list)
+    #: Calibrated per-byte confidence, aligned with ``recovered``.
+    byte_confidence: list[float] = field(default_factory=list)
+    #: Leak rounds retried so far (robust reads only).
+    retries: int = 0
+    #: Mid-campaign recalibrations triggered by confidence collapse.
+    recalibrations: int = 0
 
 
 class SpectreSTL:
-    """Out-of-place Spectre-STL against a same-process victim gadget."""
+    """Out-of-place Spectre-STL against a same-process victim gadget.
+
+    ``redundancy`` is the number of leak rounds voted per byte (the
+    redundancy knob of :mod:`repro.attacks.coding` applied to the leak).
+    """
+
+    #: Extra leak rounds a robust read may spend per byte beyond
+    #: ``redundancy`` (bounded retry).
+    MAX_RETRIES = 4
+    #: Cap on the exponential backoff between retries (syscalls idled).
+    BACKOFF_CAP = 4
+    #: Consecutive low-confidence bytes that trigger a recalibration.
+    RECALIBRATE_AFTER = 2
+    #: Bytes at or above this confidence count as confidently recovered.
+    CONFIDENCE_FLOOR = 0.5
 
     def __init__(
         self,
@@ -60,7 +87,11 @@ class SpectreSTL:
         slide_pages: int = 16,
         gadget: Program | None = None,
         hardened: bool = True,
+        redundancy: int = 1,
     ) -> None:
+        if redundancy < 1:
+            raise ValueError(f"redundancy must be >= 1, got {redundancy}")
+        self.redundancy = redundancy
         self.machine = machine or Machine(seed=1337)
         kernel = self.machine.kernel
         self.process: Process = kernel.create_process("victim-with-attacker")
@@ -87,6 +118,12 @@ class SpectreSTL:
         )
         self.collision: CollisionResult | None = None
         self.validation_attempts = 0
+        #: What the reads have done so far: the confidence of each byte
+        #: the latest :meth:`leak` read (kept when it fails part-way),
+        #: retried rounds and recalibrations.
+        self.byte_confidence: list[float] = []
+        self.retries = 0
+        self.recalibrations = 0
 
     def _charge_victim_load(self) -> None:
         """Charge the gadget load's SSBP stickiness so the collision scan
@@ -140,15 +177,12 @@ class SpectreSTL:
         )
 
     def _validate(self, candidate: CollisionResult) -> bool:
-        recovered = self.leak_byte(_VALIDATE_OFF, candidate)
+        recovered, _ = self.leak_byte_scored(_VALIDATE_OFF, candidate)
         return recovered == _VALIDATE_BYTE
 
     # ------------------------------------------------------------------
     # Phase 2+3: per-byte mistrain and leak
     # ------------------------------------------------------------------
-    def leak_byte(self, array1_offset: int, candidate: CollisionResult) -> int | None:
-        return self.leak_byte_scored(array1_offset, candidate)[0]
-
     #: Confidence assigned to a decoy-only round: the byte is inferred
     #: from the *absence* of other hits, weaker evidence than a direct
     #: cache hit but far from a guess.
@@ -178,35 +212,113 @@ class SpectreSTL:
         scale = max(1.0, self.channel.threshold - self.channel.hit_center)
         return slot, max(0.0, min(1.0, (self.channel.threshold - t) / scale))
 
+    def read_byte(self, array1_offset: int) -> tuple[int, float]:
+        """The byte at ``array1 + array1_offset`` plus its confidence,
+        leaked through the validated collision.
+
+        The attacker's one switch, ``attacker.robust``, picks the
+        protocol.  Quiet: ``redundancy`` rounds (a failed round is
+        retried once when ``redundancy`` is 1) and a plurality vote.
+        Confidence is the winner's share of the successful rounds.
+
+        Robust: a confidence-weighted vote.  Rounds continue until the
+        winner is corroborated (``max(redundancy, 2)`` agreeing rounds,
+        or a mean confidence at the floor) or ``redundancy +
+        MAX_RETRIES`` rounds are spent.  Each failed round backs off
+        for a capped, doubling number of syscalls: they burn cycles and
+        flush PSFP, clearing the poisoned predictor state that made the
+        round fail.  Confidence is the winner's weight over all rounds,
+        so failed and dissenting rounds dilute it.
+
+        Ties go to the smallest byte value and a byte no round read is
+        0: the decode bias is part of the attack, not hidden randomness.
+        """
+        robust = self.attacker.robust
+        budget = self.redundancy + (
+            self.MAX_RETRIES if robust else int(self.redundancy == 1)
+        )
+
+        def plurality(tally: dict[int, float]) -> int:
+            return min(tally, key=lambda b: (-tally[b], b))
+
+        votes: Counter[int] = Counter()
+        weights: dict[int, float] = defaultdict(float)
+        for attempts in range(1, budget + 1):
+            byte, confidence = self.leak_byte_scored(array1_offset, self.collision)
+            if byte is not None:
+                votes[byte] += 1
+                weights[byte] += confidence
+                if votes.total() < self.redundancy:
+                    continue
+                if not robust:
+                    break
+                winner = plurality(weights)
+                if (
+                    votes[winner] >= max(self.redundancy, 2)
+                    or weights[winner] / votes[winner] >= self.CONFIDENCE_FLOOR
+                ):
+                    break
+            if robust and attempts < budget:
+                self.retries += 1
+                registry().counter("attack.retry").inc()
+                if byte is None:
+                    failures = attempts - votes.total()
+                    for _ in range(min(2 ** (failures - 1), self.BACKOFF_CAP)):
+                        self.machine.kernel.syscall(self.process)
+        if not votes:
+            return 0, 0.0
+        if not robust:
+            winner = plurality(votes)
+            return winner, votes[winner] / votes.total()
+        winner = plurality(weights)
+        return winner, min(1.0, weights[winner] / attempts)
+
     def recalibrate(self) -> None:
         """Refresh both timing calibrations against the drifted clock —
-        the hardened extraction loop invokes this when per-byte
-        confidence collapses mid-campaign."""
+        :meth:`leak` invokes this when per-byte confidence collapses
+        mid-campaign."""
         self.attacker.calibrate()
         self.channel.recalibrate()
 
     def leak(self, secret: bytes) -> LeakReport:
-        """Plant ``secret`` in victim memory and leak it byte by byte."""
+        """Plant ``secret`` in victim memory and leak it byte by byte.
+
+        A robust attacker recalibrates after ``RECALIBRATE_AFTER``
+        low-confidence bytes in a row: such a streak means the
+        calibrated timing no longer matches the drifted clock.
+        """
         self.victim.plant(secret)
-        candidate = self.collision or self.find_collision()
+        if self.collision is None:
+            self.find_collision()
         start_cycles = self.machine.core.thread(0).cycles
         recovered = bytearray()
+        self.byte_confidence = []
         errors = []
+        streak = 0
         for index in range(len(secret)):
-            x = self.victim.secret_x(index)
-            byte = self.leak_byte(x, candidate)
-            if byte is None:  # retry once on a failed round
-                byte = self.leak_byte(x, candidate)
-            recovered.append(byte if byte is not None else 0)
-            if recovered[-1] != secret[index]:
+            byte, confidence = self.read_byte(self.victim.secret_x(index))
+            recovered.append(byte)
+            self.byte_confidence.append(confidence)
+            if byte != secret[index]:
                 errors.append(index)
+            if not self.attacker.robust:
+                continue
+            streak = 0 if confidence >= self.CONFIDENCE_FLOOR else streak + 1
+            if streak >= self.RECALIBRATE_AFTER:
+                self.recalibrate()
+                self.recalibrations += 1
+                registry().counter("attack.recalibrations").inc()
+                streak = 0
         cycles = self.machine.core.thread(0).cycles - start_cycles
         return LeakReport(
             recovered=bytes(recovered),
             expected=secret,
             cycles=cycles,
             clock_ghz=self.machine.core.model.clock_ghz,
-            collision=candidate,
+            collision=self.collision,
             validation_attempts=self.validation_attempts,
             per_byte_errors=errors,
+            byte_confidence=self.byte_confidence,
+            retries=self.retries,
+            recalibrations=self.recalibrations,
         )

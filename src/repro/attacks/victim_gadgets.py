@@ -41,18 +41,7 @@ __all__ = [
     "flush_line_program",
     "StlVictim",
     "STL_ATTACK_IDX",
-    "STL_REGS",
-    "CTL_REGS",
 ]
-
-#: Register interface of the STL gadget: the attacker controls ``x`` and
-#: ``idx_ptr`` (a flushed memory slot holding idx); ``array1``/``array2``
-#: are the victim's buffers.
-STL_REGS = ("x", "idx_ptr", "array1", "array2")
-
-#: Register interface of the CTL gadget: ``idx_ptr`` (flushed slot
-#: holding idx), ``idx2_off`` and the victim's buffers.
-CTL_REGS = ("idx_ptr", "idx2_off", "array1", "array2")
 
 
 def spectre_stl_gadget() -> Program:

@@ -7,7 +7,7 @@ directly; every driver takes an explicit ``seed`` and returns an
 JSON artifacts (:mod:`repro.experiments.artifacts`), are cached
 content-addressed (:mod:`repro.experiments.cache`), and feed the
 measured-values tables (:mod:`repro.experiments.report`).  The catalog
-of all 21 experiments is docs/experiments.md.
+of every experiment is docs/experiments.md.
 """
 
 from repro.experiments.base import (

@@ -34,7 +34,7 @@ from repro.errors import ConfigError, SegmentationFault, SimulationLimitExceeded
 from repro.fuzz.compare import Divergence, compare_architectural, written_registers
 from repro.fuzz.corpus import CorpusEntry
 from repro.fuzz.gen import BUF_BYTES, BUF_PAGES, build_program
-from repro.mitigations import MITIGATIONS
+from repro.mitigations import check_mitigation
 from repro.mitigations.fences import fence_after_stores
 from repro.osm.process import Process
 from repro.telemetry.metrics import registry
@@ -97,10 +97,7 @@ def apply_mitigation(
     instructions: list[Instruction], mitigation: str
 ) -> list[Instruction]:
     """Program-level part of a mitigation (``fence`` inserts fences)."""
-    if mitigation not in MITIGATIONS:
-        raise ConfigError(
-            f"unknown mitigation {mitigation!r}; known: {', '.join(MITIGATIONS)}"
-        )
+    check_mitigation(mitigation)
     if mitigation == "fence":
         return fence_after_stores(instructions)
     return list(instructions)

@@ -18,7 +18,8 @@
 
 :data:`MITIGATIONS` names the configurations the campaign tools
 (``repro-fuzz``, ``repro-scan``, ``repro-attack``) run a program under;
-:func:`parse_mitigations` is their one check of a requested list.
+:func:`check_mitigation` is their one check of a requested name, and
+:func:`parse_mitigations` applies it to a requested list.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "MITIGATIONS",
     "SecureTimer",
     "WorkloadTiming",
+    "check_mitigation",
     "count_fences",
     "fence_after_stores",
     "measure_workload",
@@ -53,19 +55,23 @@ __all__ = [
 MITIGATIONS = ("none", "ssbd", "fence")
 
 
+def check_mitigation(name: str) -> None:
+    """Raise :class:`~repro.errors.ConfigError`, which every CLI reports
+    as a usage error, unless ``name`` is one of :data:`MITIGATIONS`."""
+    if name not in MITIGATIONS:
+        raise ConfigError(
+            f"unknown mitigation {name!r}; known: {', '.join(MITIGATIONS)}"
+        )
+
+
 def parse_mitigations(spec: str | Sequence[str]) -> list[str]:
     """A mitigation list from ``"none,ssbd"`` or a sequence of names.
 
-    Blank comma-separated parts are skipped; an unknown name raises
-    :class:`~repro.errors.ConfigError`, which every CLI reports as a
-    usage error.
+    Blank comma-separated parts are skipped and every other part must
+    pass :func:`check_mitigation`.
     """
     names = spec.split(",") if isinstance(spec, str) else spec
     mitigations = [name.strip() for name in names if name.strip()]
     for mitigation in mitigations:
-        if mitigation not in MITIGATIONS:
-            raise ConfigError(
-                f"unknown mitigation {mitigation!r}; "
-                f"known: {', '.join(MITIGATIONS)}"
-            )
+        check_mitigation(mitigation)
     return mitigations

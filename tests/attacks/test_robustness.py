@@ -161,8 +161,10 @@ class TestOneSwitch:
     """``hardened`` plus the machine's noise decide every primitive's
     protocol at once: all robust, or all quiet."""
 
-    ROBUST = (True, 2, 7, True)
-    QUIET = (False, 1, 1, False)
+    # The last element counts the rounds one byte read spends when every
+    # round fails: redundancy (1) + MAX_RETRIES (4) robust, one retry quiet.
+    ROBUST = (True, 2, 7, True, 5)
+    QUIET = (False, 1, 1, False, 2)
 
     @staticmethod
     def _primitives(preset, hardened, monkeypatch):
@@ -177,7 +179,8 @@ class TestOneSwitch:
         machine = Machine(seed=2024)
         if preset is not None:
             InterferenceModel(get_profile(preset, seed=2024)).attach(machine)
-        attacker = SpectreSTL(machine=machine, hardened=hardened).attacker
+        attack = SpectreSTL(machine=machine, hardened=hardened)
+        attacker = attack.attacker
         # Construction calibrates Flush+Reload once: a fill, a hit and a
         # miss probe per sample pair.
         samples = len(probes) // 3
@@ -186,7 +189,18 @@ class TestOneSwitch:
         reads = iter([True, False, True])
         monkeypatch.setattr(attacker, "stalls", lambda program: next(reads))
         majority = SsbpCollisionFinder(attacker, lambda: None)._is_sticky(None)
-        return attacker.robust, attacker.drain_confirmations, samples, majority
+        rounds = []
+
+        def failed_round(array1_offset, candidate):
+            rounds.append(array1_offset)
+            return None, 0.0
+
+        monkeypatch.setattr(attack, "leak_byte_scored", failed_round)
+        assert attack.read_byte(0x180) == (0, 0.0)
+        return (
+            attacker.robust, attacker.drain_confirmations, samples, majority,
+            len(rounds),
+        )
 
     def test_hardened_attack_is_robust_under_noise(self, monkeypatch):
         assert self._primitives("adversarial", True, monkeypatch) == self.ROBUST
