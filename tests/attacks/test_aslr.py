@@ -7,6 +7,7 @@ import pytest
 from repro.attacks.aslr import AslrDerandomizer
 from repro.cpu.machine import Machine
 from repro.errors import ConfigError
+from repro.runtime.atomic import content_key
 
 
 @pytest.fixture(scope="module")
@@ -53,10 +54,18 @@ class TestPhysicalWindowNarrowing:
 
 
 class TestDeterminism:
+    #: ``content_key`` of the report's ``to_dict()``: any drift in the
+    #: victim, the attacker probe or the simulator shows up in tier-1.
+    PINNED = "6ba57a3c7782f7827cad42b7fe3cf31063b0a10d6e5ca5b3319d442c2af082bc"
+
     def test_same_seed_same_report(self, outcome):
         _, report = outcome
         again = AslrDerandomizer(Machine(seed=4242)).recover()
         assert again.to_dict() == report.to_dict()
+
+    def test_report_matches_pinned_digest(self, outcome):
+        _, report = outcome
+        assert content_key(report.to_dict()) == self.PINNED
 
 
 class TestConfiguration:

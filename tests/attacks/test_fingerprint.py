@@ -6,6 +6,7 @@ import pytest
 from repro.analysis.svm import OneVsRestSvm, train_test_split
 from repro.attacks.fingerprint import SsbpFingerprinter, collect_dataset
 from repro.cpu.machine import Machine
+from repro.runtime.atomic import content_key
 from repro.workloads.cnn import CNN_MODELS, CnnVictim
 
 
@@ -41,6 +42,15 @@ class TestDataset:
         assert features.shape == (9, 35)
         assert sorted(set(labels.tolist())) == [0, 1, 2]
         assert len(names) == 3
+
+    def test_dataset_matches_pinned_digest(self, small_dataset):
+        # ``content_key`` of the features and labels: any drift in the
+        # CNN victims, the probe rounds or the simulator shows up here.
+        features, labels, _ = small_dataset
+        payload = {"features": features.tolist(), "labels": labels.tolist()}
+        assert content_key(payload) == (
+            "25d11c127753851a9f5bf4e2c821beba0fb3400cb7d4c99891ba6e203b19e483"
+        )
 
     def test_vectors_are_informative(self, small_dataset):
         features, _, _ = small_dataset

@@ -15,6 +15,7 @@ from repro.revng.hash_recovery import (
 from repro.revng.organization import EvictionCurve, OrganizationExperiment
 from repro.revng.stld import StldHarness
 from repro.revng.timing import TimingClassifier
+from repro.runtime.atomic import content_key
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +62,31 @@ class TestSsbpEviction:
     def test_monotone_nondecreasing_with_tolerance(self, experiment):
         curve = experiment.ssbp_curve(sizes=[8, 24], trials=10)
         assert curve.rates[8] <= curve.rates[24] + 0.2
+
+
+class TestPinnedMeasurements:
+    def test_fresh_harness_matches_pinned_digest(self):
+        # ``content_key`` of a fresh harness's calibration samples, two
+        # short eviction curves and the harness thread's final cycles:
+        # any drift in the stld probe, its data layout or the simulator
+        # shows up here.
+        harness = StldHarness()
+        classifier = TimingClassifier(harness)
+        calibration = classifier.calibrate()
+        experiment = OrganizationExperiment(harness, classifier)
+        psfp = experiment.psfp_curve(sizes=[11, 12], trials=2)
+        ssbp = experiment.ssbp_curve(sizes=[4, 32], trials=3)
+        payload = {
+            "samples": {
+                cls.name: values for cls, values in calibration.samples.items()
+            },
+            "psfp": psfp.rates,
+            "ssbp": ssbp.rates,
+            "cycles": harness.machine.core.thread(harness.thread_id).cycles,
+        }
+        assert content_key(payload) == (
+            "f0c29dea3622d57adc3e7fabeacd20e79405430003ce9aff846ad7785ebf72c5"
+        )
 
 
 class TestEvictionCurveContainer:
