@@ -40,13 +40,7 @@ from repro.cpu.machine import Machine
 from repro.errors import ConfigError
 from repro.mem.physical import PAGE_SHIFT, PAGE_SIZE
 from repro.osm.address_space import Perm
-from repro.revng.stld import (
-    DATA_REG,
-    LOAD_ADDR_REG,
-    STORE_ADDR_REG,
-    build_stld,
-    load_instruction_index,
-)
+from repro.revng.stld import StldRunner, build_stld, load_instruction_index
 from repro.telemetry.metrics import registry
 
 __all__ = ["AslrReport", "AslrDerandomizer"]
@@ -183,38 +177,15 @@ class AslrDerandomizer:
             d: _site(self.region_va + d * PAGE_SIZE + _REF_OFFSET)
             for d in self.site_distances
         }
-        victim_buf = kernel.map_anonymous(self.victim_process, pages=2)
-        self._victim_load_va = victim_buf + 0x100
+        #: The victim service: runs a routine with chosen (aliasing or
+        #: not) arguments; its run count is the victim invocations.
+        self.victim = StldRunner(self.machine, self.victim_process)
 
         # --- the attacker's own probing kit ---
         self.attacker = AttackerStld(
             self.machine, self.attacker_process, slide_pages=slide_pages
         )
         self.probes = 0
-        self.victim_invocations = 0
-
-    # ------------------------------------------------------------------
-    # The victim service interface: invoke a routine with chosen inputs
-    # ------------------------------------------------------------------
-    def _run_victim(self, program: Program, aliasing: bool) -> None:
-        store = self._victim_load_va if aliasing else self._victim_load_va + 64
-        self.machine.run(
-            self.victim_process,
-            program,
-            {
-                STORE_ADDR_REG: store,
-                LOAD_ADDR_REG: self._victim_load_va,
-                DATA_REG: 0xEE,
-            },
-        )
-        self.victim_invocations += 1
-
-    def _charge(self, program: Program) -> None:
-        """The (7 non-aliasing, 1 aliasing) x 3 charge, via the service."""
-        for _ in range(3):
-            for _ in range(7):
-                self._run_victim(program, aliasing=False)
-            self._run_victim(program, aliasing=True)
 
     # ------------------------------------------------------------------
     # Probing primitives (attacker-local, one scan page at a time)
@@ -233,7 +204,7 @@ class AslrDerandomizer:
         if not self.attacker.stalls(probe):
             return False
         self.attacker.drain_c3(probe)
-        self._charge(site)
+        self.victim.charge_c3(site)
         return self.attacker.stalls(probe)
 
     def _page_span(self, page: int) -> range:
@@ -242,7 +213,7 @@ class AslrDerandomizer:
 
     def _full_scan(self, site: Program, page: int) -> int | None:
         """Slide across one attacker page; the colliding placement or None."""
-        self._charge(site)
+        self.victim.charge_c3(site)
         for placement in self._page_span(page):
             if self._sticky_for(placement, site):
                 self.attacker.drain_c3(self._probe_at(placement))
@@ -269,7 +240,7 @@ class AslrDerandomizer:
             true_base_in_candidates=self.true_secret in candidates,
             sites_probed=2 + len(self.site_distances),
             probes=self.probes,
-            victim_invocations=self.victim_invocations,
+            victim_invocations=self.victim.runs,
             cycles=cycles,
             clock_ghz=self.machine.core.model.clock_ghz,
             scan_page=page,
@@ -324,7 +295,7 @@ class AslrDerandomizer:
                     ^ ref_load
                 )
                 predictions.setdefault(predicted, []).append(candidate)
-            self._charge(site)
+            self.victim.charge_c3(site)
             hit = None
             untestable: list[int] = []
             for predicted in sorted(predictions):

@@ -20,7 +20,6 @@ from typing import Callable
 
 from repro.cpu.isa import Program
 from repro.errors import CollisionNotFound
-from repro.mem.physical import PAGE_SIZE
 from repro.attacks.runtime import AttackerStld
 
 __all__ = ["CollisionResult", "SsbpCollisionFinder"]
@@ -75,9 +74,11 @@ class SsbpCollisionFinder:
             if self._is_sticky(program):
                 return CollisionResult(program=program, iva=iva, attempts=attempts)
             offset += 1
+        scanned = (
+            f"offsets {start_offset:#x}-{offset - 1:#x}" if attempts else "no offsets"
+        )
         raise CollisionNotFound(
-            f"no SSBP collision in {attempts} attempts "
-            f"({span // PAGE_SIZE + 1} pages scanned)"
+            f"no SSBP collision in {attempts} attempts ({scanned} scanned)"
         )
 
     def _is_sticky(self, program: Program) -> bool:

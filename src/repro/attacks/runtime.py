@@ -5,25 +5,30 @@ user: mapping its own memory, placing its own code at chosen *virtual*
 addresses, executing ``clflush``/``mfence``/``rdpru``, and timing its own
 execution.  No physical addresses, no PTEditor, no pagemap.
 
-:class:`AttackerStld` wraps an stld probe routine plus a self-calibrated
-timing classifier, which is all the attacks need to observe predictor
-state from user space.
+:class:`AttackerStld` is an :class:`repro.revng.stld.StldRunner` (the
+one stld runner, whose measured run is the attacker's RDPRU reading)
+plus code-sliding placement and a self-calibrated timing classifier,
+which is all the attacks need to observe predictor state from user
+space.
 """
 
 from __future__ import annotations
 
-from repro.core.counters import CounterState
-from repro.core.exec_types import TIMING_CLASS, TimingClass
-from repro.core.state_machine import run_sequence as model_run
+from functools import partial
+
+from repro.core.exec_types import TimingClass
 from repro.cpu.isa import Program
 from repro.cpu.machine import Machine
 from repro.errors import ReproError
 from repro.mem.physical import PAGE_SIZE
 from repro.osm.address_space import Perm
 from repro.osm.process import Process
-from repro.revng.sequences import parse
-from repro.revng.stld import DATA_REG, LOAD_ADDR_REG, STORE_ADDR_REG, build_stld
-from repro.revng.timing import CALIBRATION_SEQUENCE, CalibrationResult, CentroidClassifier
+from repro.revng.stld import StldRunner, build_stld
+from repro.revng.timing import (
+    CalibrationResult,
+    CentroidClassifier,
+    collect_calibration,
+)
 
 __all__ = ["AttackerStld"]
 
@@ -38,11 +43,13 @@ _STALL_CLASSES = (TimingClass.STALL_CACHE, TimingClass.STALL_FORWARD)
 _MIN_SEPARABILITY = 1.2
 
 
-class AttackerStld:
+class AttackerStld(StldRunner):
     """An attacker's stld probe kit inside one process.
 
-    ``slide_pages`` executable pages are mapped for code sliding; probe
-    programs can be placed at any byte offset inside them.
+    ``slide_pages`` executable pages are mapped for code sliding (before
+    the runner's data buffer); probe programs can be placed at any byte
+    offset inside them.  ``timer`` is the runner's optional measurement
+    transform.
     """
 
     def __init__(
@@ -55,18 +62,12 @@ class AttackerStld:
         template: Program | None = None,
         robust: bool | None = None,
     ) -> None:
-        self.machine = machine
-        self.process = process
-        self.thread_id = thread_id
         #: Whether the hardened measurement protocol is in effect, fixed
         #: here for the attacker's lifetime: ``robust=None`` follows the
         #: machine (robust exactly when a non-quiet interference model is
         #: attached); ``robust=False`` pins the historical protocol (the
         #: pre-hardening comparison arm).
         self.robust = machine.noisy if robust is None else robust
-        #: Optional measurement transform (e.g. a coarse browser timer);
-        #: receives true cycles, returns the attacker-visible reading.
-        self.timer = timer
         #: The probe routine; a shorter stld (fewer delay/consumer
         #: multiplies) trades timing margin for probe throughput, which
         #: the full-space fingerprinting walk needs.
@@ -82,9 +83,7 @@ class AttackerStld:
             process, pages=slide_pages + 1, perms=Perm.RX, kind="code"
         )
         self.slide_pages = slide_pages
-        buf = machine.kernel.map_anonymous(process, pages=2)
-        self.load_va = buf + 0x100
-        self.disjoint_store_va = self.load_va + 64
+        super().__init__(machine, process, thread_id, timer)
         self.classifier = CentroidClassifier()
         self.calibrate()
 
@@ -109,34 +108,6 @@ class AttackerStld:
             + self.slide_pages * PAGE_SIZE
             - self.template.byte_size
         )
-
-    def run(self, program: Program, aliasing: bool) -> int:
-        """Execute one probe stld; returns measured cycles (RDPRU-style)."""
-        store_va = self.load_va if aliasing else self.disjoint_store_va
-        result = self.machine.run(
-            self.process,
-            program,
-            {
-                STORE_ADDR_REG: store_va,
-                LOAD_ADDR_REG: self.load_va,
-                DATA_REG: 0xDD,
-            },
-            thread_id=self.thread_id,
-        )
-        return self._measure(result.cycles)
-
-    def _measure(self, cycles: int) -> int:
-        cycles = self.machine.core.jitter(cycles)
-        interference = self.machine.interference
-        if interference is not None:
-            # Clock drift/jitter is a property of the environment; any
-            # attacker-side timer (secure-timer quantization, browser
-            # coarsening) reads the already-drifted clock, so the
-            # interference transform composes *first*.
-            cycles = interference.timer(cycles)
-        if self.timer is not None:
-            cycles = self.timer(cycles)
-        return cycles
 
     def observe(self, program: Program, aliasing: bool) -> TimingClass:
         return self.classifier.classify(self.run(program, aliasing))
@@ -194,21 +165,15 @@ class AttackerStld:
         return best
 
     def _calibrate_once(self, offsets: list[int]) -> CalibrationResult:
-        result = CalibrationResult()
-        tokens = parse(CALIBRATION_SEQUENCE)
+        def probes():
+            for iva in offsets:
+                program = self.place_at(iva)
+                # Warm the data lines with an untimed non-aliasing run.
+                self.run(program, aliasing=False)
+                yield partial(self.run, program)
+
         psf = self.machine.core.model.psf_supported
-        expected, _ = model_run(
-            CounterState(), [token.aliasing for token in tokens], psf
-        )
-        for iva in offsets:
-            # Warm the data lines with an untimed non-aliasing run.
-            program = self.place_at(iva)
-            self.run(program, aliasing=False)
-            for exec_type, token in zip(expected, tokens):
-                cycles = self.run(program, token.aliasing)
-                result.add(TIMING_CLASS[exec_type], cycles)
-        if psf and set(result.means) != set(TimingClass):
-            raise ReproError("attacker calibration missed timing classes")
+        result = collect_calibration(probes(), psf, require_all=psf)
         self._drain_calibration_state(offsets)
         return result
 
@@ -240,13 +205,6 @@ class AttackerStld:
                 bypasses_in_a_row = 0
                 drained += 1
         return drained
-
-    def charge_c3(self, program: Program) -> None:
-        """(7n, a) x 3: saturate C4 and charge C3 at this program's entry."""
-        for _ in range(3):
-            for _ in range(7):
-                self.run(program, aliasing=False)
-            self.run(program, aliasing=True)
 
     def pump_c4(self, program: Program) -> None:
         """Deliver G events until a charge is visible (C4 saturated)."""

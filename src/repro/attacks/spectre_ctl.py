@@ -31,7 +31,6 @@ from repro.attacks.victim_gadgets import flush_line_program, spectre_ctl_gadget
 from repro.attacks.runtime import AttackerStld
 from repro.core.exec_types import TimingClass
 from repro.cpu.machine import Machine
-from repro.errors import AttackError, CollisionNotFound
 from repro.osm.domains import SecurityDomain
 from repro.osm.process import Process
 

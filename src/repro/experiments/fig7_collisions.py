@@ -20,7 +20,6 @@ from repro.attacks.runtime import AttackerStld
 from repro.analysis.stats import fit_gaussian
 from repro.core.hashfn import ipa_hash
 from repro.cpu.machine import Machine
-from repro.errors import CollisionNotFound
 from repro.experiments.base import ExperimentResult
 from repro.osm.address_space import Perm
 from repro.revng.stld import build_stld, load_instruction_index, store_instruction_index

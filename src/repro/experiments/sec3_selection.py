@@ -14,11 +14,12 @@ The paper's four-step argument that selection is keyed by the
 
 from __future__ import annotations
 
+from repro.attacks.runtime import AttackerStld
 from repro.cpu.machine import Machine
 from repro.experiments.base import ExperimentResult
 from repro.mem.physical import PAGE_SHIFT, PAGE_SIZE
 from repro.osm.address_space import Perm
-from repro.experiments.selection_probes import SelectionObserver
+from repro.revng.stld import build_stld
 
 __all__ = ["run"]
 
@@ -26,7 +27,6 @@ __all__ = ["run"]
 def run(seed: int = 31) -> ExperimentResult:
     machine = Machine(seed=seed)
     kernel = machine.kernel
-    observer = SelectionObserver(machine)
 
     result = ExperimentResult(
         experiment_id="sec3-selection",
@@ -35,10 +35,13 @@ def run(seed: int = 31) -> ExperimentResult:
         paper_claim="selection depends on the load's IPA, not its IVA",
     )
 
+    # Every conclusion rests on timing classes, as in the paper: each
+    # process observes the shared stld through its own self-calibrated
+    # attacker probe, built where the process first observes.
     # ------------------------------------------------------------ step 1
     parent = kernel.create_process("selection-parent")
-    site = observer.place_site(parent)
-    parent_observer = observer.observer_for(parent)
+    site = machine.load_program(parent, build_stld())
+    parent_observer = AttackerStld(machine, parent, slide_pages=2)
     # Train with one data address, re-run aliasing pairs at another
     # buffer: no fresh G (the same entry is already trained).
     parent_observer.drain_c3(site)
@@ -57,30 +60,32 @@ def run(seed: int = 31) -> ExperimentResult:
     )
 
     # ------------------------------------------------------------ step 2
-    observer.charge(parent, site)
+    parent_observer.charge_c3(site)
     child = kernel.fork(parent)
-    shared = observer.reads_charged(child, site)   # same IVA, same IPA
+    child_observer = AttackerStld(machine, child, slide_pages=2)
+    shared = child_observer.stalls(site)           # same IVA, same IPA
     result.add_row("fork (copy-on-write)", "same", "same", shared, shared)
 
     # ------------------------------------------------------------ step 3
-    observer.charge(parent, site)
+    parent_observer.charge_c3(site)
     code_page = site.base_iva & ~(PAGE_SIZE - 1)
     pages = (site.byte_size >> PAGE_SHIFT) + 1
     kernel.mprotect(child, code_page, pages, Perm.RWX)
     kernel.write(child, code_page + 0xE00, b"dummy-data")  # COW break
-    moved = observer.reads_charged(child, site)    # same IVA, NEW IPA
+    moved = child_observer.stalls(site)            # same IVA, NEW IPA
     result.add_row(
         "mprotect + dummy write (remap)", "same", "different", moved, not moved
     )
 
     # ------------------------------------------------------------ step 4
-    observer.charge(parent, site)
+    parent_observer.charge_c3(site)
     stranger = kernel.create_process("selection-mmap")
     mapped = kernel.map_shared(
         stranger, parent, code_page, pages, perms=Perm.RX
     )
-    view = observer.view(site, mapped + (site.base_iva - code_page))
-    via_mmap = observer.reads_charged(stranger, view)  # new IVA, same IPA
+    view = site.relocate(mapped + (site.base_iva - code_page))
+    stranger_observer = AttackerStld(machine, stranger, slide_pages=2)
+    via_mmap = stranger_observer.stalls(view)      # new IVA, same IPA
     result.add_row("shared mmap", "different", "same", via_mmap, via_mmap)
 
     conclusion = data_independent and shared and not moved and via_mmap

@@ -11,24 +11,39 @@ The paper's findings, reproduced row by row:
 
 from __future__ import annotations
 
+from repro.attacks.runtime import AttackerStld
+from repro.core.exec_types import TimingClass
 from repro.cpu.machine import Machine
 from repro.experiments.base import ExperimentResult
-from repro.experiments.selection_probes import SelectionObserver
 from repro.mem.physical import PAGE_SHIFT, PAGE_SIZE
 from repro.osm.address_space import Perm
-from repro.osm.domains import DOMAIN_PAIRS, SecurityDomain
+from repro.osm.domains import DOMAIN_PAIRS
+from repro.revng.stld import build_stld
 
 __all__ = ["run"]
 
 
-def _shared_site(machine, observer, trainer, prober):
+def _shared_site(machine, trainer, prober):
     """Map one stld into both processes (a shared executable page) and
     return (trainer_view, prober_view)."""
-    site = observer.place_site(trainer)
+    site = machine.load_program(trainer, build_stld())
     code_page = site.base_iva & ~(PAGE_SIZE - 1)
     pages = (site.byte_size >> PAGE_SHIFT) + 1
     mapped = machine.kernel.map_shared(prober, trainer, code_page, pages, Perm.RX)
-    return site, observer.view(site, mapped + (site.base_iva - code_page))
+    return site, site.relocate(mapped + (site.base_iva - code_page))
+
+
+def _observer(machine, process, thread_id=0):
+    """A process's self-calibrated timing observer: every conclusion
+    rests on timing classes, as in the paper."""
+    return AttackerStld(machine, process, thread_id=thread_id, slide_pages=2)
+
+
+def _psf_alive(observer, program):
+    """Does an aliasing probe still forward predictively (type C)?  Tells
+    a live PSFP entry from a flushed one (which stalls via the surviving
+    C3, or G's)."""
+    return observer.observe(program, aliasing=True) is TimingClass.PSF_FORWARD
 
 
 def run(seed: int = 77) -> ExperimentResult:
@@ -46,57 +61,52 @@ def run(seed: int = 77) -> ExperimentResult:
     # ---------------------------------------------------------- domains
     for index, (domain_a, domain_b) in enumerate(DOMAIN_PAIRS):
         machine = Machine(seed=seed + index)
-        observer = SelectionObserver(machine)
         trainer = machine.kernel.create_process("trainer", domain_a)
         prober = machine.kernel.create_process("prober", domain_b)
-        trainer_site, prober_view = _shared_site(machine, observer, trainer, prober)
+        trainer_site, prober_view = _shared_site(machine, trainer, prober)
 
-        observer.charge(trainer, trainer_site)
-        ssbp_leaks = observer.reads_charged(prober, prober_view)
+        trainer_observer = _observer(machine, trainer)
+        trainer_observer.charge_c3(trainer_site)
+        prober_observer = _observer(machine, prober)
+        ssbp_leaks = prober_observer.stalls(prober_view)
         label = f"{domain_a.value} -> {domain_b.value}"
         result.add_row(label, "SSBP", ssbp_leaks, ssbp_leaks)
 
-        trained = observer.train_psf(trainer, trainer_site)
+        trained = trainer_observer.train_psf(trainer_site)
         assert trained
-        psfp_leaks = observer.psf_alive(prober, prober_view)
+        psfp_leaks = _psf_alive(prober_observer, prober_view)
         result.add_row(label, "PSFP", psfp_leaks, not psfp_leaks)
 
     # ---------------------------------------------------- flush semantics
     machine = Machine(seed=seed + 10)
-    observer = SelectionObserver(machine)
     process = machine.kernel.create_process("flush-probe")
-    site = observer.place_site(process)
+    site = machine.load_program(process, build_stld())
 
-    observer.charge(process, site)
+    observer = _observer(machine, process)
+    observer.charge_c3(site)
     machine.kernel.syscall(process)
-    ssbp_after_syscall = observer.reads_charged(process, site)
+    ssbp_after_syscall = observer.stalls(site)
     result.add_row("system call", "SSBP", ssbp_after_syscall, ssbp_after_syscall)
 
-    observer.train_psf(process, site)
+    observer.train_psf(site)
     machine.kernel.syscall(process)
-    psfp_after_syscall = observer.psf_alive(process, site)
+    psfp_after_syscall = _psf_alive(observer, site)
     result.add_row("system call", "PSFP", psfp_after_syscall, not psfp_after_syscall)
 
-    observer.charge(process, site)
+    observer.charge_c3(site)
     machine.kernel.sleep(process)
     machine.kernel.wake(process)
     machine.kernel.schedule(process)
-    ssbp_after_sleep = observer.reads_charged(process, site)
+    ssbp_after_sleep = observer.stalls(site)
     result.add_row("sleep (suspend)", "SSBP", ssbp_after_sleep, not ssbp_after_sleep)
 
     # -------------------------------------------------------------- SMT
     machine = Machine(seed=seed + 20)
-    observer0 = SelectionObserver(machine, thread_id=0)
-    observer1 = SelectionObserver(machine, thread_id=1)
     process0 = machine.kernel.create_process("smt-a")
     process1 = machine.kernel.create_process("smt-b")
-    site0 = observer0.place_site(process0)
-    code_page = site0.base_iva & ~(PAGE_SIZE - 1)
-    pages = (site0.byte_size >> PAGE_SHIFT) + 1
-    mapped = machine.kernel.map_shared(process1, process0, code_page, pages, Perm.RX)
-    view1 = observer1.view(site0, mapped + (site0.base_iva - code_page))
-    observer0.charge(process0, site0)
-    smt_leaks = observer1.reads_charged(process1, view1)
+    site0, view1 = _shared_site(machine, process0, process1)
+    _observer(machine, process0, thread_id=0).charge_c3(site0)
+    smt_leaks = _observer(machine, process1, thread_id=1).stalls(view1)
     result.add_row("sibling SMT thread", "SSBP", smt_leaks, not smt_leaks)
 
     # ... and under genuinely concurrent execution: both threads run

@@ -28,6 +28,7 @@ from repro.revng.sequences import (
 from repro.revng.state_infer import ModelValidator, ValidationReport, refine_types
 from repro.revng.stld import (
     StldHarness,
+    StldRunner,
     StldVariant,
     build_stld,
     load_instruction_index,
@@ -38,6 +39,7 @@ from repro.revng.timing import (
     CalibrationResult,
     CentroidClassifier,
     TimingClassifier,
+    collect_calibration,
 )
 
 __all__ = [
@@ -51,11 +53,13 @@ __all__ = [
     "PredictorProber",
     "SequenceSyntaxError",
     "StldHarness",
+    "StldRunner",
     "StldToken",
     "StldVariant",
     "CentroidClassifier",
     "TimingClassifier",
     "ValidationReport",
+    "collect_calibration",
     "build_stld",
     "collect_colliding_pairs",
     "fold_hash",

@@ -48,13 +48,6 @@ class OrganizationExperiment:
         self.prober = PredictorProber(harness, classifier)
 
     # ------------------------------------------------------------------
-    def _flush(self) -> None:
-        """Suspend/resume: flush both predictors between trials."""
-        kernel = self.harness.kernel
-        kernel.sleep(self.harness.process, self.harness.thread_id)
-        kernel.wake(self.harness.process)
-        kernel.schedule(self.harness.process, self.harness.thread_id)
-
     def _prime(self, size: int) -> None:
         """Run one aliasing pair (a G event) on ``size`` brand-new priming
         variants with random, pairwise-distinct hashes (independent
@@ -68,14 +61,14 @@ class OrganizationExperiment:
     # ------------------------------------------------------------------
     def psfp_trial(self, eviction_size: int) -> bool:
         """One PSFP trial; returns True when the base entry was evicted."""
-        self._flush()
+        self.classifier.flush_training_state()
         self.prober.train_psfp(load_id=0, store_id=0)
         self._prime(eviction_size)
         return not self.prober.psfp_trained(load_id=0, store_id=0)
 
     def ssbp_trial(self, eviction_size: int) -> bool:
         """One SSBP trial; returns True when the base entry was evicted."""
-        self._flush()
+        self.classifier.flush_training_state()
         self.prober.charge_c3(load_id=0, store_id=0)
         self._prime(eviction_size)
         return not self.prober.c3_is_charged(load_id=0)

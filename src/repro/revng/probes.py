@@ -81,11 +81,8 @@ class PredictorProber:
     def charge_c3(self, load_id: int = 0, store_id: int = 0) -> None:
         """Section IV-A SSBP training: ``(7n, a, 7n, a, 7n, a)`` drives the
         entry's C4 to saturation and charges C3 to 15."""
-        tokens = []
-        for _ in range(3):
-            tokens += [StldToken(False, load_id, store_id)] * 7
-            tokens += [StldToken(True, load_id, store_id)]
-        self.harness.run_sequence(tokens)
+        harness = self.harness
+        harness.charge_c3(harness.variant(load_id, store_id).program)
 
     def clear_c3(self, load_id: int = 0, probe_store_id: int | None = None) -> None:
         """Drain C3 with non-aliasing pairs from an untrained store hash

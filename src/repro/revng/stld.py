@@ -1,4 +1,4 @@
-"""The stld microbenchmark (paper Listing 1) and its driving harness.
+"""The stld microbenchmark (paper Listing 1) and the one runner that times it.
 
 ``build_stld`` produces the paper's probe routine: a store whose address
 generation is delayed by a chain of 20 multiplies, immediately followed
@@ -6,11 +6,18 @@ by a load, followed by a dependent consumer chain that amplifies the
 load's completion time into the routine's total time (the paper leans on
 execution-port pressure for the same amplification).
 
+:class:`StldRunner` is the one place an stld runs: it owns a process's
+data buffer, builds the routine's registers for an aliasing or a
+non-aliasing run and reads the measured cycles the way RDPRU would.  The
+privileged analyst's :class:`StldHarness`, the unprivileged attacker's
+:class:`repro.attacks.runtime.AttackerStld` and the victims of the ASLR
+and fingerprinting attacks all run their stlds through it.
+
 :class:`StldHarness` drives stld variants on a :class:`Machine` exactly
-the way the paper drives them on silicon: it maps a data buffer, places
-stld copies at controlled instruction physical addresses (the privileged
-PTEditor-style placement used in the reverse-engineering phase), executes
-sequences like ``(7n, a)`` and reports per-invocation timings.
+the way the paper drives them on silicon: it places stld copies at
+controlled instruction physical addresses (the privileged PTEditor-style
+placement used in the reverse-engineering phase), executes sequences
+like ``(7n, a)`` and reports per-invocation timings.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from dataclasses import dataclass
 from repro.core.hashfn import collision_offset, ipa_hash
 from repro.cpu.isa import Halt, ImulImm, Load, Mov, Program, Store
 from repro.cpu.machine import Machine
+from repro.cpu.pipeline import RunResult
 from repro.errors import CollisionNotFound, ConfigError
 from repro.mem.physical import PAGE_SHIFT, PAGE_SIZE
 from repro.osm.address_space import Perm
@@ -31,6 +39,7 @@ __all__ = [
     "load_instruction_index",
     "store_instruction_index",
     "StldVariant",
+    "StldRunner",
     "StldHarness",
 ]
 
@@ -84,28 +93,77 @@ class StldVariant:
     store_hash: int
 
 
-class StldHarness:
-    """Drives stld microbenchmarks against the simulated machine."""
+class StldRunner:
+    """Runs stld programs inside one process and times them.
+
+    The constructor maps the process's two-page data buffer.  Every run
+    loads from :attr:`load_va`; an aliasing run stores to the same
+    address (read at run time, so re-pointing ``load_va`` moves both),
+    a non-aliasing run stores 64 bytes further (the paper requires a
+    difference greater than 4).
+    """
 
     def __init__(
-        self,
-        machine: Machine | None = None,
-        process: Process | None = None,
-        aliasing_distance: int = 64,
-        thread_id: int = 0,
+        self, machine: Machine, process: Process, thread_id: int = 0, timer=None
     ) -> None:
-        self.machine = machine or Machine(seed=2024)
-        self.kernel = self.machine.kernel
+        self.machine = machine
+        self.process = process
         self.thread_id = thread_id
-        self.process = process or self.kernel.create_process("revng")
-        self.aliasing_distance = aliasing_distance
-        buf = self.kernel.map_anonymous(self.process, pages=2)
-        #: The load always reads here; an aliasing store writes the same
-        #: address, a non-aliasing store writes ``aliasing_distance`` away
-        #: (the paper requires a difference greater than 4).
-        self.load_va = buf + 0x80
-        self.alias_store_va = self.load_va
-        self.disjoint_store_va = self.load_va + aliasing_distance
+        #: Optional measurement transform (e.g. a coarse browser timer);
+        #: receives true cycles, returns the caller-visible reading.
+        self.timer = timer
+        buf = machine.kernel.map_anonymous(process, pages=2)
+        self.load_va = buf + 0x100
+        self.disjoint_store_va = self.load_va + 64
+        #: stld programs executed so far (a victim's invocation count).
+        self.runs = 0
+
+    def execute(self, program: Program, aliasing: bool) -> RunResult:
+        """Execute one stld unmeasured; returns the pipeline's result."""
+        self.runs += 1
+        load_va = self.load_va
+        return self.machine.run(
+            self.process,
+            program,
+            {
+                STORE_ADDR_REG: load_va if aliasing else self.disjoint_store_va,
+                LOAD_ADDR_REG: load_va,
+                DATA_REG: 0xDD,
+            },
+            thread_id=self.thread_id,
+        )
+
+    def run(self, program: Program, aliasing: bool) -> int:
+        """Execute one stld; returns its measured (RDPRU-style) cycles."""
+        cycles = self.machine.core.jitter(self.execute(program, aliasing).cycles)
+        interference = self.machine.interference
+        if interference is not None:
+            # Clock drift/jitter is a property of the environment; any
+            # attacker-side timer (secure-timer quantization, browser
+            # coarsening) reads the already-drifted clock, so the
+            # interference transform composes *first*.
+            cycles = interference.timer(cycles)
+        if self.timer is not None:
+            cycles = self.timer(cycles)
+        return cycles
+
+    def charge_c3(self, program: Program) -> None:
+        """Section IV-A SSBP training, ``(7n, a) x 3``: saturates C4 and
+        charges C3 of this program's entry."""
+        for _ in range(3):
+            for _ in range(7):
+                self.run(program, aliasing=False)
+            self.run(program, aliasing=True)
+
+
+class StldHarness(StldRunner):
+    """Drives stld microbenchmarks against the simulated machine, in a
+    process of its own on thread 0."""
+
+    def __init__(self, machine: Machine | None = None) -> None:
+        machine = machine or Machine(seed=2024)
+        super().__init__(machine, machine.kernel.create_process("revng"))
+        self.kernel = machine.kernel
         self._variants: dict[tuple[int, int], StldVariant] = {}
         self._load_hash_by_id: dict[int, int] = {}
         self._store_hash_by_id: dict[int, int] = {}
@@ -121,7 +179,8 @@ class StldHarness:
         return self.machine.core.hash_salt
 
     def variant(self, load_id: int = 0, store_id: int = 0) -> StldVariant:
-        return self._variants[(load_id, store_id)]
+        """The stld copy of this id pair, placed on first use."""
+        return self._ensure_variant(StldToken(False, load_id, store_id))
 
     def forget_ids(self, ids: set[int]) -> None:
         """Release id -> hash bindings (and their variants).
@@ -243,24 +302,9 @@ class StldHarness:
         for _ in range(3):
             self.run_token(StldToken(aliasing=False))
 
-    def regs_for(self, token: StldToken) -> dict[str, int]:
-        store_va = self.alias_store_va if token.aliasing else self.disjoint_store_va
-        return {
-            STORE_ADDR_REG: store_va,
-            LOAD_ADDR_REG: self.load_va,
-            DATA_REG: 0xDD,
-        }
-
     def run_token(self, token: StldToken) -> int:
         """Execute one stld; returns its (noisy) measured cycles."""
-        variant = self._ensure_variant(token)
-        result = self.machine.run(
-            self.process,
-            variant.program,
-            self.regs_for(token),
-            thread_id=self.thread_id,
-        )
-        return self.machine.core.jitter(result.cycles)
+        return self.run(self._ensure_variant(token).program, token.aliasing)
 
     def run_token_with_pmc(self, token: StldToken) -> tuple[int, dict[str, int]]:
         """Execute one stld; returns (cycles, per-event PMC deltas).
@@ -286,12 +330,7 @@ class StldHarness:
         types = []
         for token in tokens:
             variant = self._ensure_variant(token)
-            result = self.machine.run(
-                self.process,
-                variant.program,
-                self.regs_for(token),
-                thread_id=self.thread_id,
-            )
+            result = self.execute(variant.program, token.aliasing)
             stld_events = [
                 event
                 for event in result.events

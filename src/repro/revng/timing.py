@@ -14,6 +14,7 @@ them with the inferred state machine, which
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from repro.core.counters import CounterState
@@ -28,6 +29,7 @@ __all__ = [
     "CalibrationResult",
     "CentroidClassifier",
     "TimingClassifier",
+    "collect_calibration",
     "mad",
     "median",
 ]
@@ -87,6 +89,32 @@ class CalibrationResult:
     def mad(self, timing_class: TimingClass) -> float:
         """Outlier-robust per-class spread."""
         return mad(self.samples.get(timing_class, []))
+
+
+def collect_calibration(
+    probes: Iterable[Callable[[bool], int]],
+    psf_supported: bool = True,
+    require_all: bool = True,
+) -> CalibrationResult:
+    """Run :data:`CALIBRATION_SEQUENCE` through each probe and label
+    every measurement with the timing class TABLE I predicts for it.
+
+    A probe executes one stld (aliasing or not) on an entry that starts
+    fresh and returns the measured cycles.  With ``require_all`` every
+    timing class must have been seen.
+    """
+    tokens = parse(CALIBRATION_SEQUENCE)
+    expected, _ = model_run(
+        CounterState(), [token.aliasing for token in tokens], psf_supported
+    )
+    result = CalibrationResult()
+    for probe in probes:
+        for exec_type, token in zip(expected, tokens):
+            result.add(TIMING_CLASS[exec_type], probe(token.aliasing))
+    if require_all and set(result.means) != set(TimingClass):
+        missing = sorted(cls.name for cls in set(TimingClass) - set(result.means))
+        raise ReproError(f"calibration missed timing classes: {missing}")
+    return result
 
 
 class CentroidClassifier:
@@ -184,32 +212,26 @@ class TimingClassifier(CentroidClassifier):
         expected labels follow the SSBP-only dynamics, and
         ``require_all=False`` since the PSF classes never occur there.
         """
-        result = CalibrationResult()
-        tokens_template = parse(CALIBRATION_SEQUENCE)
-        expected_types, _ = model_run(
-            CounterState(),
-            [token.aliasing for token in tokens_template],
+        harness = self.harness
+
+        def scratch_probe(scratch_id: int) -> Callable[[bool], int]:
+            return lambda aliasing: harness.run_token(
+                StldToken(aliasing, load_id=scratch_id, store_id=scratch_id)
+            )
+
+        result = collect_calibration(
+            [scratch_probe(-(10 + index)) for index in range(variants)],
             psf_supported,
+            require_all,
         )
-        for variant_index in range(variants):
-            scratch_id = -(10 + variant_index)
-            tokens = [
-                StldToken(token.aliasing, load_id=scratch_id, store_id=scratch_id)
-                for token in tokens_template
-            ]
-            cycles = self.harness.run_sequence(tokens)
-            for exec_type, measured in zip(expected_types, cycles):
-                result.add(TIMING_CLASS[exec_type], measured)
-        if require_all and set(result.means) != set(TimingClass):
-            missing = set(TimingClass) - set(result.means)
-            raise ReproError(f"calibration missed timing classes: {missing}")
         self.fit(result)
         self.flush_training_state()
         return result
 
     def flush_training_state(self) -> None:
         """Suspend/resume the harness process: flushes both predictors
-        (Section IV-A), clearing the calibration's training residue."""
+        (Section IV-A), clearing the calibration's training residue (and
+        an eviction trial's, for :mod:`repro.revng.organization`)."""
         kernel = self.harness.kernel
         kernel.sleep(self.harness.process, self.harness.thread_id)
         kernel.wake(self.harness.process)

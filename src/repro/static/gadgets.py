@@ -40,8 +40,6 @@ resulting invariant against the dynamic oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
-from operator import attrgetter
 from typing import NamedTuple
 
 from repro.cpu.isa import DecodedProgram, Instruction, Program

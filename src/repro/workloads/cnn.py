@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from repro.cpu.isa import Program
 from repro.cpu.machine import Machine
 from repro.osm.process import Process
-from repro.revng.stld import DATA_REG, LOAD_ADDR_REG, STORE_ADDR_REG, build_stld
+from repro.revng.stld import StldRunner, build_stld
 
 __all__ = ["LayerSpec", "CnnModel", "CNN_MODELS", "CnnVictim", "model_names"]
 
@@ -120,31 +120,18 @@ class CnnVictim:
         self.process = process or machine.kernel.create_process(
             f"cnn-{model.name}"
         )
-        buffer_base = machine.kernel.map_anonymous(self.process, pages=2)
-        self._alias_va = buffer_base + 0x40
-        self._stream_va = buffer_base + 0x240
+        self.runner = StldRunner(machine, self.process)
         template = build_stld()
         self._layer_programs: list[Program] = [
             machine.load_program(self.process, template)
             for _ in model.layers
         ]
 
-    def _run_layer(self, program: Program, aliasing: bool) -> None:
-        store_va = self._alias_va if aliasing else self._stream_va
-        self.machine.run(
-            self.process,
-            program,
-            {
-                STORE_ADDR_REG: store_va,
-                LOAD_ADDR_REG: self._alias_va,
-                DATA_REG: 1,
-            },
-        )
-
     def inference_pass(self) -> None:
         """One forward pass: every layer fires its access pattern."""
+        run = self.runner.run
         for layer, program in zip(self.model.layers, self._layer_programs):
             for _ in range(layer.aliasing_runs):
-                self._run_layer(program, aliasing=True)
+                run(program, aliasing=True)
             for _ in range(layer.streaming_runs):
-                self._run_layer(program, aliasing=False)
+                run(program, aliasing=False)

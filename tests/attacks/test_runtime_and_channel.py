@@ -108,3 +108,12 @@ class TestCollisionFinder:
         finder = SsbpCollisionFinder(attacker, recharge=lambda: None)
         with pytest.raises(CollisionNotFound):
             finder.find(max_attempts=300)
+
+    def test_failure_names_the_offsets_scanned(self, rig):
+        _, _, attacker = rig
+        finder = SsbpCollisionFinder(attacker, recharge=lambda: None)
+        with pytest.raises(CollisionNotFound) as raised:
+            finder.find(start_offset=3 * 4096, max_attempts=8)
+        assert str(raised.value) == (
+            "no SSBP collision in 8 attempts (offsets 0x3000-0x3007 scanned)"
+        )
