@@ -34,28 +34,23 @@ class GaussianFit:
     sigma: float
     samples: int
 
-    def within(self, x: float, sigmas: float = 3.0) -> bool:
-        return abs(x - self.mu) <= sigmas * max(self.sigma, 1e-12)
-
 
 def fit_gaussian(values: Sequence[float]) -> GaussianFit:
     """Moment-matching normal fit (the paper fits the Fig 7 histogram)."""
     return GaussianFit(mu=mean(values), sigma=stdev(values), samples=len(values))
 
 
-def frequency_vector(
-    values: Sequence[int], lo: int = 1, hi: int = 35
-) -> list[float]:
-    """Relative frequencies of ``values`` over the inclusive bin range.
+def frequency_vector(values: Sequence[int]) -> list[float]:
+    """Relative frequencies of ``values`` over the bins 1..35.
 
     The paper's fingerprint vector: C3 values from 1 to 35 (zeros —
     untrained entries — are excluded so the signature reflects activity),
     normalized to sum to 1.  All-zero rounds produce the zero vector.
     """
-    bins = [0] * (hi - lo + 1)
+    bins = [0] * 35
     for value in values:
-        if lo <= value <= hi:
-            bins[value - lo] += 1
+        if 1 <= value <= 35:
+            bins[value - 1] += 1
     total = sum(bins)
     if total == 0:
         return [0.0] * len(bins)

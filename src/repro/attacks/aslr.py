@@ -51,6 +51,10 @@ _REF_OFFSET = 64
 #: Lowest sub-page placement the randomizer uses: keeps the secret
 #: routine clear of the page-0 reference routine.
 _SUB_FLOOR = 256
+#: First frame of the allocator's randomized window (the attacker knows it).
+WINDOW_BASE = 0x80_0000
+#: Pages the attacker slides its probe stld over.
+_SLIDE_PAGES = 3
 
 
 def _frame_hash(frame: int) -> int:
@@ -112,7 +116,7 @@ class AslrDerandomizer:
     """Recovers a randomized victim placement from aliasing collisions.
 
     The victim's code region is ``region_pages`` pages in a contiguous
-    frame run at ``window_base + secret`` (``secret`` uniform over
+    frame run at ``WINDOW_BASE + secret`` (``secret`` uniform over
     ``2**window_bits`` — the randomized allocation under attack); a
     secret routine is additionally placed at a random sub-page offset of
     page 0.  The attacker knows the binary layout (reference offsets,
@@ -124,16 +128,13 @@ class AslrDerandomizer:
         self,
         machine: Machine | None = None,
         window_bits: int = 12,
-        window_base: int = 0x80_0000,
         region_pages: int = 40,
         site_distances: tuple[int, ...] = (1, 2, 4, 8, 16, 32),
-        slide_pages: int = 3,
     ) -> None:
         if site_distances and max(site_distances) >= region_pages:
             raise ConfigError("site distance beyond the victim region")
         self.machine = machine or Machine(seed=4242)
         self.window_bits = window_bits
-        self.window_base = window_base
         self.site_distances = tuple(site_distances)
         kernel = self.machine.kernel
         self.victim_process = kernel.create_process("aslr-victim")
@@ -154,14 +155,14 @@ class AslrDerandomizer:
                     region_pages,
                     perms=Perm.RX,
                     kind="code",
-                    base_frame=window_base + secret,
+                    base_frame=WINDOW_BASE + secret,
                 )
                 break
             except ConfigError:
                 continue  # run not free at this base: redraw
         else:
             raise ConfigError("could not place the victim window")
-        self.true_secret = self.base_frame - window_base
+        self.true_secret = self.base_frame - WINDOW_BASE
         self.true_sub_offset = rng.randrange(
             _SUB_FLOOR, PAGE_SIZE - self.template.byte_size
         )
@@ -183,7 +184,7 @@ class AslrDerandomizer:
 
         # --- the attacker's own probing kit ---
         self.attacker = AttackerStld(
-            self.machine, self.attacker_process, slide_pages=slide_pages
+            self.machine, self.attacker_process, slide_pages=_SLIDE_PAGES
         )
         self.probes = 0
 
@@ -287,7 +288,7 @@ class AslrDerandomizer:
         for distance, site in self._distance_sites.items():
             predictions: dict[int, list[int]] = {}
             for candidate in candidates:
-                base = self.window_base + candidate
+                base = WINDOW_BASE + candidate
                 predicted = (
                     mask
                     ^ _frame_hash(base)

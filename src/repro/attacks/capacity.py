@@ -180,11 +180,9 @@ def build_channel(config: CapacityConfig) -> SymbolChannel:
     return channel
 
 
-def measure_capacity(
-    config: CapacityConfig, channel: SymbolChannel | None = None
-) -> CapacityReport:
+def measure_capacity(config: CapacityConfig) -> CapacityReport:
     """Send one framed seeded payload and measure both error rates."""
-    channel = channel if channel is not None else build_channel(config)
+    channel = build_channel(config)
     rng = random.Random(config.seed)
     payload = bytes(rng.randrange(256) for _ in range(config.payload_bytes))
     symbols = coding.bytes_to_symbols(payload, config.width)

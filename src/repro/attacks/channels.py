@@ -41,6 +41,10 @@ __all__ = [
     "NoisyChannel",
 ]
 
+#: Pages the receiver slides over to find each lane's colliding probe.
+_RX_SLIDE_PAGES = 8
+
+
 class SymbolChannel(Protocol):
     """What the capacity harness needs from a transport."""
 
@@ -64,12 +68,7 @@ class StlPredictorChannel:
     entry so per-symbol timing stays bit-independent.
     """
 
-    def __init__(
-        self,
-        machine: Machine | None = None,
-        width: int = 2,
-        slide_pages: int = 8,
-    ) -> None:
+    def __init__(self, machine: Machine | None = None, width: int = 2) -> None:
         if not 1 <= width <= 8:
             raise ValueError(f"STL channel width must be in 1..8, got {width}")
         self.machine = machine or Machine(seed=1234)
@@ -79,7 +78,7 @@ class StlPredictorChannel:
         self.receiver_process = kernel.create_process("stl-chan-receiver")
         self.sender = AttackerStld(self.machine, self.sender_process, slide_pages=2)
         self.receiver = AttackerStld(
-            self.machine, self.receiver_process, slide_pages=slide_pages
+            self.machine, self.receiver_process, slide_pages=_RX_SLIDE_PAGES
         )
         #: Lane transmitters: distinct offsets in the sender's first
         #: slide page; the decoy lives in the second page.

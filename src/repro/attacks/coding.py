@@ -158,7 +158,6 @@ def deframe_symbols(
     width: int,
     preamble_len: int = 8,
     repeat: int = 1,
-    tolerance: int | None = None,
     resync: bool = False,
 ) -> list[int]:
     """Locate the first frame in ``stream`` and return its payload.
@@ -166,9 +165,9 @@ def deframe_symbols(
     Scans for the earliest preamble occurrence (tolerating lead-in
     symbols from before the receiver attached).  The match is fuzzy: a
     window whose first symbol is the all-ones mark and that differs from
-    the preamble in at most ``tolerance`` symbols (default a quarter of
-    ``preamble_len``) counts — anchoring on the leading mark keeps idle
-    zeros from producing an off-by-one false sync.  The body is then
+    the preamble in at most a quarter of ``preamble_len`` symbols counts
+    — anchoring on the leading mark keeps idle zeros from producing an
+    off-by-one false sync.  The body is then
     repetition-decoded (``repeat``) and the length field parsed.  Raises
     :class:`FramingError` when no complete frame exists.
 
@@ -182,8 +181,7 @@ def deframe_symbols(
     yields a frame.
     """
     preamble = preamble_symbols(width, preamble_len)
-    if tolerance is None:
-        tolerance = preamble_len // 4
+    tolerance = preamble_len // 4
     length_symbols = len(bytes_to_symbols(b"\x00" * (_LENGTH_BITS // 8), width))
     ones = (1 << width) - 1
     sync_failure: FramingError | None = None

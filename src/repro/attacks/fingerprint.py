@@ -10,9 +10,8 @@ leaves behind encodes its control flow.  The paper's attacker:
    fingerprint vector;
 4. classifies vectors with an SVM — >95.5% accuracy over six CNN models.
 
-Our attacker probes a fixed sample of slide offsets rather than all 4096
-hash values (a documented scaling; the signature is a distribution, so a
-uniform sample preserves it).
+Our attacker slides over one page, one probe per byte offset, which
+reaches every one of the 4096 hash values.
 """
 
 from __future__ import annotations
@@ -23,21 +22,20 @@ from repro.analysis.stats import frequency_vector
 from repro.attacks.runtime import AttackerStld
 from repro.cpu.isa import Program
 from repro.cpu.machine import Machine
+from repro.mem.physical import PAGE_SIZE
 from repro.revng.stld import build_stld
 from repro.workloads.cnn import CnnModel, CnnVictim
 
 __all__ = ["SsbpFingerprinter", "collect_dataset"]
 
+#: Pages the attacker's probe stld slides over.
+_SLIDE_PAGES = 4
+
 
 class SsbpFingerprinter:
     """Collects SSBP C3-distribution fingerprints of a co-located victim."""
 
-    def __init__(
-        self,
-        machine: Machine,
-        probe_count: int = 4096,
-        slide_pages: int = 4,
-    ) -> None:
+    def __init__(self, machine: Machine) -> None:
         self.machine = machine
         self.process = machine.kernel.create_process("fingerprinter")
         # A short stld keeps the 4096-probe walk affordable; its timing
@@ -45,7 +43,7 @@ class SsbpFingerprinter:
         self.attacker = AttackerStld(
             machine,
             self.process,
-            slide_pages=slide_pages,
+            slide_pages=_SLIDE_PAGES,
             template=build_stld(agen_imuls=6, consumer_imuls=4),
         )
         #: One probe per byte offset of a page: the load IPA's page
@@ -54,7 +52,7 @@ class SsbpFingerprinter:
         #: paper's "traverse the entire space of SSBP entries").
         self.probes: list[Program] = [
             self.attacker.place_at(self.attacker.slide_base + offset)
-            for offset in range(min(probe_count, 4096))
+            for offset in range(PAGE_SIZE)
         ]
 
     def probe_round(self) -> list[int]:
@@ -77,7 +75,6 @@ def collect_dataset(
     models: dict[str, CnnModel],
     samples_per_model: int = 6,
     rounds: int = 8,
-    probe_count: int = 4096,
     seed: int = 7,
 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Fingerprints for each model: (features, labels, label_names).
@@ -93,7 +90,7 @@ def collect_dataset(
         for sample in range(samples_per_model):
             machine = Machine(seed=seed + 1009 * label + sample)
             victim = CnnVictim(machine, models[name])
-            fingerprinter = SsbpFingerprinter(machine, probe_count=probe_count)
+            fingerprinter = SsbpFingerprinter(machine)
             vector = fingerprinter.fingerprint(victim, rounds=rounds)
             features.append(vector)
             labels.append(label)

@@ -18,6 +18,8 @@ __all__ = ["FlushReloadChannel"]
 
 #: Hit/miss sample pairs per robust calibration.
 _ROBUST_SAMPLES = 7
+#: Bytes between probe slots: one page.
+STRIDE = 4096
 
 
 class FlushReloadChannel:
@@ -29,16 +31,12 @@ class FlushReloadChannel:
         process: Process,
         base_va: int,
         slots: int = 256,
-        stride: int = 4096,
-        thread_id: int = 0,
         robust: bool | None = None,
     ) -> None:
         self.machine = machine
         self.process = process
         self.base_va = base_va
         self.slots = slots
-        self.stride = stride
-        self.thread_id = thread_id
         #: ``robust=None`` follows the machine, as :class:`AttackerStld`
         #: does.  The quiet protocol is the original single-pair midpoint
         #: calibration; the robust one takes the median/MAD of several
@@ -49,7 +47,7 @@ class FlushReloadChannel:
         self.hit_center = 0.0
         instructions = [MovImm("base", self.base_va)]
         instructions += [
-            Clflush(base="base", offset=slot * self.stride)
+            Clflush(base="base", offset=slot * STRIDE)
             for slot in range(self.slots)
         ]
         instructions.append(Halt())
@@ -64,10 +62,7 @@ class FlushReloadChannel:
 
     # ------------------------------------------------------------------
     def _run(self, program: Program, regs: dict | None = None) -> int:
-        result = self.machine.run(
-            self.process, program, regs, thread_id=self.thread_id
-        )
-        cycles = result.cycles
+        cycles = self.machine.run(self.process, program, regs).cycles
         interference = self.machine.interference
         if interference is not None:
             cycles = interference.timer(cycles)
@@ -75,7 +70,7 @@ class FlushReloadChannel:
 
     def _probe(self, slot: int) -> int:
         return self._run(
-            self._probe_program, {"addr": self.base_va + slot * self.stride}
+            self._probe_program, {"addr": self.base_va + slot * STRIDE}
         )
 
     def _calibrate_threshold(self) -> int:
@@ -128,6 +123,6 @@ class FlushReloadChannel:
 
     def __repr__(self) -> str:
         return (
-            f"FlushReloadChannel(slots={self.slots}, stride={self.stride}, "
+            f"FlushReloadChannel(slots={self.slots}, stride={STRIDE}, "
             f"threshold={self.threshold})"
         )

@@ -41,6 +41,12 @@ _STALL_CLASSES = (TimingClass.STALL_CACHE, TimingClass.STALL_FORWARD)
 #: classifier's separability check clears this bar (best attempt wins if
 #: none does — graceful degradation, not an abort).
 _MIN_SEPARABILITY = 1.2
+#: Slide spots per quiet calibration (a robust attempt uses twice as many).
+_CALIBRATION_SPOTS = 3
+#: Non-aliasing runs a C3 drain may take (C3 saturates at 32).
+_DRAIN_BUDGET = 40
+#: Aliasing runs :meth:`AttackerStld.train_psf` waits for a predictive forward.
+_TRAIN_BUDGET = 24
 
 
 class AttackerStld(StldRunner):
@@ -128,7 +134,7 @@ class AttackerStld(StldRunner):
     # Self-calibration (no privileged placement: any offsets will do,
     # because the state machine is the same whatever the entry)
     # ------------------------------------------------------------------
-    def calibrate(self, spots: int = 3) -> CalibrationResult:
+    def calibrate(self) -> CalibrationResult:
         """Self-calibrate the timing classifier.
 
         The quiet protocol is the paper's mean-centroid fit
@@ -140,11 +146,11 @@ class AttackerStld(StldRunner):
         """
         if not self.robust:
             result = self._calibrate_once(
-                [self.slide_base + spot * 128 for spot in range(spots)]
+                [self.slide_base + spot * 128 for spot in range(_CALIBRATION_SPOTS)]
             )
             self.classifier.fit(result)
             return result
-        width = spots * 2
+        width = _CALIBRATION_SPOTS * 2
         best: CalibrationResult | None = None
         best_separability = -1.0
         for attempt in range(3):
@@ -190,13 +196,13 @@ class AttackerStld(StldRunner):
     # ------------------------------------------------------------------
     # Common predictor manipulations (all timing-observable)
     # ------------------------------------------------------------------
-    def drain_c3(self, program: Program, budget: int = 40) -> int:
+    def drain_c3(self, program: Program) -> int:
         """Non-aliasing runs until the bypass class shows (for
         ``drain_confirmations`` consecutive observations); returns the
         count of sticky (stalled) observations drained."""
         drained = 0
         bypasses_in_a_row = 0
-        for _ in range(budget):
+        for _ in range(_DRAIN_BUDGET):
             if self.observe(program, aliasing=False) is TimingClass.BYPASS:
                 bypasses_in_a_row += 1
                 if bypasses_in_a_row >= self.drain_confirmations:
@@ -206,21 +212,14 @@ class AttackerStld(StldRunner):
                 drained += 1
         return drained
 
-    def pump_c4(self, program: Program) -> None:
-        """Deliver G events until a charge is visible (C4 saturated)."""
-        for _ in range(4):
-            self.drain_c3(program)
-            self.run(program, aliasing=True)  # G
-        self.drain_c3(program)
-
-    def train_psf(self, program: Program, budget: int = 24) -> bool:
+    def train_psf(self, program: Program) -> bool:
         """Drive this pair's PSFP entry into the PSF-enabled state:
         drain C3, force a G, then aliasing runs until a predictive
         forward (type C) is observed."""
         self.machine.kernel.syscall(self.process, self.thread_id)  # PSFP flush
         self.drain_c3(program)
         self.run(program, aliasing=True)  # G: C0=4, C1=16, C2=2
-        for _ in range(budget):
+        for _ in range(_TRAIN_BUDGET):
             if self.observe(program, aliasing=True) is TimingClass.PSF_FORWARD:
                 return True
         return False

@@ -42,8 +42,8 @@ class InPlaceLeakReport(SecretLeak):
 class SpectreSTLInPlace:
     """Train by running the victim itself with an aliasing index."""
 
-    def __init__(self, machine: Machine | None = None) -> None:
-        self.machine = machine or Machine(seed=4242)
+    def __init__(self) -> None:
+        self.machine = Machine(seed=4242)
         self.process: Process = self.machine.kernel.create_process("inplace-victim")
         self.victim = StlVictim(self.machine, self.process)
         self.channel = FlushReloadChannel(self.machine, self.process, self.victim.array2)

@@ -28,9 +28,13 @@ from __future__ import annotations
 from repro.attacks.runtime import AttackerStld
 from repro.attacks.spectre_ctl import SpectreCTL
 from repro.cpu.machine import Machine
-from repro.osm.domains import SecurityDomain
 
 __all__ = ["BrowserTimer", "SpectreCTLWeb"]
+
+#: Probability that one eviction-set traversal actually removes the idx
+#: line from the whole hierarchy (DESIGN.md substitution: stands in for
+#: a timing-built, hence imperfect, eviction set).
+EVICT_SUCCESS = 0.85
 
 
 class BrowserTimer:
@@ -58,30 +62,10 @@ class BrowserTimer:
 class SpectreCTLWeb(SpectreCTL):
     """The browser port: coarse timer, eviction sets, verified hits."""
 
-    def __init__(
-        self,
-        machine: Machine | None = None,
-        victim_domain: SecurityDomain = SecurityDomain.USER,
-        slide_pages: int = 16,
-        resolution_ns: float = 10.0,
-        evict_success: float = 0.85,
-        double_tick_prob: float = 0.02,
-    ) -> None:
-        self._machine_for_timer = machine or Machine(seed=2077)
-        self._timer = BrowserTimer(
-            self._machine_for_timer,
-            resolution_ns=resolution_ns,
-            double_tick_prob=double_tick_prob,
-        )
-        #: Probability that one eviction-set traversal actually removes
-        #: the idx line from the whole hierarchy (DESIGN.md substitution:
-        #: stands in for a timing-built, hence imperfect, eviction set).
-        self.evict_success = evict_success
-        super().__init__(
-            machine=self._machine_for_timer,
-            victim_domain=victim_domain,
-            slide_pages=slide_pages,
-        )
+    def __init__(self) -> None:
+        machine = Machine(seed=2077)
+        self._timer = BrowserTimer(machine)
+        super().__init__(machine=machine)
         # A coarse timer can misread H as F; demand one confirmation of
         # covert hits and longer verification during sliding, and charge
         # longer because eviction-set traversals miss some windows.
@@ -101,7 +85,7 @@ class SpectreCTLWeb(SpectreCTL):
 
     def _flush_idx(self) -> None:
         """Eviction-set traversal instead of clflush: succeeds with
-        probability ``evict_success``; a miss leaves the idx line cached
+        probability :data:`EVICT_SUCCESS`; a miss leaves the idx line cached
         and the next window never opens (a wasted trial)."""
-        if self.machine.core.rng.random() < self.evict_success:
+        if self.machine.core.rng.random() < EVICT_SUCCESS:
             super()._flush_idx()

@@ -24,8 +24,8 @@ PSFD_BIT = 7
 class SpecCtrl:
     """A per-core SPEC_CTRL register with named accessors for SSBD/PSFD."""
 
-    def __init__(self, value: int = 0) -> None:
-        self.value = value
+    def __init__(self) -> None:
+        self.value = 0
 
     @property
     def ssbd(self) -> bool:

@@ -27,12 +27,11 @@ class Core:
     def __init__(
         self,
         model: CpuModel | None = None,
-        memory: PhysicalMemory | None = None,
         seed: int = 0,
         hash_salt: int = 0,
     ) -> None:
         self.model = model or default_model()
-        self.memory = memory or PhysicalMemory()
+        self.memory = PhysicalMemory()
         self.rng = random.Random(seed)
         self.spec_ctrl = SpecCtrl()
         self.hierarchy = MemoryHierarchy(self.model.latency)

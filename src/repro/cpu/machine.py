@@ -75,16 +75,10 @@ class Machine:
     # ------------------------------------------------------------------
     # Program management
     # ------------------------------------------------------------------
-    def load_program(
-        self,
-        process: Process,
-        program: Program,
-        perms: Perm = Perm.RX,
-        extra_pages: int = 0,
-    ) -> Program:
+    def load_program(self, process: Process, program: Program) -> Program:
         """Map code pages for ``program`` and return it relocated there."""
-        pages = max(1, math.ceil(program.byte_size / PAGE_SIZE)) + 1 + extra_pages
-        base = self.kernel.map_anonymous(process, pages, perms=perms, kind="code")
+        pages = max(1, math.ceil(program.byte_size / PAGE_SIZE)) + 1
+        base = self.kernel.map_anonymous(process, pages, perms=Perm.RX, kind="code")
         relocated = program.relocate(base)
         self.kernel.write(process, base, relocated.encode(), force=True)
         return relocated

@@ -53,12 +53,8 @@ def run_stl(secret_bytes: int = 64, seed: int = 5150) -> ExperimentResult:
     return result
 
 
-def run_ctl(
-    secret_bytes: int = 24,
-    seed: int = 5151,
-    victim_domain: SecurityDomain = SecurityDomain.USER,
-) -> ExperimentResult:
-    attack = SpectreCTL(victim_domain=victim_domain)
+def run_ctl(secret_bytes: int = 24, seed: int = 5151) -> ExperimentResult:
+    attack = SpectreCTL()
     attack.find_collisions()
     report = attack.leak(_random_secret(secret_bytes, seed))
     result = ExperimentResult(
@@ -67,7 +63,7 @@ def run_ctl(
         headers=["metric", "measured", "paper"],
         paper_claim="accuracy 99.97%, 384 B/s, works across processes",
     )
-    result.add_row("victim domain", victim_domain.value, "user / kernel")
+    result.add_row("victim domain", SecurityDomain.USER.value, "user / kernel")
     result.add_row("bytes leaked", len(report.recovered), "10,000")
     result.add_row("accuracy", f"{report.accuracy:.2%}", "99.97%")
     result.add_row("bandwidth (B/s)", f"{report.bytes_per_second:,.0f}", "384")

@@ -18,9 +18,10 @@ from __future__ import annotations
 from repro.attacks.collision import SsbpCollisionFinder
 from repro.attacks.runtime import AttackerStld
 from repro.analysis.stats import fit_gaussian
-from repro.core.hashfn import ipa_hash
+from repro.core.hashfn import collision_offset, ipa_hash
 from repro.cpu.machine import Machine
 from repro.experiments.base import ExperimentResult
+from repro.mem.physical import PAGE_SHIFT, PAGE_SIZE
 from repro.osm.address_space import Perm
 from repro.revng.stld import build_stld, load_instruction_index, store_instruction_index
 
@@ -49,58 +50,73 @@ def ssbp_attempt_samples(trials: int = 12, seed: int = 900) -> list[int]:
 UNEQUAL_SHIFTS = (1, 2, 4, 60)
 
 
-def psfp_candidate_rate(
-    trials: int = 8, pages: int = 16, seed: int = 300
-) -> tuple[float, float]:
+#: Independent machines, slide pages per machine and first machine seed
+#: of the PSFP candidate check.
+_PSFP_TRIALS = 8
+_PSFP_PAGES = 16
+_PSFP_SEED = 300
+
+
+def _psfp_hits(seed: int) -> list[bool]:
+    """On one fresh machine: does some load-colliding placement within
+    :data:`_PSFP_PAGES` slide pages also match the victim's store tag, at
+    the equal distance and then at each of :data:`UNEQUAL_SHIFTS`?
+
+    The page offset enters the load hash linearly, so each slide page
+    holds exactly one load-colliding placement (:func:`collision_offset`);
+    only those have their store tag checked.
+    """
+    template = build_stld()
+    load_off = template.iva(load_instruction_index(template)) - template.base_iva
+    store_off = template.iva(store_instruction_index(template)) - template.base_iva
+    machine = Machine(seed=seed)
+    process = machine.kernel.create_process("x")
+    space = process.address_space
+    victim = machine.kernel.map_anonymous(
+        process, pages=2, perms=Perm.RX, kind="code"
+    ) + 128
+    victim_load_hash = ipa_hash(space.translate_nofault(victim + load_off))
+    victim_store_hash = ipa_hash(space.translate_nofault(victim + store_off))
+
+    slide = machine.kernel.map_anonymous(
+        process, pages=_PSFP_PAGES, perms=Perm.RX, kind="code"
+    )
+    limit = slide + _PSFP_PAGES * PAGE_SIZE - template.byte_size
+    placements = []
+    for page in range(_PSFP_PAGES):
+        page_va = slide + page * PAGE_SIZE
+        frame = space.translate_nofault(page_va) >> PAGE_SHIFT
+        iva = page_va + collision_offset(victim_load_hash, frame) - load_off
+        if slide <= iva < limit:
+            placements.append(iva)
+
+    def store_tag_matches(distance_shift: int) -> bool:
+        for iva in placements:
+            store_ipa = space.translate_nofault(iva + store_off - distance_shift)
+            if store_ipa is not None and ipa_hash(store_ipa) == victim_store_hash:
+                return True
+        return False
+
+    return [store_tag_matches(shift) for shift in (0, *UNEQUAL_SHIFTS)]
+
+
+def psfp_candidate_rate() -> tuple[float, float]:
     """(equal-distance rate, mean different-distance rate): fraction of
     trials where some load-collision candidate also matches the store tag
-    within ``pages`` pages.  Store-tag match is checked with the
+    within :data:`_PSFP_PAGES` pages.  Store-tag match is checked with the
     analyst's oracle (the attack validates it by leaking a known byte).
 
     The different-distance rate averages over several shifts: the linked
     subtraction geometry leaves a few special shifts workable, but most
     are impossible — the paper's "may not be found" (Fig 7, right).
     """
-    template = build_stld()
-    load_index = load_instruction_index(template)
-    store_index = store_instruction_index(template)
-    equal_hits = 0
-    unequal_hits = 0
-    unequal_checks = 0
-    for trial in range(trials):
-        machine = Machine(seed=seed + trial)
-        process = machine.kernel.create_process("x")
-        target_region = machine.kernel.map_anonymous(
-            process, pages=2, perms=Perm.RX, kind="code"
-        )
-        victim = template.relocate(target_region + 128)
-        space = process.address_space
-        victim_load_hash = ipa_hash(space.translate_nofault(victim.iva(load_index)))
-        victim_store_hash = ipa_hash(space.translate_nofault(victim.iva(store_index)))
-
-        slide = machine.kernel.map_anonymous(
-            process, pages=pages, perms=Perm.RX, kind="code"
-        )
-
-        def any_candidate(distance_shift: int) -> bool:
-            limit = slide + pages * 4096 - template.byte_size
-            for iva in range(slide, limit):
-                candidate = template.relocate(iva)
-                load_ipa = space.translate_nofault(candidate.iva(load_index))
-                if ipa_hash(load_ipa) != victim_load_hash:
-                    continue
-                store_ipa = space.translate_nofault(
-                    candidate.iva(store_index) - distance_shift
-                )
-                if store_ipa is not None and ipa_hash(store_ipa) == victim_store_hash:
-                    return True
-            return False
-
-        equal_hits += any_candidate(distance_shift=0)
-        for shift in UNEQUAL_SHIFTS:
-            unequal_hits += any_candidate(distance_shift=shift)
-            unequal_checks += 1
-    return equal_hits / trials, unequal_hits / unequal_checks
+    hits = [_psfp_hits(_PSFP_SEED + trial) for trial in range(_PSFP_TRIALS)]
+    equal_hits = sum(trial[0] for trial in hits)
+    unequal_hits = sum(sum(trial[1:]) for trial in hits)
+    return (
+        equal_hits / _PSFP_TRIALS,
+        unequal_hits / (_PSFP_TRIALS * len(UNEQUAL_SHIFTS)),
+    )
 
 
 def run(trials: int = 12, seed: int = 900) -> ExperimentResult:

@@ -183,6 +183,7 @@ def run_experiment(name: str, seed: int | None = None) -> ExperimentResult:
     the registry — never ``SystemExit``; the CLI owns exit codes.
     """
     spec = _spec(name)
+    # The one call that sets every registered driver's ``seed``.
     return spec.driver(seed=effective_seed(name, seed))
 
 

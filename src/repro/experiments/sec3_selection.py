@@ -15,6 +15,7 @@ The paper's four-step argument that selection is keyed by the
 from __future__ import annotations
 
 from repro.attacks.runtime import AttackerStld
+from repro.core.exec_types import TimingClass
 from repro.cpu.machine import Machine
 from repro.experiments.base import ExperimentResult
 from repro.mem.physical import PAGE_SHIFT, PAGE_SIZE
@@ -52,7 +53,10 @@ def run(seed: int = 31) -> ExperimentResult:
     parent_observer.load_va = other_buffer + 0x80  # new data addresses
     second = parent_observer.observe(site, aliasing=True)
     parent_observer.load_va = saved
-    data_independent = second.name != "ROLLBACK_BYPASS"
+    # The same entry answers both readings alike, and without a fresh G.
+    data_independent = (
+        second is first and second is not TimingClass.ROLLBACK_BYPASS
+    )
     result.add_row(
         "vary data addresses", "same", "same",
         "same entry" if data_independent else "new entry",

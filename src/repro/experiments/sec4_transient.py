@@ -34,11 +34,12 @@ from repro.mem.hierarchy import CacheLevel
 __all__ = ["run"]
 
 
-def _delayed_stld(buf, store_off, load_off, probe, agen=20):
-    """store [buf+store_off] = 0xDD (delayed); load [buf+load_off];
-    transiently encode the loaded value into probe[value * 4096]."""
+def _delayed_stld(buf, store_off, load_off, probe):
+    """store [buf+store_off] = 0xDD (delayed by 20 multiplies); load
+    [buf+load_off]; transiently encode the loaded value into
+    probe[value * 4096]."""
     instructions = [MovImm("sbase", buf + store_off), Mov("t", "sbase")]
-    instructions += [ImulImm("t", "t", 1)] * agen
+    instructions += [ImulImm("t", "t", 1)] * 20
     instructions += [
         MovImm("data", 0xDD),
         Store(base="t", src="data", width=8),

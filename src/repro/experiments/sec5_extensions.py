@@ -24,12 +24,19 @@ from repro.experiments.base import ExperimentResult
 
 __all__ = ["run_covert_channel", "run_stl_inplace", "run_address_leak"]
 
+#: Payload bits sent over the covert channel.
+_COVERT_BITS = 64
+#: Secret bytes each Spectre-STL variant leaks.
+_INPLACE_SECRET_BYTES = 8
+#: Attacker pages whose pairwise relative hashes are recovered.
+_LEAK_PAGES = 4
 
-def run_covert_channel(bits: int = 64, seed: int = 42) -> ExperimentResult:
+
+def run_covert_channel(seed: int = 42) -> ExperimentResult:
     channel = StlPredictorChannel(width=1)
     (attempts,) = channel.handshake()
     rng = random.Random(seed)
-    payload = [rng.randrange(2) for _ in range(bits)]
+    payload = [rng.randrange(2) for _ in range(_COVERT_BITS)]
     thread = channel.machine.core.thread(0)
     start = thread.cycles
     received = channel.transfer(payload)
@@ -56,9 +63,9 @@ def run_covert_channel(bits: int = 64, seed: int = 42) -> ExperimentResult:
     return result
 
 
-def run_stl_inplace(secret_bytes: int = 8, seed: int = 24) -> ExperimentResult:
+def run_stl_inplace(seed: int = 24) -> ExperimentResult:
     rng = random.Random(seed)
-    secret = bytes(rng.randrange(256) for _ in range(secret_bytes))
+    secret = bytes(rng.randrange(256) for _ in range(_INPLACE_SECRET_BYTES))
     in_place = SpectreSTLInPlace()
     in_place_report = in_place.leak(secret)
 
@@ -91,8 +98,8 @@ def run_stl_inplace(secret_bytes: int = 8, seed: int = 24) -> ExperimentResult:
     return result
 
 
-def run_address_leak(pages: int = 4, seed: int = 808) -> ExperimentResult:
-    leak = AddressMappingLeak(machine=Machine(seed=seed), pages=pages)
+def run_address_leak(seed: int = 808) -> ExperimentResult:
+    leak = AddressMappingLeak(machine=Machine(seed=seed), pages=_LEAK_PAGES)
     result = ExperimentResult(
         experiment_id="address-leak",
         title="VA->PA mapping information leaked through the hash",

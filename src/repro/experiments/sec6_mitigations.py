@@ -23,11 +23,11 @@ __all__ = ["run", "stl_leak_works", "ctl_leak_works"]
 _SECRET = b"\x42\xa5"
 
 
-def stl_leak_works(machine: Machine, slide_pages: int = 16) -> bool:
+def stl_leak_works(machine: Machine) -> bool:
     """Attempt a small out-of-place Spectre-STL campaign; True when the
     secret is recovered."""
     try:
-        attack = SpectreSTL(machine=machine, slide_pages=slide_pages)
+        attack = SpectreSTL(machine=machine)
         attack.find_collision()
         report = attack.leak(_SECRET)
     except ReproError:
@@ -35,10 +35,10 @@ def stl_leak_works(machine: Machine, slide_pages: int = 16) -> bool:
     return report.accuracy == 1.0
 
 
-def ctl_leak_works(machine: Machine, slide_pages: int = 8) -> bool:
+def ctl_leak_works(machine: Machine) -> bool:
     """Attempt a one-byte cross-process Spectre-CTL campaign."""
     try:
-        attack = SpectreCTL(machine=machine, slide_pages=slide_pages)
+        attack = SpectreCTL(machine=machine, slide_pages=8)
         attack.find_collisions()
         report = attack.leak(_SECRET[:1])
     except ReproError:

@@ -50,8 +50,8 @@ __all__ = [
     "REGS",
     "TSC_REG",
     "GENERATORS",
-    "DEFAULT_FUZZ_WEIGHTS",
-    "DEFAULT_ORACLE_WEIGHTS",
+    "FUZZ_WEIGHTS",
+    "ORACLE_WEIGHTS",
     "random_program",
     "fuzz_program",
     "oracle_program",
@@ -160,7 +160,6 @@ def _racing_pair(
     load_dst: str,
     width: int = 8,
     min_chain: int = 0,
-    max_chain: int = 24,
 ) -> None:
     """Delayed store at ``store_off`` racing a load at ``load_off``: the
     address-generation ``imul`` chain keeps the store unresolved when the
@@ -168,7 +167,7 @@ def _racing_pair(
     out.append(AluImm("sa", "buf", store_off, "add"))
     out.append(Mov("sd", "sa"))
     out.extend(
-        ImulImm("sd", "sd", 1) for _ in range(rng.randrange(min_chain, max_chain))
+        ImulImm("sd", "sd", 1) for _ in range(rng.randrange(min_chain, 24))
     )
     out.append(Store(base="sd", src=rng.choice(REGS), width=width))
     out.append(AluImm("la", "buf", load_off, "add"))
@@ -271,7 +270,7 @@ _FUZZ_TEMPLATES: dict[str, Callable[[random.Random, list, _GenState], None]] = {
     "transmit": _fuzz_transmit,
 }
 
-DEFAULT_FUZZ_WEIGHTS: dict[str, int] = {
+FUZZ_WEIGHTS: dict[str, int] = {
     "alu": 15,
     "stl": 25,
     "alias4k": 10,
@@ -283,20 +282,24 @@ DEFAULT_FUZZ_WEIGHTS: dict[str, int] = {
 }
 
 
-def fuzz_program(
-    rng: random.Random, blocks: int, weights: dict[str, int] | None = None
+def _weighted_program(
+    rng: random.Random, blocks: int, weights: dict[str, int], templates: dict
 ) -> list:
-    """The campaign-grade generator: weighted speculation-heavy templates."""
-    table = dict(DEFAULT_FUZZ_WEIGHTS if weights is None else weights)
-    names = sorted(table)
-    weight_list = [table[name] for name in names]
+    """Seed every register, then append ``blocks`` weighted template draws."""
+    names = sorted(weights)
+    weight_list = [weights[name] for name in names]
     instructions: list = [MovImm(r, rng.randrange(1, 1 << 16)) for r in REGS]
     state = _GenState()
     for _ in range(blocks):
         template = rng.choices(names, weights=weight_list, k=1)[0]
-        _FUZZ_TEMPLATES[template](rng, instructions, state)
+        templates[template](rng, instructions, state)
     instructions.append(Halt())
     return instructions
+
+
+def fuzz_program(rng: random.Random, blocks: int) -> list:
+    """The campaign-grade generator: weighted speculation-heavy templates."""
+    return _weighted_program(rng, blocks, FUZZ_WEIGHTS, _FUZZ_TEMPLATES)
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +370,7 @@ _ORACLE_TEMPLATES: dict[str, Callable[[random.Random, list, _GenState], None]] =
     "fence": _oracle_fence,
 }
 
-DEFAULT_ORACLE_WEIGHTS: dict[str, int] = {
+ORACLE_WEIGHTS: dict[str, int] = {
     "covered": 20,
     "transmit": 20,
     "store": 15,
@@ -378,9 +381,7 @@ DEFAULT_ORACLE_WEIGHTS: dict[str, int] = {
 }
 
 
-def oracle_program(
-    rng: random.Random, blocks: int, weights: dict[str, int] | None = None
-) -> list:
+def oracle_program(rng: random.Random, blocks: int) -> list:
     """Leakage-oracle programs: architectural state is fill-independent.
 
     Invariant: tracked registers (``r0..r3``) only ever receive constants,
@@ -389,16 +390,7 @@ def oracle_program(
     initial buffer fill (the "secret") is therefore reachable only
     through transient paths.
     """
-    table = dict(DEFAULT_ORACLE_WEIGHTS if weights is None else weights)
-    names = sorted(table)
-    weight_list = [table[name] for name in names]
-    instructions: list = [MovImm(r, rng.randrange(1, 1 << 16)) for r in REGS]
-    state = _GenState()
-    for _ in range(blocks):
-        template = rng.choices(names, weights=weight_list, k=1)[0]
-        _ORACLE_TEMPLATES[template](rng, instructions, state)
-    instructions.append(Halt())
-    return instructions
+    return _weighted_program(rng, blocks, ORACLE_WEIGHTS, _ORACLE_TEMPLATES)
 
 
 #: Generator registry: the name is part of every corpus entry and finding

@@ -124,7 +124,6 @@ def execute_program(
     mitigation: str = "none",
     fill: bytes = DEFAULT_FILL,
     use_pipeline: bool = True,
-    max_steps: int = _MAX_STEPS,
 ) -> Execution:
     """Run a program on a fresh machine with one executor.
 
@@ -154,11 +153,11 @@ def execute_program(
     result: RunResult | None = None
     try:
         if use_pipeline:
-            result = machine.run(process, program, regs, max_steps=max_steps)
+            result = machine.run(process, program, regs, max_steps=_MAX_STEPS)
             final = result.regs
         else:
             final = ReferenceInterpreter(machine.kernel, process).run(
-                program, regs, max_steps=max_steps
+                program, regs, max_steps=_MAX_STEPS
             )
     except SegmentationFault as fault:
         status = f"fault:{fault}"
@@ -195,32 +194,28 @@ def run_dual(
     seed: int,
     model: CpuModel | str | None = None,
     mitigation: str = "none",
-    fill: bytes = DEFAULT_FILL,
-    tracked: list[str] | None = None,
 ) -> DualReport:
     """Execute one program on both executors and compare architecturally.
 
-    By default every register the program writes is compared (the shared
-    comparator removes ``Rdpru`` destinations); pass ``tracked`` to narrow
-    the comparison, e.g. to the classic ``r0..r3`` result registers.
+    Every register the program writes is compared (the shared comparator
+    removes ``Rdpru`` destinations).
     """
     resolved = resolve_model(model)
     pipe = execute_program(
         instructions, seed=seed, model=resolved, mitigation=mitigation,
-        fill=fill, use_pipeline=True,
+        use_pipeline=True,
     )
     ref = execute_program(
         instructions, seed=seed, model=resolved, mitigation=mitigation,
-        fill=fill, use_pipeline=False,
+        use_pipeline=False,
     )
-    names = tracked if tracked is not None else sorted(written_registers(instructions))
     divergence = compare_architectural(
         instructions,
         pipe.regs,
         ref.regs,
         mem_a=pipe.memory,
         mem_b=ref.memory,
-        tracked=names,
+        tracked=sorted(written_registers(instructions)),
         outcome_a=pipe.status,
         outcome_b=ref.status,
     )
@@ -243,27 +238,15 @@ def check_case(
     seed: int,
     blocks: int,
     *,
-    model: CpuModel | str | None = None,
     mitigation: str = "none",
-    fill: bytes = DEFAULT_FILL,
-    tracked: list[str] | None = None,
 ) -> DualReport:
     """Generate the ``(generator, seed, blocks)`` program and dual-run it."""
     instructions = build_program(generator, seed, blocks)
-    return run_dual(
-        instructions, seed=seed, model=model, mitigation=mitigation,
-        fill=fill, tracked=tracked,
-    )
+    return run_dual(instructions, seed=seed, mitigation=mitigation)
 
 
-def check_entry(
-    entry: CorpusEntry,
-    *,
-    model: CpuModel | str | None = None,
-    mitigation: str = "none",
-) -> DualReport:
+def check_entry(entry: CorpusEntry, *, mitigation: str = "none") -> DualReport:
     """Replay one corpus entry through the dual-execution harness."""
     return check_case(
-        entry.generator, entry.seed, entry.blocks,
-        model=model, mitigation=mitigation,
+        entry.generator, entry.seed, entry.blocks, mitigation=mitigation
     )

@@ -194,14 +194,12 @@ def leak_check(
     seed: int,
     blocks: int,
     *,
-    model: CpuModel | str | None = None,
     mitigation: str = "none",
 ) -> OracleReport:
     """Run one oracle case: same program, two secrets, compare everything."""
     return leak_check_instructions(
         build_program(generator, seed, blocks),
         seed=seed,
-        model=model,
         mitigation=mitigation,
         generator=generator,
         blocks=blocks,

@@ -30,12 +30,7 @@ CORUNNER_MIXES: dict[str, tuple[int, int, int]] = {
 }
 
 
-def build_burst(
-    rng: random.Random,
-    ops: int,
-    mix: str,
-    buffer_pages: int = BURST_BUFFER_PAGES,
-) -> Program:
+def build_burst(rng: random.Random, ops: int, mix: str) -> Program:
     """One seeded burst program of ``ops`` memory operations.
 
     Offsets are drawn uniformly over the buffer at line granularity;
@@ -49,7 +44,7 @@ def build_burst(
         raise ValueError(
             f"unknown co-runner mix {mix!r} (know {', '.join(CORUNNER_MIXES)})"
         ) from None
-    span = buffer_pages * 4096 - 64
+    span = BURST_BUFFER_PAGES * 4096 - 64
     kinds = rng.choices(("load", "store", "stld"), weights=weights, k=max(0, ops))
     instructions: list[Instruction] = [MovImm("v", 0x5A)]
     for kind in kinds:

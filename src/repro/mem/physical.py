@@ -86,21 +86,6 @@ class PhysicalMemory:
             paddr += chunk
             view = view[chunk:]
 
-    # ------------------------------------------------------------------
-    # Word access (little-endian, like amd64)
-    # ------------------------------------------------------------------
-    def read_u8(self, paddr: int) -> int:
-        return self.read(paddr, 1)[0]
-
-    def write_u8(self, paddr: int, value: int) -> None:
-        self.write(paddr, bytes([value & 0xFF]))
-
-    def read_u64(self, paddr: int) -> int:
-        return int.from_bytes(self.read(paddr, 8), "little")
-
-    def write_u64(self, paddr: int, value: int) -> None:
-        self.write(paddr, (value & (1 << 64) - 1).to_bytes(8, "little"))
-
     def copy_frame(self, src_frame: int, dst_frame: int) -> None:
         """Copy one whole frame (used by the kernel's copy-on-write)."""
         source = self._frames.get(src_frame)

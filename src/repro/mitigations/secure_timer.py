@@ -37,7 +37,3 @@ class SecureTimer:
     def __call__(self, cycles: int) -> int:
         noisy = cycles + self._rng.randint(-self.jitter, self.jitter)
         return max(0, noisy // self.resolution) * self.resolution
-
-    def defeats_margin(self, margin: float) -> bool:
-        """Would this timer hide a timing gap of ``margin`` cycles?"""
-        return self.resolution > margin or self.jitter > margin

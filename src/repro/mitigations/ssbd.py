@@ -82,12 +82,10 @@ def measure_workload(
 
 
 def ssbd_overhead(
-    names: list[str] | None = None,
     operations: int = 400,
     repetitions: int = 3,
     seed: int = 0,
 ) -> dict[str, WorkloadTiming]:
-    """The Fig 12 sweep over all (or selected) benchmarks."""
-    chosen = names or list(SPEC2017)
+    """The Fig 12 sweep over every benchmark."""
     return {name: measure_workload(SPEC2017[name], operations, repetitions, seed)
-            for name in chosen}
+            for name in SPEC2017}

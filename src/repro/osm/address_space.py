@@ -73,9 +73,6 @@ class AddressSpace:
     ) -> None:
         self._pages[va_page] = PageMapping(frame, perms, cow=cow, shared=shared)
 
-    def unmap_page(self, va_page: int) -> None:
-        self._pages.pop(va_page, None)
-
     def mapping(self, va_page: int) -> PageMapping | None:
         return self._pages.get(va_page)
 

@@ -145,10 +145,9 @@ class Kernel:
         pages: int,
         perms: Perm = Perm.RW,
         kind: str = "data",
-        vaddr: int | None = None,
     ) -> int:
         """Anonymous private mapping; returns the base virtual address."""
-        base = process.reserve_range(pages, kind) if vaddr is None else vaddr
+        base = process.reserve_range(pages, kind)
         for index in range(pages):
             frame = self.allocate_frame()
             process.address_space.map_page((base >> PAGE_SHIFT) + index, frame, perms)
@@ -187,14 +186,13 @@ class Kernel:
         source_vaddr: int,
         pages: int,
         perms: Perm | None = None,
-        kind: str = "mmap",
     ) -> int:
         """Map the source's frames into ``process`` (mmap MAP_SHARED).
 
         The two processes end up with (generally different) IVAs backed by
         identical IPAs — the last step of the paper's selection experiment.
         """
-        base = process.reserve_range(pages, kind)
+        base = process.reserve_range(pages, "mmap")
         for index in range(pages):
             src_mapping = source.address_space.mapping(
                 (source_vaddr >> PAGE_SHIFT) + index
@@ -289,6 +287,7 @@ class Kernel:
             vaddr += chunk
             view = view[chunk:]
 
+    # Only its unit test calls it; kept as the paper's privileged primitive.
     def physical_address(self, process: Process, vaddr: int, caller: Process) -> int:
         """The PTEditor/pagemap primitive: IVA -> IPA, privileged only."""
         if not caller.privileged:

@@ -47,11 +47,11 @@ def collect_colliding_pairs(count: int = 64, seed: int = 0) -> list[tuple[int, i
     return pairs
 
 
-def fold_hash(value: int, stride: int, bits: int = IPA_BITS) -> int:
-    """XOR-fold ``value`` into ``stride`` output bits."""
+def fold_hash(value: int, stride: int) -> int:
+    """XOR-fold the low ``IPA_BITS`` of ``value`` into ``stride`` output bits."""
     mask = (1 << stride) - 1
     out = 0
-    remaining = value & ((1 << bits) - 1)
+    remaining = value & ((1 << IPA_BITS) - 1)
     while remaining:
         out ^= remaining & mask
         remaining >>= stride
@@ -64,9 +64,7 @@ def stride_parity_ok(ipa_a: int, ipa_b: int, stride: int) -> bool:
     return fold_hash(ipa_a ^ ipa_b, stride) == 0
 
 
-def infer_stride(
-    pairs: list[tuple[int, int]], candidates: range = range(8, 25)
-) -> int:
+def infer_stride(pairs: list[tuple[int, int]]) -> int:
     """Find the fold stride consistent with every colliding pair.
 
     The paper hypothesises 12 from eyeballing two pairs and verifies over
@@ -77,7 +75,7 @@ def infer_stride(
         raise ReproError("need at least one colliding pair")
     consistent = [
         stride
-        for stride in candidates
+        for stride in range(8, 25)
         if all(stride_parity_ok(a, b, stride) for a, b in pairs)
     ]
     if not consistent:

@@ -37,30 +37,28 @@ class PredictorProber:
         self.classifier = classifier
         self._probe_store_for_load: dict[int, int] = {}
 
-    def _probe_store_id(self, load_id: int) -> int:
-        """A per-load-id store id with no hash-equality constraint (a
-        fresh one per load id avoids the linked-hash restriction of
-        double-equality placements)."""
+    def _probe_token(self, load_id: int) -> StldToken:
+        """A non-aliasing token whose store id has no hash-equality
+        constraint (a fresh one per load id avoids the linked-hash
+        restriction of double-equality placements)."""
         store_id = self._probe_store_for_load.get(load_id)
         if store_id is None:
             store_id = PredictorProber._next_probe_store
             PredictorProber._next_probe_store -= 1
             self._probe_store_for_load[load_id] = store_id
-        return store_id
+        return StldToken(False, load_id=load_id, store_id=store_id)
 
     # ------------------------------------------------------------------
     # SSBP (C3) probes
     # ------------------------------------------------------------------
-    def read_c3(self, load_id: int = 0, probe_store_id: int | None = None) -> int:
+    def read_c3(self, load_id: int = 0) -> int:
         """Destructively read C3 of the entry selected by ``load_id``.
 
         Probes with a store hash whose PSFP pair is untrained, so every
         stalled observation is an F (C3-driven) and the F-run length
         equals C3.
         """
-        if probe_store_id is None:
-            probe_store_id = self._probe_store_id(load_id)
-        token = StldToken(False, load_id=load_id, store_id=probe_store_id)
+        token = self._probe_token(load_id)
         count = 0
         for _ in range(_C3_DRAIN):
             cycles = self.harness.run_token(token)
@@ -70,11 +68,9 @@ class PredictorProber:
                 break
         return count
 
-    def c3_is_charged(self, load_id: int = 0, probe_store_id: int | None = None) -> bool:
+    def c3_is_charged(self, load_id: int = 0) -> bool:
         """One-shot (cheap, nearly non-destructive: drains C3 by one)."""
-        if probe_store_id is None:
-            probe_store_id = self._probe_store_id(load_id)
-        token = StldToken(False, load_id=load_id, store_id=probe_store_id)
+        token = self._probe_token(load_id)
         cycles = self.harness.run_token(token)
         return self.classifier.classify(cycles) is TimingClass.STALL_CACHE
 
@@ -84,12 +80,10 @@ class PredictorProber:
         harness = self.harness
         harness.charge_c3(harness.variant(load_id, store_id).program)
 
-    def clear_c3(self, load_id: int = 0, probe_store_id: int | None = None) -> None:
+    def clear_c3(self, load_id: int = 0) -> None:
         """Drain C3 with non-aliasing pairs from an untrained store hash
         (the paper's ``40 n_0^{j_0}`` step)."""
-        if probe_store_id is None:
-            probe_store_id = self._probe_store_id(load_id)
-        token = StldToken(False, load_id=load_id, store_id=probe_store_id)
+        token = self._probe_token(load_id)
         for _ in range(_C3_DRAIN):
             self.harness.run_token(token)
 

@@ -81,7 +81,6 @@ class ModelValidator:
         sequences: int = 20,
         length: int = 40,
         seed: int = 0,
-        scratch_base: int = -1000,
     ) -> ValidationReport:
         """The paper's Section III-B.3 experiment: random ``a``/``n``
         sequences, model-vs-hardware agreement (paper: > 99.8%).
@@ -92,7 +91,7 @@ class ModelValidator:
         rng = random.Random(seed)
         report = ValidationReport()
         for sequence_index in range(sequences):
-            scratch = scratch_base - sequence_index
+            scratch = -1000 - sequence_index
             inputs = [rng.random() < 0.5 for _ in range(length)]
             tokens = [
                 StldToken(aliasing, load_id=scratch, store_id=scratch)
@@ -114,24 +113,4 @@ class ModelValidator:
                     report.mismatches.append((position, expected, timing_class))
                 state = result.state
             report.sequences += 1
-        return report
-
-    def validate_sequence(self, sequence: str) -> ValidationReport:
-        """Validate one explicit sequence on the base stld variant."""
-        from repro.revng.sequences import parse
-
-        tokens = parse(sequence)
-        inputs = [token.aliasing for token in tokens]
-        observed = self.classifier.classify_all(self.harness.run_sequence(tokens))
-        report = ValidationReport(sequences=1)
-        state = CounterState()
-        for position, (timing_class, aliasing) in enumerate(zip(observed, inputs)):
-            result = transition(state, aliasing)
-            expected = TIMING_CLASS[result.exec_type]
-            report.total += 1
-            if expected is timing_class:
-                report.matches += 1
-            else:
-                report.mismatches.append((position, expected, timing_class))
-            state = result.state
         return report

@@ -103,6 +103,7 @@ class StldRunner:
     difference greater than 4).
     """
 
+    # AttackerStld sets thread_id and timer through super().__init__.
     def __init__(
         self, machine: Machine, process: Process, thread_id: int = 0, timer=None
     ) -> None:
@@ -217,9 +218,7 @@ class StldHarness(StldRunner):
         self._store_hash_by_id.setdefault(token.store_id, variant.store_hash)
         return variant
 
-    def _place_variant(
-        self, load_id: int, store_id: int, max_attempts: int = 20_000
-    ) -> StldVariant:
+    def _place_variant(self, load_id: int, store_id: int) -> StldVariant:
         """Place an stld copy whose hashes honour the id constraints.
 
         An id already bound to a hash is an *equality* constraint; a new
@@ -252,7 +251,7 @@ class StldHarness(StldRunner):
         template = self._template
         load_off = template.iva(load_instruction_index(template)) - template.base_iva
         store_off = template.iva(store_instruction_index(template)) - template.base_iva
-        for _ in range(max_attempts):
+        for _ in range(20_000):
             region = self.kernel.map_anonymous(
                 self.process, pages=3, perms=Perm.RX, kind="code"
             )

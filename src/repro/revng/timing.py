@@ -50,13 +50,13 @@ def median(values: "list[float] | list[int]") -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
-def mad(values: "list[float] | list[int]", center: float | None = None) -> float:
+def mad(values: "list[float] | list[int]") -> float:
     """Median absolute deviation — the outlier-robust spread estimate
     the hardened calibration thresholds on (a single preempted probe can
     be thousands of cycles off; it moves a mean, not a median)."""
     if not values:
         return 0.0
-    center = median(values) if center is None else center
+    center = median(values)
     return median([abs(v - center) for v in values])
 
 
@@ -198,10 +198,7 @@ class TimingClassifier(CentroidClassifier):
         self.harness = harness
 
     def calibrate(
-        self,
-        variants: int = 3,
-        psf_supported: bool = True,
-        require_all: bool = True,
+        self, psf_supported: bool = True, require_all: bool = True
     ) -> CalibrationResult:
         """Drive scratch stld variants through known states and record
         each type's timing.  The scratch variants use private (negative)
@@ -220,7 +217,7 @@ class TimingClassifier(CentroidClassifier):
             )
 
         result = collect_calibration(
-            [scratch_probe(-(10 + index)) for index in range(variants)],
+            [scratch_probe(-(10 + index)) for index in range(3)],
             psf_supported,
             require_all,
         )

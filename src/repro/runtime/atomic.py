@@ -43,7 +43,7 @@ def content_key(payload: Any) -> str:
     return hashlib.sha256(canonical(payload).encode("utf-8")).hexdigest()
 
 
-def atomic_write_text(path: str | Path, text: str, *, encoding: str = "utf-8") -> Path:
+def atomic_write_text(path: str | Path, text: str) -> Path:
     """Write ``text`` to ``path`` atomically and durably; returns the path.
 
     The content is flushed and fsynced before the rename, so after this
@@ -56,7 +56,7 @@ def atomic_write_text(path: str | Path, text: str, *, encoding: str = "utf-8") -
         dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
     )
     try:
-        with os.fdopen(fd, "w", encoding=encoding) as handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
@@ -70,7 +70,7 @@ def atomic_write_text(path: str | Path, text: str, *, encoding: str = "utf-8") -
     return path
 
 
-def atomic_write_json(path: str | Path, payload: Any, *, indent: int | None = 2) -> Path:
+def atomic_write_json(path: str | Path, payload: Any) -> Path:
     """Serialize ``payload`` canonically (sorted keys) and write it atomically.
 
     The JSON persistence primitive: the result cache, the corpus,
@@ -78,5 +78,5 @@ def atomic_write_json(path: str | Path, payload: Any, *, indent: int | None = 2)
     checkpoint journal, one JSON line per record, is created with
     :func:`atomic_write_text` — the same durability path.
     """
-    text = json.dumps(payload, indent=indent, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     return atomic_write_text(path, text)

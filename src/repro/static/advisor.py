@@ -103,12 +103,11 @@ def _guilty_loads(report: ScanReport) -> dict[int, int]:
 def advise(
     program: Program | DecodedProgram | list[Instruction],
     *,
-    tracked: tuple[str, ...] | list[str] | None = None,
     name: str | None = None,
 ) -> FencePlan:
     """Compute, apply and verify a minimal fence plan for one program."""
     instructions = _instructions_of(program)
-    before = scan_program(instructions, mitigation="none", tracked=tracked, name=name)
+    before = scan_program(instructions, mitigation="none", name=name)
 
     # Greedy interval point-cover, optimal because intervals are visited
     # by right endpoint: each guilty load L needs a fence in
@@ -121,10 +120,7 @@ def advise(
         positions.append(load - 1)
 
     patched = fence_after(instructions, positions)
-    after = scan_program(
-        patched, mitigation="none", tracked=tracked,
-        name=f"{before.name}+fences",
-    )
+    after = scan_program(patched, mitigation="none", name=f"{before.name}+fences")
     registry().counter("scan.advised_fences").inc(len(positions))
     return FencePlan(
         name=before.name,

@@ -159,9 +159,6 @@ def analyze_taint(
     ir: IRProgram,
     edges: list[BypassEdge],
     windows: list[BranchWindow],
-    *,
-    buffer_reg: str = "buf",
-    buffer_bytes: int = BUF_BYTES,
 ) -> TaintResult:
     """One forward pass: abstract values, coverage and taint sources.
 
@@ -175,7 +172,7 @@ def analyze_taint(
     ranges: dict[int, tuple[int, int]] = {}
     condition: dict[int, tuple[frozenset[int], frozenset[int]]] = {}
     sources: dict[int, str] = {}
-    regs: dict[str, _Value] = {buffer_reg: (_BUF, 0, EMPTY, EMPTY)}
+    regs: dict[str, _Value] = {"buf": (_BUF, 0, EMPTY, EMPTY)}
     get = regs.get
     #: definitely-overwritten buffer byte -> (arch, spec) taint of its data.
     coverage: dict[int, tuple[frozenset[int], frozenset[int]]] = {}
@@ -227,7 +224,7 @@ def analyze_taint(
             if region == _BUF:
                 lo = offset + ins.offset
                 hi = lo + max(1, ins.width)
-                if 0 <= lo and hi <= buffer_bytes:
+                if 0 <= lo and hi <= BUF_BYTES:
                     ranges[index] = (lo, hi)
                 # The distinct coverage cells under the loaded bytes
                 # (None: some byte is not definitely overwritten); an
@@ -266,7 +263,7 @@ def analyze_taint(
             values[index] = (region, offset)
             lo = offset + ins.offset
             hi = lo + max(1, ins.width)
-            placed = region == _BUF and 0 <= lo and hi <= buffer_bytes
+            placed = region == _BUF and 0 <= lo and hi <= BUF_BYTES
             if placed:
                 ranges[index] = (lo, hi)
             if placed and not base_spec:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from repro.cpu.isa import Program
 from repro.cpu.machine import Machine
-from repro.osm.process import Process
 from repro.revng.stld import StldRunner, build_stld
 
 __all__ = ["LayerSpec", "CnnModel", "CNN_MODELS", "CnnVictim", "model_names"]
@@ -112,14 +111,10 @@ class CnnVictim:
     accesses in order, leaving the model's SSBP signature behind.
     """
 
-    def __init__(
-        self, machine: Machine, model: CnnModel, process: Process | None = None
-    ) -> None:
+    def __init__(self, machine: Machine, model: CnnModel) -> None:
         self.machine = machine
         self.model = model
-        self.process = process or machine.kernel.create_process(
-            f"cnn-{model.name}"
-        )
+        self.process = machine.kernel.create_process(f"cnn-{model.name}")
         self.runner = StldRunner(machine, self.process)
         template = build_stld()
         self._layer_programs: list[Program] = [

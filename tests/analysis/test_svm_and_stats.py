@@ -97,8 +97,6 @@ class TestStats:
         fit = fit_gaussian(samples)
         assert fit.mu == pytest.approx(2200, rel=0.02)
         assert fit.sigma == pytest.approx(300, rel=0.05)
-        assert fit.within(2200)
-        assert not fit.within(2200 + 10 * 300)
 
     def test_frequency_vector_excludes_zeros(self):
         vec = frequency_vector([0, 0, 5, 5, 7])

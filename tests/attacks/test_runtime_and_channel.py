@@ -3,7 +3,7 @@
 import pytest
 
 from repro.attacks.collision import SsbpCollisionFinder
-from repro.attacks.flush_reload import FlushReloadChannel
+from repro.attacks.flush_reload import STRIDE, FlushReloadChannel
 from repro.attacks.runtime import AttackerStld
 from repro.core.exec_types import TimingClass
 from repro.core.hashfn import ipa_hash
@@ -71,7 +71,7 @@ class TestFlushReload:
         channel.flush_all()
         # Victim stand-in: touch slot 42.
         paddr = channel.machine.kernel.translate(
-            channel.process, channel.base_va + 42 * channel.stride
+            channel.process, channel.base_va + 42 * STRIDE
         )
         channel.machine.core.hierarchy.load(paddr)
         assert channel.receive() == 42
@@ -80,7 +80,7 @@ class TestFlushReload:
         channel.flush_all()
         for slot in (7, 9):
             paddr = channel.machine.kernel.translate(
-                channel.process, channel.base_va + slot * channel.stride
+                channel.process, channel.base_va + slot * STRIDE
             )
             channel.machine.core.hierarchy.load(paddr)
         assert channel.receive() is None

@@ -20,7 +20,11 @@ class TestPumpC4:
     def test_pump_then_single_g_charges(self, rig):
         machine, attacker = rig
         program = attacker.place_at(attacker.slide_base + 700)
-        attacker.pump_c4(program)
+        # Pump C4: deliver G events between drains until it saturates.
+        for _ in range(4):
+            attacker.drain_c3(program)
+            attacker.run(program, aliasing=True)  # G
+        attacker.drain_c3(program)
         # After the pump, the entry reads drained...
         assert attacker.observe(program, aliasing=False) is TimingClass.BYPASS
         # ...and ONE further G event charges C3 fully (C4 saturated).

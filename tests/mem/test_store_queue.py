@@ -120,7 +120,7 @@ class TestCommit:
         queue.push(entry(2, 0x200, data=b"b"))
         committed = queue.commit_ready(memory, now=10, max_seq=1)
         assert [e.seq for e in committed] == [1]
-        assert memory.read_u8(0x200) == 0
+        assert memory.read(0x200, 1) == b"\x00"
         assert len(queue) == 1
 
     def test_commit_max_seq_none_commits_all(self):
@@ -135,7 +135,7 @@ class TestCommit:
         memory = PhysicalMemory()
         queue.push(entry(1, 0x100, data=b"a", addr_ready=99, data_ready=99))
         queue.drain(memory)
-        assert memory.read_u8(0x100) == ord("a")
+        assert memory.read(0x100, 1) == b"a"
         assert len(queue) == 0
 
     def test_squash_younger(self):

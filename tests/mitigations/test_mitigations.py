@@ -80,18 +80,6 @@ class TestSecureTimer:
         with pytest.raises(ValueError):
             SecureTimer(resolution=0)
 
-    def test_defeats_margin(self):
-        assert SecureTimer(resolution=256).defeats_margin(45)
-        assert not SecureTimer(resolution=2, jitter=0).defeats_margin(45)
-
-    def test_defeats_margin_at_the_exact_margin(self):
-        """The contract is strict: a resolution (or jitter) exactly equal
-        to the gap still resolves it, so neither term defeats its own
-        value — only strictly larger ones do."""
-        assert not SecureTimer(resolution=45, jitter=45).defeats_margin(45)
-        assert SecureTimer(resolution=46, jitter=0).defeats_margin(45)
-        assert SecureTimer(resolution=1, jitter=46).defeats_margin(45)
-
     def test_one_cycle_resolution_without_jitter_is_identity(self):
         timer = SecureTimer(resolution=1, jitter=0)
         assert [timer(c) for c in (0, 1, 45, 1000)] == [0, 1, 45, 1000]

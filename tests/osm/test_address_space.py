@@ -58,13 +58,6 @@ class TestTranslate:
         assert space.translate_nofault(PAGE_SIZE + 5) == 2 * PAGE_SIZE + 5
         assert space.translate_nofault(0) is None
 
-    def test_unmap(self):
-        space = AddressSpace()
-        space.map_page(1, frame=2, perms=Perm.R)
-        space.unmap_page(1)
-        with pytest.raises(SegmentationFault):
-            space.translate(PAGE_SIZE)
-
     def test_fault_describes_access(self):
         space = AddressSpace()
         space.map_page(1, frame=2, perms=Perm.R)

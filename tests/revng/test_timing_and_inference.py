@@ -111,14 +111,6 @@ class TestModelValidation:
         assert report.total == 400
         assert report.agreement > 0.998
 
-    def test_named_sequence_validates(self, rig):
-        harness, classifier = rig
-        validator = ModelValidator(harness, classifier)
-        report = validator.validate_sequence("3n, a, 4a, 5a, n")
-        # The base variant carries state from other tests; agreement is
-        # not meaningful here — only that the plumbing runs end to end.
-        assert report.total == 14
-
 
 class TestRefineTypes:
     def test_unambiguous_classes_pass_through(self):
