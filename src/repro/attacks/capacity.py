@@ -35,7 +35,6 @@ __all__ = [
     "CapacityReport",
     "build_channel",
     "measure_capacity",
-    "sweep",
 ]
 
 #: Transport kinds ``build_channel`` understands.
@@ -240,8 +239,3 @@ def measure_capacity(config: CapacityConfig) -> CapacityReport:
     if report.all_lost:
         registry().counter("attack.degraded").inc()
     return report
-
-
-def sweep(configs: list[CapacityConfig]) -> list[CapacityReport]:
-    """Measure every configuration (fresh machine each, deterministic)."""
-    return [measure_capacity(config) for config in configs]

@@ -9,7 +9,7 @@ store-queue size and cache latencies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.psfp import PSFP_ENTRIES
 from repro.core.ssbp import SSBP_SETS, SSBP_WAYS
@@ -95,10 +95,6 @@ class CpuModel:
             raise ConfigError("timer noise is a small fraction (paper: <1%)")
         if self.store_queue_entries < 1:
             raise ConfigError("store queue needs at least one entry")
-
-    def with_overrides(self, **changes) -> "CpuModel":
-        """Return a modified copy (e.g. single-thread mode, custom noise)."""
-        return replace(self, **changes)
 
 
 #: The four evaluation platforms of TABLE III.

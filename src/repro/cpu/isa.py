@@ -1,9 +1,10 @@
 """The micro-ISA interpreted by the simulated pipeline.
 
-A :class:`Program` is a list of instruction objects assembled at a base
-instruction *virtual* address; each instruction occupies a fixed number of
-bytes, so code sliding (placing the same code at byte-granular offsets,
-Section III-C.2) is just a prefix of 1-byte ``Pad`` instructions.
+A :class:`Program` is an immutable tuple of instruction objects assembled
+at a base instruction *virtual* address; each instruction occupies a
+fixed number of bytes, so code sliding (placing the same code at
+byte-granular offsets, Section III-C.2) is just a prefix of 1-byte
+``Pad`` instructions.
 
 The ISA is deliberately tiny — the paper's microbenchmarks and gadgets
 need loads, stores, multiply/ALU chains (for address-generation delay),
@@ -14,8 +15,8 @@ are named strings holding unsigned integers.
 from __future__ import annotations
 
 import zlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.errors import ConfigError, InvalidInstruction
 
@@ -63,8 +64,6 @@ __all__ = [
     "instruction_from_repr",
     "instructions_from_reprs",
     "DECODE_CACHE_SIZE",
-    "decode_cache_info",
-    "clear_decode_cache",
 ]
 
 
@@ -288,91 +287,54 @@ _OPCODES: dict[type, int] = {
 }
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class DecodedProgram:
-    """A :class:`Program` pre-decoded into parallel dense arrays.
+    """The base-independent layout and dense decoded form of one
+    instruction sequence.
 
-    Built once per program (see :meth:`Program.decoded`) and then reused
-    across the thousands of repeated runs an experiment performs.  Layout
-    (all lists are indexed by instruction position):
+    Built once per distinct sequence (see :func:`_decode`) and shared by
+    every :class:`Program` around it, relocated copies included: code
+    sliding (Section III-C) places one template at thousands of bases,
+    and each copy owns nothing but its base.  The pipeline reuses it
+    across the thousands of repeated runs an experiment performs.  All
+    tuples are indexed by instruction position:
 
+    * ``insts[i]`` — the instruction object (error messages);
+    * ``offsets[i]`` — the byte offset from the program's base, so the
+      instruction virtual address is ``program.base_iva + offsets[i]``;
     * ``ops[i]`` — the ``OP_*`` integer opcode;
     * ``args[i]`` — a per-opcode operand tuple (see :func:`_decode_args`);
     * ``names[i]`` — the instruction class name (trace events);
-    * ``insts[i]`` — the original instruction object (error messages);
-    * ``offsets[i]`` — the byte offset from ``base_iva``, so the
-      instruction virtual address is ``base_iva + offsets[i]``;
     * ``chain[i]`` — the length of the run of identical
       ``ImulImm(r, r, 1)`` delay links starting at ``i`` (0 when ``i`` is
       not such a link), so the pipeline can dispatch the rest of a delay
       chain in one step from wherever execution enters it.
 
-    The decoded form carries no execution state; it is immutable in
-    practice and safely shared by concurrent interpreter states (SMT).
-    Its lists are also shared by every program with the same
-    instructions, relocated copies included, so nothing may mutate them.
+    ``labels`` maps each label name to its instruction index and
+    ``byte_size`` is the encoded length.  The form carries no execution
+    state, so concurrent interpreter states (SMT) share it safely.
     """
 
-    ops: list[int]
-    args: list[tuple]
-    names: list[str]
-    insts: list[Instruction]
-    offsets: list[int]
-    chain: list[int]
-    base_iva: int
-    n: int
-
-    @property
-    def ivas(self) -> list[int]:
-        """Every instruction's virtual address (a new list per access)."""
-        base = self.base_iva
-        return [base + offset for offset in self.offsets]
+    insts: tuple[Instruction, ...]
+    offsets: tuple[int, ...]
+    labels: dict[str, int]
+    byte_size: int
+    ops: tuple[int, ...]
+    args: tuple[tuple, ...]
+    names: tuple[str, ...]
+    chain: tuple[int, ...]
 
 
-# ----------------------------------------------------------------------
-# Shared base-independent bodies
-# ----------------------------------------------------------------------
-# Everything derived from a program except its IVAs depends on the
-# instruction sequence alone: byte offsets, labels, size and the decoded
-# ops/args/names.  That part is a _Body, shared by every Program around
-# the same instructions.  Code sliding (Section III-C) places one
-# template at thousands of bases; :meth:`Program.relocate` hands the
-# template's body to each copy, so a copy owns nothing but its base.
-#
-# Campaign workloads also rebuild Program *objects* around content the
+# Campaign workloads rebuild Program objects around sequences the
 # process has seen before (every fuzz task, corpus replay and oracle
-# fill), so bodies are shared across fresh instances through a bounded
-# LRU keyed by the instruction tuple (frozen instruction dataclasses hash
-# by value).  The bound matters: a long campaign cycles thousands of
-# distinct generated programs through one warm worker, and an unbounded
-# map would pin every one of them forever.
+# fill), so decoded forms are shared across fresh instances through a
+# bounded LRU keyed by the instruction tuple (frozen instruction
+# dataclasses hash by value).  The bound matters: a long campaign cycles
+# thousands of distinct generated programs through one warm worker, and
+# an unbounded map would pin every one of them forever.
 
-#: Bound on the shared body LRU (distinct instruction sequences).
+#: Bound on the decoded-form LRU (distinct instruction sequences).
 DECODE_CACHE_SIZE = 512
-
-_decode_cache: "OrderedDict[tuple, _Body]" = OrderedDict()
-_decode_stats = {"hits": 0, "misses": 0, "evictions": 0}
-
-
-def decode_cache_info() -> dict[str, int]:
-    """Current body-LRU occupancy and hit/miss/eviction counters."""
-    return {
-        "size": len(_decode_cache),
-        "max_size": DECODE_CACHE_SIZE,
-        **_decode_stats,
-    }
-
-
-def clear_decode_cache() -> None:
-    """Drop every shared body and reset the counters.
-
-    Program instances keep their own references, so anything a live
-    Program already laid out stays valid — only cross-instance sharing
-    restarts cold.
-    """
-    _decode_cache.clear()
-    for name in _decode_stats:
-        _decode_stats[name] = 0
 
 
 def _decode_args(instruction: Instruction, labels: dict[str, int]) -> tuple:
@@ -421,81 +383,46 @@ def _decode_args(instruction: Instruction, labels: dict[str, int]) -> tuple:
     return ()
 
 
-@dataclass(slots=True, eq=False)
-class _Body:
-    """The base-independent layout of one instruction sequence.
-
-    Built once per distinct sequence and never mutated afterwards,
-    except that the decoded lists are filled on the first
-    :meth:`Program.decoded` of any program sharing it.  ``insts`` is the
-    sequence itself, which programs compare their (mutable) instruction
-    list against to notice in-place edits.
-    """
-
-    insts: list[Instruction]
-    offsets: list[int]
-    labels: dict[str, int]
-    byte_size: int
-    ops: "list[int] | None" = None
-    args: "list[tuple] | None" = None
-    names: "list[str] | None" = None
-    chain: "list[int] | None" = None
-
-    @classmethod
-    def lay_out(cls, src: tuple) -> "_Body":
-        offsets = []
-        labels: dict[str, int] = {}
-        cursor = 0
-        for index, instruction in enumerate(src):
-            offsets.append(cursor)
-            if isinstance(instruction, Label):
-                if instruction.name in labels:
-                    raise ConfigError(f"duplicate label {instruction.name!r}")
-                labels[instruction.name] = index
-            cursor += instruction.size
-        return cls(list(src), offsets, labels, cursor)
-
-    def decode(self) -> None:
-        labels = self.labels
-        self.ops = [_OPCODES.get(type(i), OP_UNKNOWN) for i in self.insts]
-        self.args = [_decode_args(i, labels) for i in self.insts]
-        self.names = [type(i).__name__ for i in self.insts]
-        # Delay-chain run lengths, scanned backwards: a link extends the
-        # run behind it only when the two operand tuples are identical.
-        ops, args = self.ops, self.args
-        chain = [0] * len(ops)
-        for i in range(len(ops) - 1, -1, -1):
-            if ops[i] != OP_IMULIMM:
-                continue
-            dst, src, imm = args[i]
-            if dst == src and type(imm) is int and imm == 1:
-                same = i + 1 < len(ops) and args[i + 1] == args[i]
-                chain[i] = chain[i + 1] + 1 if same else 1
-        self.chain = chain
+@lru_cache(maxsize=DECODE_CACHE_SIZE)
+def _decode(insts: tuple[Instruction, ...]) -> DecodedProgram:
+    """Lay out and decode one instruction sequence (shared via the LRU)."""
+    offsets = []
+    labels: dict[str, int] = {}
+    cursor = 0
+    for index, instruction in enumerate(insts):
+        offsets.append(cursor)
+        if isinstance(instruction, Label):
+            if instruction.name in labels:
+                raise ConfigError(f"duplicate label {instruction.name!r}")
+            labels[instruction.name] = index
+        cursor += instruction.size
+    ops = tuple(_OPCODES.get(type(i), OP_UNKNOWN) for i in insts)
+    args = tuple(_decode_args(i, labels) for i in insts)
+    # Delay-chain run lengths, scanned backwards: a link extends the
+    # run behind it only when the two operand tuples are identical.
+    chain = [0] * len(ops)
+    for i in range(len(ops) - 1, -1, -1):
+        if ops[i] != OP_IMULIMM:
+            continue
+        dst, src, imm = args[i]
+        if dst == src and type(imm) is int and imm == 1:
+            same = i + 1 < len(ops) and args[i + 1] == args[i]
+            chain[i] = chain[i + 1] + 1 if same else 1
+    return DecodedProgram(
+        insts,
+        tuple(offsets),
+        labels,
+        cursor,
+        ops,
+        args,
+        tuple(type(i).__name__ for i in insts),
+        tuple(chain),
+    )
 
 
-def _shared_body(instructions: list[Instruction]) -> _Body:
-    """The body for ``instructions``, from the LRU when it has one."""
-    src = tuple(instructions)
-    try:
-        body = _decode_cache.get(src)
-    except TypeError:
-        return _Body.lay_out(src)  # unhashable instruction subclass: skip sharing
-    if body is not None:
-        _decode_cache.move_to_end(src)
-        _decode_stats["hits"] += 1
-        return body
-    _decode_stats["misses"] += 1
-    body = _decode_cache[src] = _Body.lay_out(src)
-    while len(_decode_cache) > DECODE_CACHE_SIZE:
-        _decode_cache.popitem(last=False)
-        _decode_stats["evictions"] += 1
-    return body
-
-
-@dataclass
+@dataclass(frozen=True)
 class Program:
-    """An assembled instruction sequence with label resolution.
+    """An assembled, immutable instruction sequence at a base address.
 
     ``base_iva`` is where the first instruction lives in the owning
     process's address space; each instruction's IVA follows from the
@@ -503,84 +430,46 @@ class Program:
     tables, so physical placement — what the predictors actually hash —
     is controlled by the kernel's frame allocator.
 
-    Derived state (offsets, labels, size, decoded form) follows in-place
-    edits of ``instructions`` and rebinding of ``base_iva``: every
-    accessor first checks the instruction list against the laid-out
-    body, an element-wise sweep that short-circuits on object identity.
+    ``instructions`` is stored as a tuple and no field can be assigned
+    after construction, so the layout and decoded form are derived once,
+    at construction, and stay valid.  Another sequence is another
+    ``Program``; another base is :meth:`relocate`.  A duplicate label
+    raises :class:`repro.errors.ConfigError` at construction.
     """
 
-    instructions: list[Instruction]
+    instructions: tuple[Instruction, ...]
     base_iva: int = 0
     name: str = "program"
-    _body: _Body = field(init=False, repr=False, compare=False)
-    _decoded: "DecodedProgram | None" = field(
-        init=False, default=None, repr=False, compare=False
-    )
+    _decoded: DecodedProgram = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._layout()
-
-    def _layout(self) -> None:
-        """Re-derive the body from the current instructions."""
-        self._body = _shared_body(self.instructions)
-        self._decoded = None
-
-    def _current(self) -> _Body:
-        if self.instructions != self._body.insts:
-            self._layout()
-        return self._body
+        instructions = tuple(self.instructions)
+        object.__setattr__(self, "instructions", instructions)
+        object.__setattr__(self, "_decoded", _decode(instructions))
 
     def relocate(self, base_iva: int) -> "Program":
-        """A copy of this program laid out at a different base address.
+        """This program laid out at a different base address.
 
-        The copy shares this program's body, so it is neither laid out
-        nor decoded again; editing either program's instructions in
-        place re-derives that program's body only.
+        The copy shares this program's instruction tuple and decoded
+        form, so it is neither laid out nor decoded again.
         """
-        body = self._current()
-        copy = Program.__new__(Program)
-        copy.instructions = list(self.instructions)
-        copy.base_iva = base_iva
-        copy.name = self.name
-        copy._body = body
-        copy._decoded = None
+        # Bypass __init__: it would hash the whole tuple for the LRU,
+        # a Python call per instruction.
+        copy = object.__new__(Program)
+        vars(copy).update(vars(self), base_iva=base_iva)
         return copy
 
     def decoded(self) -> DecodedProgram:
-        """The dense decoded form, cached on the instance.
-
-        All its lists are the shared body's; only ``base_iva`` belongs
-        to this program, so a relocated copy decodes in O(1).  An
-        in-place edit of ``instructions`` swaps in the body of the new
-        sequence (shared through the LRU, see :func:`decode_cache_info`)
-        and rebinding ``base_iva`` rebases it; otherwise repeated calls
-        return the same object.
-        """
-        body = self._current()
-        decoded = self._decoded
-        if decoded is not None and decoded.base_iva == self.base_iva:
-            return decoded
-        if body.ops is None:
-            body.decode()
-        self._decoded = DecodedProgram(
-            body.ops,
-            body.args,
-            body.names,
-            body.insts,
-            body.offsets,
-            body.chain,
-            self.base_iva,
-            len(body.insts),
-        )
+        """The shared layout and dense decoded form (built at construction)."""
         return self._decoded
 
     def iva(self, index: int) -> int:
         """Instruction virtual address of the instruction at ``index``."""
-        return self.base_iva + self._current().offsets[index]
+        return self.base_iva + self._decoded.offsets[index]
 
     def label_index(self, name: str) -> int:
         try:
-            return self._current().labels[name]
+            return self._decoded.labels[name]
         except KeyError:
             raise InvalidInstruction(f"unknown label {name!r}") from None
 
@@ -588,11 +477,11 @@ class Program:
     def fault_handler(self) -> "int | None":
         """Index of the ``fault_handler`` label, where a faulting
         program resumes architecturally, or None if it has none."""
-        return self._current().labels.get("fault_handler")
+        return self._decoded.labels.get("fault_handler")
 
     @property
     def byte_size(self) -> int:
-        return self._current().byte_size
+        return self._decoded.byte_size
 
     def encode(self) -> bytes:
         """Synthetic machine code: a stable byte pattern per instruction.

@@ -294,8 +294,8 @@ class Pipeline:
         The hardware thread's cycle counter advances by the program's
         execution time, so back-to-back runs model back-to-back calls of
         a measured routine while microarchitectural state (predictors,
-        caches, branch counters) persists between them.  Repeated runs of
-        the same ``program`` object reuse its cached decoded form
+        caches, branch counters) persists between them.  Every run reads
+        the decoded form built once per instruction sequence
         (:meth:`repro.cpu.isa.Program.decoded`); ``regs`` is copied, so
         the caller's dict is never mutated.
         """
@@ -367,6 +367,7 @@ class _ExecState:
         self.process = process
         self.program = program
         self.dec = program.decoded()
+        self.n = len(self.dec.insts)
         self.regs = regs
         self.ready: dict[str, int] = {}
         self.index = 0
@@ -464,8 +465,7 @@ class _ExecState:
         return self.kernel.translate(self.process, vaddr, access, self.thread)
 
     def _ipa_of_instruction(self, index: int) -> int:
-        dec = self.dec
-        iva = dec.base_iva + dec.offsets[index]
+        iva = self.program.base_iva + self.dec.offsets[index]
         paddr = self.process.address_space.translate_nofault(iva)
         if paddr is None:
             raise SegmentationFault(iva, access="execute")
@@ -556,7 +556,7 @@ class _ExecState:
         steps; returns how many it counted for."""
         window = self.window
         if window is not None and (
-            self.dispatch >= window.stop or self.index >= self.dec.n
+            self.dispatch >= window.stop or self.index >= self.n
         ):
             self._close_window()
             return 1
@@ -565,7 +565,7 @@ class _ExecState:
         # path.  sq_entries is the live list, so emptiness is current.
         if self.sq_entries and self._resolve_stores(self.dispatch):
             return 1  # a squash rewound the state
-        if self.index >= self.dec.n:
+        if self.index >= self.n:
             if not self._quiesce():
                 self.halted = True
             return 1
@@ -1095,8 +1095,7 @@ class _ExecState:
     # ------------------------------------------------------------------
     def _exec_branch(self, index: int, args: tuple, d: int) -> None:
         cond, target, label = args
-        dec = self.dec
-        iva = dec.base_iva + dec.offsets[index]
+        iva = self.program.base_iva + self.dec.offsets[index]
         taken = self.regs.get(cond, 0) == 0
         predicted = self.pipe.predict_branch(iva)
         rc = self.ready.get(cond, 0)

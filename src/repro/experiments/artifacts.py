@@ -32,7 +32,6 @@ __all__ = [
     "read_artifact",
     "load_artifacts",
     "write_manifest",
-    "read_manifest",
     "MANIFEST_NAME",
     "CHECKPOINT_NAME",
 ]
@@ -99,13 +98,3 @@ def write_manifest(
     path = Path(directory) / MANIFEST_NAME
     payload = {"experiments": list(entries), **extra}
     return atomic_write_json(path, payload)
-
-
-def read_manifest(directory: str | Path) -> dict[str, Any]:
-    path = Path(directory) / MANIFEST_NAME
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ArtifactError(f"no campaign manifest in {directory}") from None
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(f"manifest {path} is not valid JSON: {exc}") from exc

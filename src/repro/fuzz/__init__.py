@@ -53,7 +53,7 @@ from repro.fuzz.harness import (
     execute_program,
     run_dual,
 )
-from repro.fuzz.oracle import Observation, OracleReport, leak_check
+from repro.fuzz.oracle import Observation, OracleReport
 from repro.fuzz.shrink import shrink, shrink_report
 
 __all__ = [
@@ -81,7 +81,6 @@ __all__ = [
     # oracle
     "Observation",
     "OracleReport",
-    "leak_check",
     # shrink
     "shrink",
     "shrink_report",

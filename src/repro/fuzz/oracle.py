@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from repro.core.config import CpuModel
 from repro.fuzz.compare import Divergence, compare_architectural
-from repro.fuzz.gen import BUF_BYTES, REGS, build_program
+from repro.fuzz.gen import BUF_BYTES, REGS
 from repro.fuzz.harness import DEFAULT_FILL, Execution, execute_program, resolve_model
 from repro.mem.hierarchy import CacheLevel
 from repro.osm.address_space import Perm
@@ -43,7 +43,6 @@ __all__ = [
     "secret_fills",
     "observe_program",
     "observation_diff",
-    "leak_check",
     "leak_check_instructions",
 ]
 
@@ -189,23 +188,6 @@ class OracleReport:
         return detail
 
 
-def leak_check(
-    generator: str,
-    seed: int,
-    blocks: int,
-    *,
-    mitigation: str = "none",
-) -> OracleReport:
-    """Run one oracle case: same program, two secrets, compare everything."""
-    return leak_check_instructions(
-        build_program(generator, seed, blocks),
-        seed=seed,
-        mitigation=mitigation,
-        generator=generator,
-        blocks=blocks,
-    )
-
-
 def leak_check_instructions(
     instructions: list,
     *,
@@ -217,10 +199,9 @@ def leak_check_instructions(
 ) -> OracleReport:
     """Two-fill oracle over an explicit instruction list.
 
-    The generator-based :func:`leak_check` is a thin wrapper over this;
-    the raw entry point exists so shrunk findings and hand-built
-    programs (static cross-validation, tests) can face the same oracle
-    as generated cases.
+    The one entry point of the oracle: generated cases (``repro-fuzz``),
+    shrunk findings and hand-built programs (static cross-validation,
+    tests) all face it with their instruction list.
     """
     resolved = resolve_model(model)
     fill_a, fill_b = secret_fills(seed)

@@ -27,12 +27,11 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.errors import ConfigError
-from repro.mitigations.fences import count_fences, fence_after_stores
+from repro.mitigations.fences import fence_after_stores
 from repro.mitigations.secure_timer import SecureTimer
 from repro.mitigations.ssbd import (
     WorkloadTiming,
     measure_workload,
-    ssbd_enabled,
     ssbd_overhead,
 )
 
@@ -41,11 +40,9 @@ __all__ = [
     "SecureTimer",
     "WorkloadTiming",
     "check_mitigation",
-    "count_fences",
     "fence_after_stores",
     "measure_workload",
     "parse_mitigations",
-    "ssbd_enabled",
     "ssbd_overhead",
 ]
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from repro.cpu.isa import Instruction, Mfence, Store
 from repro.errors import ConfigError
 
-__all__ = ["fence_after_stores", "fence_after", "count_fences"]
+__all__ = ["fence_after_stores", "fence_after"]
 
 
 def fence_after_stores(instructions: list[Instruction]) -> list[Instruction]:
@@ -64,8 +64,3 @@ def fence_after(
             fenced.append(Mfence())
             cursor += 1
     return fenced
-
-
-def count_fences(instructions: list[Instruction]) -> int:
-    """Number of ``Mfence`` instructions in a program (for overhead stats)."""
-    return sum(1 for instruction in instructions if isinstance(instruction, Mfence))

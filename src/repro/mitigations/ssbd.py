@@ -9,25 +9,12 @@ measures on the SPEC2017-like workloads.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
-from repro.cpu.core import Core
 from repro.cpu.machine import Machine
 from repro.workloads.spec2017 import SPEC2017, WorkloadSpec, build_workload, prefill
 
-__all__ = ["ssbd_enabled", "WorkloadTiming", "measure_workload", "ssbd_overhead"]
-
-
-@contextmanager
-def ssbd_enabled(core: Core):
-    """Temporarily set the SSBD bit."""
-    previous = core.spec_ctrl.ssbd
-    core.set_ssbd(True)
-    try:
-        yield core
-    finally:
-        core.set_ssbd(previous)
+__all__ = ["WorkloadTiming", "measure_workload", "ssbd_overhead"]
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from repro.revng.report import PredictorDossier, ReverseEngineeringCampaign
 from repro.revng.sequences import (
     SequenceSyntaxError,
     StldToken,
-    format_sequence,
     format_types,
     parse,
     parse_types,
@@ -63,7 +62,6 @@ __all__ = [
     "build_stld",
     "collect_colliding_pairs",
     "fold_hash",
-    "format_sequence",
     "format_types",
     "infer_stride",
     "load_instruction_index",

@@ -31,7 +31,6 @@ __all__ = [
     "SequenceSyntaxError",
     "parse",
     "to_bools",
-    "format_sequence",
     "parse_types",
     "format_types",
 ]
@@ -115,11 +114,6 @@ def to_bools(text_or_tokens: str | Iterable[StldToken]) -> list[bool]:
                 "use a PredictorUnit-level experiment instead"
             )
     return [token.aliasing for token in tokens]
-
-
-def format_sequence(tokens: Sequence[StldToken]) -> str:
-    """Render tokens back into run-length notation."""
-    return ", ".join(_runs(list(map(str, tokens))))
 
 
 def parse_types(text: str) -> list[ExecType]:

@@ -41,7 +41,7 @@ from repro.runtime.exitcodes import (
     EXIT_USAGE,
 )
 from repro.runtime.journal import JOURNAL_SCHEMA, Journaled, run_journaled
-from repro.runtime.quarantine import QUARANTINE_DIR, quarantine, quarantined_files
+from repro.runtime.quarantine import QUARANTINE_DIR, quarantine
 from repro.runtime.supervisor import (
     DEFAULT_GRACE_S,
     DEFAULT_RETRIES,
@@ -66,7 +66,6 @@ __all__ = [
     "EXIT_INTERRUPTED",
     "QUARANTINE_DIR",
     "quarantine",
-    "quarantined_files",
     "DEFAULT_RETRIES",
     "DEFAULT_GRACE_S",
     "SupervisorReport",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-__all__ = ["QUARANTINE_DIR", "quarantine", "quarantined_files"]
+__all__ = ["QUARANTINE_DIR", "quarantine"]
 
 QUARANTINE_DIR = "quarantine"
 
@@ -48,14 +48,3 @@ def quarantine(root: str | Path, path: str | Path, reason: str) -> Path | None:
         return dest
     except OSError:
         return None
-
-
-def quarantined_files(root: str | Path) -> list[Path]:
-    """The quarantined payload files under ``root`` (reason sidecars excluded)."""
-    target_dir = Path(root) / QUARANTINE_DIR
-    if not target_dir.is_dir():
-        return []
-    return sorted(
-        path for path in target_dir.iterdir()
-        if path.is_file() and not path.name.endswith(".reason")
-    )

@@ -17,8 +17,8 @@ The scanner is deliberately **sound, not precise**: it over-approximates
 execute), so a program it proves gadget-free cannot leak under the
 dynamic oracle.  That invariant is not an aspiration — it is a tested
 property: :mod:`.crossval` replays the persistent fuzz corpus through
-both the scanner and :func:`repro.fuzz.oracle.leak_check` and fails on
-any dynamically observed leak the scanner missed.
+both the scanner and :func:`repro.fuzz.oracle.leak_check_instructions`
+and fails on any dynamically observed leak the scanner missed.
 
 Not to be confused with :mod:`repro.attacks.victim_gadgets`, which
 *builds* the paper's victim gadget programs; :mod:`repro.static.gadgets`

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cpu.isa import DecodedProgram, Instruction, Program
+from repro.cpu.isa import Instruction, Program
 from repro.mitigations.fences import fence_after
 from repro.static.gadgets import ScanReport, StaticGadget, scan_program
 from repro.telemetry.metrics import registry
@@ -68,13 +68,9 @@ class FencePlan:
         }
 
 
-def _instructions_of(
-    program: Program | DecodedProgram | list[Instruction],
-) -> list[Instruction]:
+def _instructions_of(program: Program | list[Instruction]) -> list[Instruction]:
     if isinstance(program, Program):
         return list(program.instructions)
-    if isinstance(program, DecodedProgram):
-        return list(program.insts)
     return list(program)
 
 
@@ -101,7 +97,7 @@ def _guilty_loads(report: ScanReport) -> dict[int, int]:
 
 
 def advise(
-    program: Program | DecodedProgram | list[Instruction],
+    program: Program | list[Instruction],
     *,
     name: str | None = None,
 ) -> FencePlan:

@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from repro.cpu.isa import DecodedProgram, Instruction, Program
+from repro.cpu.isa import Instruction, Program
 from repro.fuzz.gen import REGS
 from repro.static.ir import OPS, IRProgram, lift
 from repro.static.taint import EMPTY, TaintResult, analyze_taint
@@ -245,7 +245,7 @@ def _classify(
 
 
 def scan_program(
-    program: Program | DecodedProgram | list[Instruction],
+    program: Program | list[Instruction],
     *,
     mitigation: str = "none",
     tracked: tuple[str, ...] | list[str] | None = None,
@@ -258,7 +258,7 @@ def scan_program(
     the fuzz result registers ``r0..r3``).
     """
     if name is None:
-        name = program.name if isinstance(program, (Program, DecodedProgram)) else "program"
+        name = program.name if isinstance(program, Program) else "program"
     tracked_regs = tuple(tracked) if tracked is not None else tuple(REGS)
 
     ir = lift(program)

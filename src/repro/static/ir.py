@@ -12,9 +12,8 @@ instruction, reads the instructions directly, so a scan builds only the
 few nodes its findings cite.  The taint pass's per-class rules must
 read and write exactly the registers :data:`OPS` names; a test walks
 every instruction class to hold them to it.  The lift accepts the same
-inputs the rest of the repo passes around: a plain instruction list, a
-:class:`~repro.cpu.isa.Program`, or a
-:class:`~repro.cpu.isa.DecodedProgram` via its ``insts``.
+inputs the rest of the repo passes around: a plain instruction list or
+a :class:`~repro.cpu.isa.Program`.
 
 The IR is purely syntactic — no execution, no machine — which is what
 makes a scan thousands of times cheaper than a pipeline run.  Branch
@@ -33,7 +32,6 @@ from repro.cpu.isa import (
     Alu,
     AluImm,
     Clflush,
-    DecodedProgram,
     Halt,
     Imul,
     ImulImm,
@@ -205,12 +203,8 @@ def _lift_one(index: int, instruction: Instruction, labels: dict[str, int]) -> I
     )
 
 
-def lift(program: Program | DecodedProgram | list[Instruction]) -> IRProgram:
-    """Lift a program (in any of its repo-wide forms) into an IR."""
+def lift(program: Program | list[Instruction]) -> IRProgram:
+    """Lift a program (or a bare instruction list) into an IR."""
     if isinstance(program, Program):
-        instructions = list(program.instructions)
-    elif isinstance(program, DecodedProgram):
-        instructions = list(program.insts)
-    else:
-        instructions = list(program)
-    return IRProgram(instructions)
+        return IRProgram(list(program.instructions))
+    return IRProgram(list(program))

@@ -183,10 +183,6 @@ class MetricsRegistry:
             }
         return {"counters": counters, "histograms": histograms}
 
-    def reset(self) -> None:
-        self._counters.clear()
-        self._histograms.clear()
-
     def __repr__(self) -> str:
         return (
             f"MetricsRegistry(counters={len(self._counters)}, "

@@ -5,13 +5,11 @@ from repro.workloads.cnn import (
     CnnModel,
     CnnVictim,
     LayerSpec,
-    model_names,
 )
 from repro.workloads.spec2017 import (
     SPEC2017,
     WorkloadSpec,
     build_workload,
-    workload_names,
 )
 
 __all__ = [
@@ -22,6 +20,4 @@ __all__ = [
     "SPEC2017",
     "WorkloadSpec",
     "build_workload",
-    "model_names",
-    "workload_names",
 ]

@@ -22,7 +22,7 @@ from repro.cpu.isa import Program
 from repro.cpu.machine import Machine
 from repro.revng.stld import StldRunner, build_stld
 
-__all__ = ["LayerSpec", "CnnModel", "CNN_MODELS", "CnnVictim", "model_names"]
+__all__ = ["LayerSpec", "CnnModel", "CNN_MODELS", "CnnVictim"]
 
 
 @dataclass(frozen=True)
@@ -97,10 +97,6 @@ CNN_MODELS: dict[str, CnnModel] = {
         ),
     )
 }
-
-
-def model_names() -> list[str]:
-    return list(CNN_MODELS)
 
 
 class CnnVictim:

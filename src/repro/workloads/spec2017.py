@@ -43,7 +43,7 @@ from repro.cpu.isa import (
     Store,
 )
 
-__all__ = ["WorkloadSpec", "SPEC2017", "build_workload", "workload_names"]
+__all__ = ["WorkloadSpec", "SPEC2017", "build_workload"]
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,6 @@ SPEC2017: dict[str, WorkloadSpec] = {
                      agen_depth=4, footprint_pages=96, alu_ratio=0.30),
     )
 }
-
-
-def workload_names() -> list[str]:
-    return list(SPEC2017)
 
 
 def _pow2_mask(footprint_bytes: int) -> int:

@@ -1,5 +1,7 @@
 """Tests for platform configuration (TABLE III models)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import CpuModel, LatencyModel, ZEN3_MODELS, default_model, get_model
@@ -44,9 +46,11 @@ class TestRegistry:
 
 class TestCpuModel:
     def test_with_overrides(self):
-        single = default_model().with_overrides(smt_threads=1)
+        single = replace(default_model(), smt_threads=1)
         assert single.smt_threads == 1
         assert single.name == default_model().name
+        with pytest.raises(ConfigError):
+            replace(default_model(), smt_threads=4)
 
     def test_invalid_clock(self):
         with pytest.raises(ConfigError):

@@ -251,5 +251,5 @@ def test_decoded_run_lengths():
         + [ImulImm("a", "a", 3), ImulImm("a", "b", 1), ImulImm("c", "c", 1)]
         + [Label("x"), ImulImm("c", "c", 1), Halt()]
     )
-    assert program.decoded().chain == [3, 2, 1, 2, 1, 0, 0, 1, 0, 1, 0]
+    assert program.decoded().chain == (3, 2, 1, 2, 1, 0, 0, 1, 0, 1, 0)
     assert program.relocate(0x4000).decoded().chain is program.decoded().chain

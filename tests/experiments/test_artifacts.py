@@ -6,10 +6,10 @@ import pytest
 
 from repro.errors import ArtifactError
 from repro.experiments.artifacts import (
+    MANIFEST_NAME,
     artifact_path,
     load_artifacts,
     read_artifact,
-    read_manifest,
     write_artifact,
     write_manifest,
 )
@@ -96,7 +96,7 @@ class TestArtifactFiles:
         write_manifest(tmp_path, [{"name": "demo"}], jobs=2)
         loaded = load_artifacts(tmp_path)
         assert list(loaded) == ["demo"]
-        manifest = read_manifest(tmp_path)
+        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
         assert manifest["jobs"] == 2
         assert manifest["experiments"][0]["name"] == "demo"
 

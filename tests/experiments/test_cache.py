@@ -1,5 +1,6 @@
 """Cache key derivation and ResultCache hit/miss/invalidation behavior."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import repro
@@ -33,7 +34,7 @@ class TestCacheKey:
         base = cache_key("fig4", 4, model=default_model())
         other_platform = cache_key("fig4", 4, model=get_model("epyc-7543"))
         tweaked = cache_key(
-            "fig4", 4, model=default_model().with_overrides(timer_noise=0.01)
+            "fig4", 4, model=replace(default_model(), timer_noise=0.01)
         )
         assert base != other_platform
         assert base != tweaked

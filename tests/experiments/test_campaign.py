@@ -1,11 +1,12 @@
 """Campaign engine behavior: parallel == serial, caching, catalog sync."""
 
+import json
 import re
 from pathlib import Path
 
 import pytest
 
-from repro.experiments.artifacts import read_artifact, read_manifest
+from repro.experiments.artifacts import MANIFEST_NAME, read_artifact
 from repro.experiments.runner import EXPERIMENTS, run_campaign
 
 SMOKE = ["fig4", "sec3-selection"]  # two cheap fast-tier experiments
@@ -40,7 +41,7 @@ class TestParallelMatchesSerial:
 
     def test_manifest_summarizes_run(self, serial):
         _, results_dir = serial
-        manifest = read_manifest(results_dir)
+        manifest = json.loads((results_dir / MANIFEST_NAME).read_text())
         assert [e["name"] for e in manifest["experiments"]] == SMOKE
         assert all(e["cache_key"] for e in manifest["experiments"])
         assert manifest["jobs"] == 1

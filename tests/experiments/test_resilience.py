@@ -12,11 +12,11 @@ import json
 import pytest
 
 from repro.errors import CampaignInterrupted, ConfigError
-from repro.experiments.artifacts import CHECKPOINT_NAME, MANIFEST_NAME, read_manifest
+from repro.experiments.artifacts import CHECKPOINT_NAME, MANIFEST_NAME
 from repro.experiments.base import ExperimentResult
 from repro.experiments.cache import ResultCache, cache_key
 from repro.experiments.runner import EXPERIMENTS, ExperimentSpec, main, run_campaign
-from repro.runtime.quarantine import QUARANTINE_DIR, quarantined_files
+from repro.runtime.quarantine import QUARANTINE_DIR
 
 SMOKE = ["fig4", "sec3-selection"]  # two cheap fast-tier experiments
 
@@ -35,6 +35,18 @@ def _stable(names, json_dir, **kwargs):
     options = dict(jobs=2, use_cache=False, stable_meta=True, json_dir=json_dir)
     options.update(kwargs)
     return run_campaign(names, **options)
+
+
+def _manifest(json_dir):
+    return json.loads((json_dir / MANIFEST_NAME).read_text())
+
+
+def _quarantined(root):
+    """The quarantined payload files under ``root`` (no reason sidecars)."""
+    return sorted(
+        path.name for path in (root / QUARANTINE_DIR).iterdir()
+        if not path.name.endswith(".reason")
+    )
 
 
 def _interrupted(json_dir, **kwargs):
@@ -61,7 +73,7 @@ class TestKeyboardInterrupt:
         assert excinfo.value.checkpoint == results / CHECKPOINT_NAME
         _, record = excinfo.value.checkpoint.read_text().splitlines()
         assert json.loads(record)["task"] == "ok"
-        manifest = read_manifest(results)
+        manifest = _manifest(results)
         assert manifest["interrupted"] is True
         assert [e["name"] for e in manifest["experiments"]] == ["ok"]
 
@@ -71,7 +83,7 @@ class TestKeyboardInterrupt:
         results = tmp_path / "results"
         with pytest.raises(CampaignInterrupted):
             _stable(SMOKE, results, chaos="interrupt@fig4")
-        assert read_manifest(results)["interrupted"] is True
+        assert _manifest(results)["interrupted"] is True
         resumed = _stable(SMOKE, results, resume=True)
         assert resumed.resumed >= 1
         assert not (results / CHECKPOINT_NAME).exists()
@@ -91,8 +103,8 @@ class TestCheckpointRecovery:
         campaign = _stable(SMOKE, results, resume=True)
         assert campaign.resumed == len(lines) - 1
         assert campaign.quarantined == 1
-        assert [p.name for p in quarantined_files(results)] == [CHECKPOINT_NAME]
-        assert read_manifest(results)["quarantined"] == 1
+        assert _quarantined(results) == [CHECKPOINT_NAME]
+        assert _manifest(results)["quarantined"] == 1
         for name in SMOKE:
             artifact = f"{name}.json"
             assert (results / artifact).read_bytes() == (baseline / artifact).read_bytes()
@@ -130,7 +142,7 @@ class TestCacheQuarantine:
         assert cache.get(key) is None
         assert cache.quarantined == 1
         assert not entry.exists()
-        assert [p.name for p in quarantined_files(cache.root)] == [entry.name]
+        assert _quarantined(cache.root) == [entry.name]
 
     def test_quarantined_count_surfaces_in_manifest(self, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -142,7 +154,7 @@ class TestCacheQuarantine:
         results = tmp_path / "results"
         run_campaign(["fig4"], use_cache=True, cache_dir=cache_dir,
                      json_dir=results)
-        assert read_manifest(results)["quarantined"] == 1
+        assert _manifest(results)["quarantined"] == 1
 
 
 class TestCrashIsolation:
@@ -163,7 +175,7 @@ class TestCrashIsolation:
         assert campaign.completed_names == ["sec3-selection"]
         (failure,) = campaign.failures
         assert failure.task == "fig4" and failure.kind == "crash"
-        manifest = read_manifest(results)
+        manifest = _manifest(results)
         entry = next(e for e in manifest["experiments"] if e["name"] == "fig4")
         assert entry["status"] == "failed"
         assert entry["failure"]["kind"] == "crash"

@@ -19,7 +19,6 @@ from repro.fuzz.harness import (
 from repro.fuzz.gen import build_program
 from repro.fuzz.shrink import shrink
 from repro.mitigations import MITIGATIONS
-from repro.mitigations.fences import count_fences
 
 # Pinned: under "skip-register-repair" this case diverges and shrinks
 # small (see test_chaos_divergence_is_caught_and_shrinks).
@@ -39,9 +38,6 @@ def test_fence_mitigation_transforms_program():
     instructions = build_program("fuzz-v1", 9, 20)
     execution = execute_program(instructions, seed=9, mitigation="fence")
     assert execution.status == "ok"
-    # The transform itself is covered by the mitigations unit tests; here
-    # just pin that fences were actually requested by the generator's input.
-    assert count_fences(instructions) >= 0
 
 
 def test_unknown_mitigation_rejected():

@@ -2,13 +2,24 @@
 
 import pytest
 
-from repro.fuzz.gen import derive_case
-from repro.fuzz.oracle import leak_check, observation_diff, secret_fills
+from repro.fuzz.gen import build_program, derive_case
+from repro.fuzz.oracle import leak_check_instructions, observation_diff, secret_fills
 
 # Pinned: this oracle case leaks through the unmitigated pipeline (a
 # racing load bypasses a covering store on first encounter and the
 # transmit gadget caches a secret-dependent line).
 LEAK_SEED, LEAK_BLOCKS = 5, 16
+
+
+def leak_check(seed, blocks, mitigation="none"):
+    """The oracle on one generated ``oracle-v1`` case."""
+    return leak_check_instructions(
+        build_program("oracle-v1", seed, blocks),
+        seed=seed,
+        mitigation=mitigation,
+        generator="oracle-v1",
+        blocks=blocks,
+    )
 
 
 def test_secret_fills_distinct_and_deterministic():
@@ -20,7 +31,7 @@ def test_secret_fills_distinct_and_deterministic():
 
 
 def test_unmitigated_pipeline_leaks():
-    report = leak_check("oracle-v1", LEAK_SEED, LEAK_BLOCKS, mitigation="none")
+    report = leak_check(LEAK_SEED, LEAK_BLOCKS, mitigation="none")
     assert report.finding_kind == "leak"
     assert report.arch_divergence is None, "oracle invariant violated"
     assert report.observation, "leak finding without observation diff"
@@ -32,7 +43,7 @@ def test_mitigations_stop_the_leaks(mitigation):
     the property `make fuzz-smoke` gates on."""
     for index in range(6):
         seed, blocks = derive_case(1, index)
-        report = leak_check("oracle-v1", seed, blocks, mitigation=mitigation)
+        report = leak_check(seed, blocks, mitigation=mitigation)
         assert report.finding_kind is None, (
             f"seed {seed}: {report.finding_kind} under {mitigation}: "
             f"{report.to_detail()}"
@@ -45,7 +56,7 @@ def test_architectural_results_are_secret_independent():
     for index in range(8):
         seed, blocks = derive_case(2, index)
         for mitigation in ("none", "ssbd"):
-            report = leak_check("oracle-v1", seed, blocks, mitigation=mitigation)
+            report = leak_check(seed, blocks, mitigation=mitigation)
             assert report.arch_divergence is None, (
                 f"seed {seed} / {mitigation}: "
                 f"{report.arch_divergence.describe()}"
@@ -53,14 +64,14 @@ def test_architectural_results_are_secret_independent():
 
 
 def test_oracle_is_deterministic():
-    first = leak_check("oracle-v1", LEAK_SEED, LEAK_BLOCKS)
-    second = leak_check("oracle-v1", LEAK_SEED, LEAK_BLOCKS)
+    first = leak_check(LEAK_SEED, LEAK_BLOCKS)
+    second = leak_check(LEAK_SEED, LEAK_BLOCKS)
     assert first.finding_kind == second.finding_kind
     assert first.to_detail() == second.to_detail()
 
 
 def test_observation_diff_shape():
-    report = leak_check("oracle-v1", LEAK_SEED, LEAK_BLOCKS)
+    report = leak_check(LEAK_SEED, LEAK_BLOCKS)
     diff = report.observation
     # Only JSON-serializable summaries, never raw objects.
     import json
@@ -71,14 +82,13 @@ def test_observation_diff_shape():
 
 
 def test_identical_observations_diff_empty():
-    report = leak_check("oracle-v1", LEAK_SEED, LEAK_BLOCKS)
+    report = leak_check(LEAK_SEED, LEAK_BLOCKS)
     # Reflexive check via the module function on equal observations.
     _, obs = _observe_once()
     assert observation_diff(obs, obs) == {}
 
 
 def _observe_once():
-    from repro.fuzz.gen import build_program
     from repro.fuzz.oracle import observe_program
 
     instructions = build_program("oracle-v1", LEAK_SEED, LEAK_BLOCKS)

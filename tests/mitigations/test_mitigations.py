@@ -5,7 +5,7 @@ import pytest
 from repro.core.exec_types import TimingClass
 from repro.cpu.machine import Machine
 from repro.mitigations.secure_timer import SecureTimer
-from repro.mitigations.ssbd import measure_workload, ssbd_enabled
+from repro.mitigations.ssbd import measure_workload
 from repro.workloads.spec2017 import SPEC2017
 
 
@@ -13,15 +13,9 @@ class TestSsbdContext:
     def test_sets_and_restores(self):
         machine = Machine(seed=1)
         assert not machine.core.spec_ctrl.ssbd
-        with ssbd_enabled(machine.core):
-            assert machine.core.spec_ctrl.ssbd
-        assert not machine.core.spec_ctrl.ssbd
-
-    def test_restores_on_exception(self):
-        machine = Machine(seed=1)
-        with pytest.raises(RuntimeError):
-            with ssbd_enabled(machine.core):
-                raise RuntimeError("boom")
+        machine.core.set_ssbd(True)
+        assert machine.core.spec_ctrl.ssbd
+        machine.core.set_ssbd(False)
         assert not machine.core.spec_ctrl.ssbd
 
 

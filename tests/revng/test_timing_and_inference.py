@@ -1,5 +1,7 @@
 """Tests for timing classification, counter probes, and model validation."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import default_model
@@ -53,7 +55,7 @@ class TestCalibration:
     @pytest.mark.parametrize("noise", [0.0, 0.005])
     def test_margin_survives_paper_timer_noise(self, noise):
         """The paper's RDPRU noise (< 1%) leaves the levels separable."""
-        model = default_model().with_overrides(timer_noise=noise)
+        model = replace(default_model(), timer_noise=noise)
         harness = StldHarness(machine=Machine(model=model, seed=77))
         classifier = TimingClassifier(harness)
         classifier.calibrate()

@@ -12,7 +12,7 @@ from repro.runtime.exitcodes import (
     EXIT_USAGE,
     describe,
 )
-from repro.runtime.quarantine import QUARANTINE_DIR, quarantine, quarantined_files
+from repro.runtime.quarantine import QUARANTINE_DIR, quarantine
 
 
 class TestAtomicWrite:
@@ -72,13 +72,6 @@ class TestQuarantine:
         ]
         assert len({d.name for d in dests}) == 3
         assert sorted(d.read_text() for d in dests) == ["0", "1", "2"]
-
-    def test_quarantined_files_excludes_reason_sidecars(self, tmp_path):
-        victim = tmp_path / "x.json"
-        victim.write_text("junk")
-        quarantine(tmp_path, victim, "why")
-        files = quarantined_files(tmp_path)
-        assert [f.name for f in files] == ["x.json"]
 
     def test_missing_source_returns_none(self, tmp_path):
         assert quarantine(tmp_path, tmp_path / "ghost.json", "r") is None

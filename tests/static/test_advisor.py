@@ -5,8 +5,12 @@ import pytest
 from repro.cpu.isa import Halt, Load, Mfence, MovImm, Store
 from repro.errors import ConfigError
 from repro.fuzz.gen import build_program
-from repro.mitigations.fences import count_fences, fence_after, fence_after_stores
+from repro.mitigations.fences import fence_after, fence_after_stores
 from repro.static.advisor import advise
+
+
+def count_fences(instructions):
+    return sum(isinstance(instruction, Mfence) for instruction in instructions)
 
 
 class TestFenceAfter:

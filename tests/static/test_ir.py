@@ -92,12 +92,7 @@ class TestLift:
         program = Program(instructions, name="t")
         from_list = lift(instructions)
         from_program = lift(program)
-        from_decoded = lift(program.decoded())
-        assert (
-            [n.source for n in from_list]
-            == [n.source for n in from_program]
-            == [n.source for n in from_decoded]
-        )
+        assert [n.source for n in from_list] == [n.source for n in from_program]
 
     def test_source_is_the_instruction_repr(self):
         ir = lift(_program())

@@ -1,4 +1,5 @@
-"""Every defaulted parameter in ``src/`` is set by some call.
+"""Every defaulted parameter in ``src/`` is set by some call, and every
+public ``src/`` entry point has a user outside the tests.
 
 A default that no call in ``src/``, ``tests/``, ``examples/`` or
 ``benchmarks/`` overrides is a constant dressed up as an option.  Calls
@@ -6,9 +7,16 @@ are matched by name: a class call sets its ``__init__``, a call through
 ``from m import f as g`` sets ``f``, and a call with ``*args`` or
 ``**kwargs`` sets every parameter.  :data:`ALLOWED` names the parameters
 whose callers the match cannot see, each with the reason.
+
+A public function, method or class that only ``tests/`` references is
+code kept alive for its own tests.  References are matched by name too:
+any ``Name``, ``Attribute`` or identifier inside a string counts, except
+in docstrings, imports and ``__all__``.  :data:`TEST_ONLY` names the
+entry points kept anyway, each with the reason.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,6 +39,30 @@ ALLOWED = {
     "repro.revng.stld.StldRunner.__init__(thread_id)": _SUPER,
     "repro.revng.stld.StldRunner.__init__(timer)": _SUPER,
 }
+
+
+_PROBE = "a model table unit tests read directly; the pipeline goes through PredictorUnit"
+_RESET = "resets a counter bank between unit-test phases"
+
+TEST_ONLY = {
+    "repro.core.config.zen2_model": "the documented Zen 2 (SSB-only) ablation config",
+    "repro.baselines.arm_mdu.ArmMdu.predict_bypass": "the baseline MDUs' query",
+    "repro.baselines.intel_mdu.IntelMdu.predict_bypass": "the baseline MDUs' query",
+    "repro.mitigations.secure_timer.SecureTimer": "the documented Section VI timer",
+    "repro.revng.report.ReverseEngineeringCampaign": "the documented Section III run",
+    "repro.osm.kernel.Kernel.physical_address": "the privileged translation tests check",
+    "repro.core.psfp.Psfp.lookup": _PROBE,
+    "repro.core.ssbp.Ssbp.lookup": _PROBE,
+    "repro.mem.tlb.Tlb.lookup": "the TLB's read; no translation consults the TLB yet",
+    "repro.core.predictor_unit.PredictorUnit.reset": _RESET,
+    "repro.cpu.pmc.Pmc.reset": _RESET,
+    "repro.mem.cache.CacheStats.reset": _RESET,
+    "repro.mem.cache.CacheStats.accesses": "the hit+miss sum the cache-stats tests read",
+    "repro.interference.model.InterferenceModel.detach": "the inverse of attach",
+    "repro.revng.sequences.parse_types": "the inverse of format_types",
+}
+
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 
 
 def _defaulted(path: Path):
@@ -97,3 +129,50 @@ def test_every_default_is_set_by_some_call():
     }
     assert sorted(unset - ALLOWED.keys()) == [], "defaults no call sets"
     assert sorted(ALLOWED.keys() - unset) == [], "stale ALLOWED entries"
+
+
+def _entry_points(path: Path):
+    """(qualified name, name) per module-level def or class and method."""
+    module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{module}.{node.name}.{item.name}", item.name
+
+
+def _references(*tops: str) -> set[str]:
+    """Every name used under ``tops`` outside docstrings, imports and ``__all__``."""
+    names: set[str] = set()
+    for top in tops:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            skipped = {id(node.body[0].value) for node in ast.walk(tree)
+                       if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                       and ast.get_docstring(node, clean=False) is not None}
+            for node in tree.body:
+                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "__all__":
+                    skipped.update(id(item) for item in ast.walk(node.value))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.Constant) and id(node) not in skipped:
+                    names.update(_IDENTIFIER.findall(str(node.value)))
+    return names
+
+
+def test_every_entry_point_has_a_user_outside_tests():
+    used = _references("src", "examples", "benchmarks")
+    tested = _references("tests")
+    test_only = {
+        qualname
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for qualname, name in _entry_points(path)
+        if not name.startswith("_") and name in tested and name not in used
+    }
+    assert sorted(test_only - TEST_ONLY.keys()) == [], "entry points only tests use"
+    assert sorted(TEST_ONLY.keys() - test_only) == [], "stale TEST_ONLY entries"

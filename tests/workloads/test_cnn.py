@@ -1,7 +1,7 @@
 """Tests for the CNN inference victims."""
 
 from repro.cpu.machine import Machine
-from repro.workloads.cnn import CNN_MODELS, CnnVictim, model_names
+from repro.workloads.cnn import CNN_MODELS, CnnVictim
 
 
 class TestModels:
@@ -9,7 +9,7 @@ class TestModels:
         assert len(CNN_MODELS) == 6
 
     def test_names_match_fig11_spirit(self):
-        names = set(model_names())
+        names = set(CNN_MODELS)
         assert {"vgg16", "googlenet", "resnet18", "seresnet18"} <= names
 
     def test_models_have_distinct_profiles(self):
