@@ -10,8 +10,9 @@ Spectre-CTL, SSBP fingerprinting) plus the mitigations it evaluates.
 
 Quickstart::
 
-    from repro import PredictorUnit, run_sequence, CounterState
-    from repro.revng.sequences import parse, to_bools, format_types
+    from repro.core.counters import CounterState
+    from repro.core.state_machine import run_sequence
+    from repro.revng.sequences import format_types, to_bools
 
     types, state = run_sequence(CounterState(), to_bools("7n, a, 7n"))
     print(format_types(types))   # -> "7H, G, 4E, 3H"
@@ -20,63 +21,4 @@ See README.md for the architecture overview and DESIGN.md for the
 simulation-vs-silicon substitution map.
 """
 
-from repro.core import (
-    CounterState,
-    CpuModel,
-    ExecType,
-    Prediction,
-    PredictorUnit,
-    Psfp,
-    SpecCtrl,
-    Ssbp,
-    StateName,
-    ZEN3_MODELS,
-    default_model,
-    get_model,
-    ipa_hash,
-    predict,
-    run_sequence,
-    transition,
-)
-from repro.cpu.machine import Machine
-from repro.errors import (
-    AttackError,
-    CollisionNotFound,
-    ConfigError,
-    InvalidInstruction,
-    ProtectionFault,
-    ReproError,
-    SegmentationFault,
-    SimulationLimitExceeded,
-)
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "AttackError",
-    "CollisionNotFound",
-    "ConfigError",
-    "CounterState",
-    "CpuModel",
-    "ExecType",
-    "InvalidInstruction",
-    "Machine",
-    "Prediction",
-    "PredictorUnit",
-    "ProtectionFault",
-    "Psfp",
-    "ReproError",
-    "SegmentationFault",
-    "SimulationLimitExceeded",
-    "SpecCtrl",
-    "Ssbp",
-    "StateName",
-    "ZEN3_MODELS",
-    "__version__",
-    "default_model",
-    "get_model",
-    "ipa_hash",
-    "predict",
-    "run_sequence",
-    "transition",
-]

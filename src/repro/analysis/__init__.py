@@ -1,21 +1,1 @@
 """Analysis utilities: SVM classifier, statistics, fingerprint vectors."""
-
-from repro.analysis.stats import (
-    GaussianFit,
-    fit_gaussian,
-    frequency_vector,
-    mean,
-    stdev,
-)
-from repro.analysis.svm import LinearSvm, OneVsRestSvm, train_test_split
-
-__all__ = [
-    "GaussianFit",
-    "LinearSvm",
-    "OneVsRestSvm",
-    "fit_gaussian",
-    "frequency_vector",
-    "mean",
-    "stdev",
-    "train_test_split",
-]

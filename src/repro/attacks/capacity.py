@@ -26,7 +26,8 @@ from repro.attacks.channels import (
 )
 from repro.cpu.machine import Machine
 from repro.errors import AttackError
-from repro.interference import InterferenceModel, get_profile
+from repro.interference.model import InterferenceModel
+from repro.interference.profile import get_profile
 from repro.telemetry.metrics import registry
 
 __all__ = [

@@ -37,7 +37,7 @@ from repro.attacks.extraction import (
     run_suite,
 )
 from repro.cpu.machine import Machine
-from repro.interference import PRESET_ORDER
+from repro.interference.profile import PRESET_ORDER
 from repro.mitigations import MITIGATIONS
 from repro.runtime import exitcodes
 from repro.runtime.atomic import atomic_write_json

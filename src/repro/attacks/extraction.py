@@ -35,7 +35,8 @@ from repro.attacks.spectre_stl import SpectreSTL
 from repro.cpu.isa import Program
 from repro.cpu.machine import Machine
 from repro.errors import ReproError
-from repro.interference import InterferenceModel, InterferenceProfile, get_profile
+from repro.interference.model import InterferenceModel
+from repro.interference.profile import InterferenceProfile, get_profile
 from repro.mitigations import MITIGATIONS
 from repro.mitigations.fences import fence_after_stores
 from repro.attacks.victim_gadgets import spectre_stl_gadget

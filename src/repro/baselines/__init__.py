@@ -5,10 +5,7 @@ the Intel and ARM memory disambiguation units; :func:`amd_characterization`
 renders our work's row of TABLE IV.
 """
 
-from repro.baselines.arm_mdu import ArmMdu
-from repro.baselines.intel_mdu import IntelMdu, MduCharacterization
-
-__all__ = ["ArmMdu", "IntelMdu", "MduCharacterization", "amd_characterization"]
+from repro.baselines.intel_mdu import MduCharacterization
 
 
 def amd_characterization() -> MduCharacterization:

@@ -33,18 +33,8 @@ class LatencyModel:
     l2_hit: int = 14
     l3_hit: int = 47
     memory: int = 200
-    tlb_miss: int = 20
-    #: Store-address generation delay for the reverse-engineering stld
-    #: (20 dependent ``imul`` instructions on the store's address operand).
-    agen_chain: int = 60
     #: Extra latency of a load served from the store queue after the stall.
     sq_forward: int = 7
-    #: Extra latency of a load that must stall until store address
-    #: generation relative to one that bypasses immediately.
-    stall_overhead: int = 25
-    #: Latency advantage of a *predictive* forward (type C) over a stalled
-    #: forward (types A/B): the data moves before address generation.
-    psf_saving: int = 17
     #: Replay scheduling cost when a stalled load finally reads the cache
     #: (types E/F) instead of forwarding from the SQ (types A/B).
     post_stall_replay: int = 6
@@ -69,7 +59,6 @@ class CpuModel:
     """One simulated platform (a row of TABLE III plus derived parameters)."""
 
     name: str
-    family: str = "19h"
     microarch: str = "Zen 3"
     microcode: int = 0
     kernel: str = "Linux 5.15.0-76-generic"
@@ -141,7 +130,6 @@ def zen2_model() -> CpuModel:
     ablation experiments to show which findings are PSF-specific."""
     return CpuModel(
         name="ryzen7-3700x",
-        family="17h",
         microarch="Zen 2",
         microcode=0x8701021,
         clock_ghz=3.6,

@@ -223,12 +223,6 @@ class PredictorUnit:
         self.psfp.flush()
         self.ssbp.flush()
 
-    def reset(self) -> None:
-        """Full reset (power-on state)."""
-        self.psfp.flush()
-        self.ssbp.flush()
-        self.exec_type_counts.clear()
-
     def __repr__(self) -> str:
         return (
             f"PredictorUnit(model={self.model.name!r}, psfp={self.psfp.occupancy}"

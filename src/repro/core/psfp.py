@@ -63,13 +63,6 @@ class Psfp:
         self._table: OrderedDict[tuple[int, int], PsfpEntry] = OrderedDict()
         self.evictions = 0
 
-    def lookup(self, store_hash: int, load_hash: int) -> PsfpEntry | None:
-        """Return the matching entry (refreshing its recency) or ``None``."""
-        entry = self._table.get((store_hash, load_hash))
-        if entry is not None:
-            self._table.move_to_end((store_hash, load_hash))
-        return entry
-
     def counters(self, store_hash: int, load_hash: int) -> tuple[int, int, int]:
         """Counter values for the pair; a miss reads as zeros.
 

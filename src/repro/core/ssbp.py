@@ -87,15 +87,6 @@ class Ssbp:
     def _set_for(self, load_hash: int) -> list[SsbpEntry]:
         return self._table[set_index(load_hash, self.sets)]
 
-    def lookup(self, load_hash: int) -> SsbpEntry | None:
-        """Return the matching entry (refreshing its recency) or ``None``."""
-        bucket = self._set_for(load_hash)
-        for position, entry in enumerate(bucket):
-            if entry.load_tag == load_hash:
-                bucket.append(bucket.pop(position))
-                return entry
-        return None
-
     def counters(self, load_hash: int) -> tuple[int, int]:
         """Counter values ``(C3, C4)`` for the hash; a miss reads as zeros.
 

@@ -2,7 +2,7 @@
 
 The core owns what is shared between its SMT threads — the data-cache
 hierarchy, the SPEC_CTRL register, physical memory — and instantiates one
-:class:`HardwareThread` (predictors, store queue, TLB, PMCs) per SMT
+:class:`HardwareThread` (predictors, store queue, PMCs) per SMT
 thread.  A deterministic RNG drives timer noise and any randomized
 replacement so experiments are reproducible run to run.
 """

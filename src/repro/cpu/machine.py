@@ -127,7 +127,7 @@ class Machine:
         """Run one program per SMT thread, interleaved step by step.
 
         Each job runs on its own hardware thread (job index = thread id):
-        private predictors, store queue and TLB, but a *shared* cache
+        private predictors and store queue, but a *shared* cache
         hierarchy and physical memory — the Zen 3 sharing the paper's
         Section IV-A SMT experiment probes.  Round-robin stepping models
         the threads executing concurrently.

@@ -87,7 +87,8 @@ from repro.mem.store_queue import StoreEntry
 from repro.osm.address_space import Perm
 from repro.osm.kernel import Kernel
 from repro.osm.process import Process
-from repro.telemetry import current_tracer, registry
+from repro.telemetry import current_tracer
+from repro.telemetry.metrics import registry
 
 __all__ = ["StldEvent", "RunResult", "Pipeline", "FAULT_WINDOW", "CHAOS_HOOKS"]
 
@@ -462,7 +463,7 @@ class _ExecState:
             self.sq.squash_younger(seq)
 
     def _translate(self, vaddr: int, access: Perm) -> int:
-        return self.kernel.translate(self.process, vaddr, access, self.thread)
+        return self.kernel.translate(self.process, vaddr, access)
 
     def _ipa_of_instruction(self, index: int) -> int:
         iva = self.program.base_iva + self.dec.offsets[index]

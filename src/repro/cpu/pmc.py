@@ -61,8 +61,5 @@ class Pmc:
             for event in PmcEvent.ALL
         }
 
-    def reset(self) -> None:
-        self.counts.clear()
-
     def __repr__(self) -> str:
         return f"Pmc({dict(self.counts)})"

@@ -3,8 +3,8 @@
 Section IV-A finds that both PSFP and SSBP are *partitioned* between the
 two SMT threads of a physical core (likely duplicated, since switching to
 single-thread mode does not change the observed sizes).  We model that by
-giving every hardware thread its own :class:`PredictorUnit`, store queue
-and TLB; the cache hierarchy and physical memory are core-(and system-)
+giving every hardware thread its own :class:`PredictorUnit` and store
+queue; the cache hierarchy and physical memory are core-(and system-)
 shared.
 """
 
@@ -15,13 +15,12 @@ from repro.core.predictor_unit import PredictorUnit
 from repro.core.spec_ctrl import SpecCtrl
 from repro.cpu.pmc import Pmc
 from repro.mem.store_queue import StoreQueue
-from repro.mem.tlb import Tlb
 
 __all__ = ["HardwareThread"]
 
 
 class HardwareThread:
-    """One SMT thread: predictors, store queue, TLB, PMCs, current process."""
+    """One SMT thread: predictors, store queue, PMCs, current process."""
 
     def __init__(
         self,
@@ -35,7 +34,6 @@ class HardwareThread:
         self.spec_ctrl = spec_ctrl
         self.unit = PredictorUnit(model, spec_ctrl, hash_salt=hash_salt)
         self.store_queue = StoreQueue(model.store_queue_entries)
-        self.tlb = Tlb()
         self.pmc = Pmc()
         #: pid of the process currently scheduled here (None when idle).
         self.current_pid: int | None = None
@@ -51,9 +49,8 @@ class HardwareThread:
         self.cycles += cycles
 
     def on_context_switch(self, next_pid: int | None, flush_ssbp: bool = False) -> None:
-        """Kernel hook: flush PSFP (and optionally SSBP), swap the TLB."""
+        """Kernel hook: flush PSFP (and optionally SSBP), note the new pid."""
         self.unit.on_context_switch(flush_ssbp=flush_ssbp)
-        self.tlb.flush()
         self.current_pid = next_pid
 
     def on_suspend(self) -> None:

@@ -9,11 +9,3 @@ content-addressed (:mod:`repro.experiments.cache`), and feed the
 measured-values tables (:mod:`repro.experiments.report`).  The catalog
 of every experiment is docs/experiments.md.
 """
-
-from repro.experiments.base import (
-    RESULT_SCHEMA_VERSION,
-    ExperimentResult,
-    format_table,
-)
-
-__all__ = ["ExperimentResult", "format_table", "RESULT_SCHEMA_VERSION"]

@@ -29,7 +29,7 @@ from __future__ import annotations
 from repro.attacks.capacity import CapacityConfig, measure_capacity
 from repro.attacks.extraction import SecretExtraction
 from repro.experiments.base import ExperimentResult
-from repro.interference import PRESET_ORDER
+from repro.interference.profile import PRESET_ORDER
 
 __all__ = ["run_channel", "run_extraction"]
 

@@ -386,7 +386,7 @@ def _write_outputs(
             )
     extra: dict[str, Any] = {}
     if metrics:
-        from repro.telemetry import merge_snapshots
+        from repro.telemetry.metrics import merge_snapshots
 
         extra["metrics"] = merge_snapshots(
             [result.telemetry for result in campaign if result.telemetry is not None]

@@ -9,7 +9,9 @@ experiment.
 
 from __future__ import annotations
 
-from repro.baselines import ArmMdu, IntelMdu, amd_characterization
+from repro.baselines import amd_characterization
+from repro.baselines.arm_mdu import ArmMdu
+from repro.baselines.intel_mdu import IntelMdu
 from repro.experiments.base import ExperimentResult
 from repro.experiments.fig7_collisions import ssbp_attempt_samples
 

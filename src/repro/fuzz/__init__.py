@@ -21,76 +21,3 @@ hand-written regression cases), :mod:`~repro.fuzz.findings`
 (schema-versioned JSONL artifacts) and :mod:`~repro.fuzz.cli` (the
 ``repro-fuzz`` campaign engine).  See ``docs/fuzzing.md``.
 """
-
-from repro.fuzz.compare import (
-    Divergence,
-    compare_architectural,
-    rdpru_destinations,
-    written_registers,
-)
-from repro.fuzz.corpus import (
-    REGRESSION_ENTRIES,
-    Corpus,
-    CorpusEntry,
-    replay_order,
-)
-from repro.fuzz.findings import Finding, read_findings, write_findings
-from repro.fuzz.gen import (
-    BUF_BYTES,
-    BUF_PAGES,
-    GENERATORS,
-    REGS,
-    build_program,
-    fuzz_program,
-    oracle_program,
-    random_program,
-)
-from repro.fuzz.harness import (
-    DualReport,
-    chaos,
-    check_case,
-    check_entry,
-    execute_program,
-    run_dual,
-)
-from repro.fuzz.oracle import Observation, OracleReport
-from repro.fuzz.shrink import shrink, shrink_report
-
-__all__ = [
-    # gen
-    "BUF_BYTES",
-    "BUF_PAGES",
-    "GENERATORS",
-    "REGS",
-    "build_program",
-    "fuzz_program",
-    "oracle_program",
-    "random_program",
-    # compare
-    "Divergence",
-    "compare_architectural",
-    "rdpru_destinations",
-    "written_registers",
-    # harness
-    "DualReport",
-    "chaos",
-    "check_case",
-    "check_entry",
-    "execute_program",
-    "run_dual",
-    # oracle
-    "Observation",
-    "OracleReport",
-    # shrink
-    "shrink",
-    "shrink_report",
-    # corpus
-    "REGRESSION_ENTRIES",
-    "Corpus",
-    "CorpusEntry",
-    "replay_order",
-    # findings
-    "Finding",
-    "read_findings",
-    "write_findings",
-]

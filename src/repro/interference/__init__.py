@@ -18,22 +18,3 @@ The hardened attack protocols (robust calibration, bounded retries,
 framing resync — see docs/interference.md) are what make the attacks
 degrade gracefully instead of silently mis-extracting under it.
 """
-
-from repro.interference.corunner import CORUNNER_MIXES, build_burst
-from repro.interference.model import InterferenceModel
-from repro.interference.profile import (
-    PRESET_ORDER,
-    PRESETS,
-    InterferenceProfile,
-    get_profile,
-)
-
-__all__ = [
-    "CORUNNER_MIXES",
-    "PRESET_ORDER",
-    "PRESETS",
-    "InterferenceModel",
-    "InterferenceProfile",
-    "build_burst",
-    "get_profile",
-]

@@ -49,7 +49,7 @@ _BURST_VARIANTS = 8
 
 
 class InterferenceModel:
-    """Attach/detachable disturbance injector for one machine."""
+    """Disturbance injector attached to one machine."""
 
     def __init__(self, profile: InterferenceProfile) -> None:
         self.profile = profile
@@ -86,11 +86,6 @@ class InterferenceModel:
             self._build_workloads(machine)
         machine.interference = self
         return self
-
-    def detach(self) -> None:
-        if self.machine is not None:
-            self.machine.interference = None
-            self.machine = None
 
     def _build_workloads(self, machine: Machine) -> None:
         profile = self.profile

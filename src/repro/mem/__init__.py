@@ -1,20 +1,1 @@
-"""Memory substrate: physical memory, caches, TLB and the store queue."""
-
-from repro.mem.cache import Cache, CacheStats
-from repro.mem.hierarchy import CacheLevel, MemoryHierarchy
-from repro.mem.physical import PAGE_SHIFT, PAGE_SIZE, PhysicalMemory
-from repro.mem.store_queue import StoreEntry, StoreQueue
-from repro.mem.tlb import Tlb
-
-__all__ = [
-    "Cache",
-    "CacheLevel",
-    "CacheStats",
-    "MemoryHierarchy",
-    "PAGE_SHIFT",
-    "PAGE_SIZE",
-    "PhysicalMemory",
-    "StoreEntry",
-    "StoreQueue",
-    "Tlb",
-]
+"""Memory substrate: physical memory, caches and the store queue."""

@@ -33,13 +33,6 @@ class CacheStats:
         self.evictions = 0
         self.flushes = 0
 
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    def reset(self) -> None:
-        self.hits = self.misses = self.evictions = self.flushes = 0
-
     def __repr__(self) -> str:
         return (
             f"CacheStats(hits={self.hits}, misses={self.misses}, "

@@ -27,24 +27,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.errors import ConfigError
-from repro.mitigations.fences import fence_after_stores
-from repro.mitigations.secure_timer import SecureTimer
-from repro.mitigations.ssbd import (
-    WorkloadTiming,
-    measure_workload,
-    ssbd_overhead,
-)
-
-__all__ = [
-    "MITIGATIONS",
-    "SecureTimer",
-    "WorkloadTiming",
-    "check_mitigation",
-    "fence_after_stores",
-    "measure_workload",
-    "parse_mitigations",
-    "ssbd_overhead",
-]
 
 #: The countermeasure configurations a campaign runs each program under:
 #: ``ssbd`` sets SPEC_CTRL.SSBD on the machine, ``fence`` puts an

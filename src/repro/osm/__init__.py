@@ -3,23 +3,3 @@
 Named ``osm`` ("OS model") rather than ``os`` to avoid shadowing the
 standard library module.
 """
-
-from repro.osm.address_space import AddressSpace, CowFault, PageMapping, Perm
-from repro.osm.domains import DOMAIN_PAIRS, SecurityDomain
-from repro.osm.kernel import Kernel
-from repro.osm.process import CODE_BASE, DATA_BASE, MMAP_BASE, Process, ProcessState
-
-__all__ = [
-    "AddressSpace",
-    "CODE_BASE",
-    "CowFault",
-    "DATA_BASE",
-    "DOMAIN_PAIRS",
-    "Kernel",
-    "MMAP_BASE",
-    "PageMapping",
-    "Perm",
-    "Process",
-    "ProcessState",
-    "SecurityDomain",
-]

@@ -229,20 +229,17 @@ class Kernel:
         process: Process,
         vaddr: int,
         access: Perm = Perm.R,
-        thread: HardwareThread | None = None,
     ) -> int:
         """Translate on behalf of a process, resolving COW write faults."""
         while True:
             try:
                 paddr = process.address_space.translate(vaddr, access)
             except CowFault as fault:
-                self._resolve_cow(process, fault.va_page, thread)
+                self._resolve_cow(process, fault.va_page)
                 continue
             return paddr
 
-    def _resolve_cow(
-        self, process: Process, va_page: int, thread: HardwareThread | None
-    ) -> None:
+    def _resolve_cow(self, process: Process, va_page: int) -> None:
         mapping = process.address_space.mapping(va_page)
         assert mapping is not None and mapping.cow
         if self._frame_refs[mapping.frame] > 1:
@@ -251,8 +248,6 @@ class Kernel:
             self._frame_refs[mapping.frame] -= 1
             mapping.frame = new_frame
         mapping.cow = False
-        if thread is not None:
-            thread.tlb.invalidate(va_page)
         self.stats["cow_break"] += 1
 
     def read(self, process: Process, vaddr: int, length: int) -> bytes:
@@ -276,7 +271,7 @@ class Kernel:
             if force:
                 mapping = process.address_space.mapping(vaddr >> PAGE_SHIFT)
                 if mapping is not None and mapping.cow:
-                    self._resolve_cow(process, vaddr >> PAGE_SHIFT, None)
+                    self._resolve_cow(process, vaddr >> PAGE_SHIFT)
                 paddr = process.address_space.translate_nofault(vaddr)
                 if paddr is None:
                     raise ProtectionFault(vaddr, access="loader-write")
@@ -303,7 +298,7 @@ class Kernel:
     def schedule(self, process: Process, thread_id: int = 0) -> None:
         """Run ``process`` on a hardware thread.
 
-        Switching to a *different* process flushes PSFP (and the TLB);
+        Switching to a *different* process flushes PSFP;
         SSBP survives — Vulnerability 1.  Rescheduling the same process
         is a no-op.
         """

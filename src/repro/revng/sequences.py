@@ -31,13 +31,12 @@ __all__ = [
     "SequenceSyntaxError",
     "parse",
     "to_bools",
-    "parse_types",
     "format_types",
 ]
 
 
 class SequenceSyntaxError(ReproError):
-    """A sequence or type string could not be parsed."""
+    """A sequence string could not be parsed."""
 
 
 @dataclass(frozen=True)
@@ -114,22 +113,6 @@ def to_bools(text_or_tokens: str | Iterable[StldToken]) -> list[bool]:
                 "use a PredictorUnit-level experiment instead"
             )
     return [token.aliasing for token in tokens]
-
-
-def parse_types(text: str) -> list[ExecType]:
-    """Parse an execution-type string like ``"4E, 3H"``.
-
-    >>> parse_types("2H, G") == [ExecType.H, ExecType.H, ExecType.G]
-    True
-    """
-    result: list[ExecType] = []
-    for chunk in _split(text):
-        match = re.match(r"^(\d+)?\s*([A-H])$", chunk)
-        if match is None:
-            raise SequenceSyntaxError(f"bad type token: {chunk!r}")
-        count = int(match.group(1) or 1)
-        result.extend([ExecType(match.group(2))] * count)
-    return result
 
 
 def format_types(types: Sequence[ExecType]) -> str:

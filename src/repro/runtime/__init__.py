@@ -26,50 +26,3 @@ the CLIs cannot drift apart:
 
 See docs/resilience.md for the full semantics.
 """
-
-from repro.runtime.atomic import (
-    atomic_write_json,
-    atomic_write_text,
-    canonical,
-    content_key,
-)
-from repro.runtime.chaos import ChaosPlan
-from repro.runtime.exitcodes import (
-    EXIT_FAILURES,
-    EXIT_INTERRUPTED,
-    EXIT_OK,
-    EXIT_USAGE,
-)
-from repro.runtime.journal import JOURNAL_SCHEMA, Journaled, run_journaled
-from repro.runtime.quarantine import QUARANTINE_DIR, quarantine
-from repro.runtime.supervisor import (
-    DEFAULT_GRACE_S,
-    DEFAULT_RETRIES,
-    SupervisorReport,
-    TaskFailure,
-    backoff_schedule,
-    run_supervised,
-)
-
-__all__ = [
-    "atomic_write_json",
-    "atomic_write_text",
-    "canonical",
-    "content_key",
-    "ChaosPlan",
-    "JOURNAL_SCHEMA",
-    "Journaled",
-    "run_journaled",
-    "EXIT_OK",
-    "EXIT_FAILURES",
-    "EXIT_USAGE",
-    "EXIT_INTERRUPTED",
-    "QUARANTINE_DIR",
-    "quarantine",
-    "DEFAULT_RETRIES",
-    "DEFAULT_GRACE_S",
-    "SupervisorReport",
-    "TaskFailure",
-    "backoff_schedule",
-    "run_supervised",
-]

@@ -25,38 +25,3 @@ Not to be confused with :mod:`repro.attacks.victim_gadgets`, which
 *detects* gadgets in arbitrary programs (and is cross-checked against
 those builders in the test suite).
 """
-
-from repro.static.advisor import FencePlan, advise
-from repro.static.crossval import (
-    AGREEMENT_CELLS,
-    CrossValReport,
-    agreement_matrix,
-    build_cases,
-    run_crossval,
-)
-from repro.static.gadgets import ScanReport, StaticGadget, scan_program
-from repro.static.ir import IRNode, IRProgram, lift
-from repro.static.taint import TaintResult, analyze_taint
-from repro.static.windows import BranchWindow, BypassEdge, branch_windows, bypass_edges
-
-__all__ = [
-    "AGREEMENT_CELLS",
-    "BranchWindow",
-    "BypassEdge",
-    "CrossValReport",
-    "FencePlan",
-    "IRNode",
-    "IRProgram",
-    "ScanReport",
-    "StaticGadget",
-    "TaintResult",
-    "advise",
-    "agreement_matrix",
-    "analyze_taint",
-    "branch_windows",
-    "build_cases",
-    "bypass_edges",
-    "lift",
-    "run_crossval",
-    "scan_program",
-]

@@ -20,8 +20,9 @@ Three layers:
 Recording is opt-in via an explicit tracer activation::
 
     from repro import telemetry
+    from repro.telemetry.sinks import RingBufferSink
 
-    with telemetry.recording(telemetry.RingBufferSink()) as tracer:
+    with telemetry.recording(RingBufferSink()) as tracer:
         machine.run()            # pipelines created here emit events
 
 When nothing is recording, ``current_tracer()`` is ``None`` and every
@@ -36,26 +37,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator
 
-from .events import TRACE_SCHEMA
-from .metrics import MetricsRegistry, merge_snapshots, registry
-from .sinks import JsonlSink, RingBufferSink, Tracer, TraceSink, read_trace, trace_header
-
-__all__ = [
-    "TRACE_SCHEMA",
-    "TraceSink",
-    "Tracer",
-    "RingBufferSink",
-    "JsonlSink",
-    "read_trace",
-    "trace_header",
-    "MetricsRegistry",
-    "registry",
-    "merge_snapshots",
-    "activate",
-    "deactivate",
-    "current_tracer",
-    "recording",
-]
+from .sinks import Tracer, TraceSink
 
 #: The process-global active tracer (None = telemetry disabled).
 _ACTIVE: Tracer | None = None

@@ -19,7 +19,8 @@ from __future__ import annotations
 import json
 import sys
 
-from ..runtime import atomic_write_text, exitcodes
+from ..runtime import exitcodes
+from ..runtime.atomic import atomic_write_text
 from ..runtime.cliutil import build_parser, console_main, print_progress
 from .diff import first_divergence
 from .export import summarize_events, to_chrome_trace, to_timeline

@@ -1,6 +1,8 @@
 """Tests for the Intel/ARM MDU baselines (TABLE IV)."""
 
-from repro.baselines import ArmMdu, IntelMdu, amd_characterization
+from repro.baselines import amd_characterization
+from repro.baselines.arm_mdu import ArmMdu
+from repro.baselines.intel_mdu import IntelMdu
 
 
 class TestIntelMdu:

@@ -6,7 +6,8 @@ on; if a refactor of either side erodes the delta, the attack narrative
 (and the TABLE IV row) must be revisited, not just the test.
 """
 
-from repro.baselines import ArmMdu, IntelMdu
+from repro.baselines.arm_mdu import ArmMdu
+from repro.baselines.intel_mdu import IntelMdu
 from repro.core.counters import CounterState
 from repro.core.exec_types import ExecType
 from repro.core.hashfn import HASH_BITS, ipa_hash

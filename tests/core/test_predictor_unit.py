@@ -114,12 +114,6 @@ class TestFlushSemantics:
         assert unit.psfp.occupancy == 0
         assert unit.ssbp.occupancy == 0
 
-    def test_reset_clears_stats(self):
-        unit = PredictorUnit()
-        self._train(unit)
-        unit.reset()
-        assert not unit.exec_type_counts
-
 
 class TestSsbd:
     def test_ssbd_pins_block_state(self):

@@ -81,7 +81,7 @@ class TestLruEviction:
         psfp = Psfp(entries=2)
         trained(psfp, 0, 0)
         trained(psfp, 1, 1)
-        psfp.lookup(0, 0)  # base becomes most recent
+        psfp.counters(0, 0)  # the read makes the base most recent
         trained(psfp, 2, 2)  # evicts (1, 1), not the base
         assert psfp.contains(0, 0)
         assert not psfp.contains(1, 1)

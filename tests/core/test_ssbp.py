@@ -108,7 +108,7 @@ class TestEvictionWithinSet:
         a, b, c = self._same_set_hashes(3)
         trained(ssbp, a)
         trained(ssbp, b)
-        ssbp.lookup(a)
+        ssbp.counters(a)
         trained(ssbp, c)
         assert ssbp.contains(a)
         assert not ssbp.contains(b)

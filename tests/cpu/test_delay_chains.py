@@ -40,7 +40,9 @@ from repro.errors import SegmentationFault, SimulationLimitExceeded
 from repro.fuzz.gen import BUF_PAGES, fuzz_program
 from repro.fuzz.harness import DEFAULT_FILL, apply_mitigation
 from repro.mitigations import MITIGATIONS
-from repro.telemetry import RingBufferSink, recording, registry
+from repro.telemetry import recording
+from repro.telemetry.metrics import registry
+from repro.telemetry.sinks import RingBufferSink
 
 MAX_STEPS = 400_000
 CHAIN_REGS = ["r0", "r1", "r2", "r3", "sd", "la", "cz"]  # cz: never written

@@ -49,12 +49,6 @@ class TestPmcBank:
         assert delta[PmcEvent.ROLLBACK] == 1
         assert delta[PmcEvent.STLF] == 0
 
-    def test_reset(self):
-        pmc = Pmc()
-        pmc.add(PmcEvent.RETIRED_OPS, 10)
-        pmc.reset()
-        assert pmc.read(PmcEvent.RETIRED_OPS) == 0
-
 
 @pytest.fixture(scope="module")
 def attributed():

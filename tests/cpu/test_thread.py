@@ -33,7 +33,6 @@ class TestPerThreadState:
         a, b = make_thread(0), make_thread(1)
         assert a.unit is not b.unit
         assert a.store_queue is not b.store_queue
-        assert a.tlb is not b.tlb
         assert a.pmc is not b.pmc
 
     def test_training_one_sibling_leaves_the_other_cold(self):
@@ -79,13 +78,6 @@ class TestFlushHooks:
         thread.on_context_switch(next_pid=1, flush_ssbp=True)
         assert thread.unit.psfp.occupancy == 0
         assert thread.unit.ssbp.occupancy == 0
-
-    def test_context_switch_flushes_tlb(self):
-        thread = make_thread()
-        thread.tlb.fill(0x1000, 0x2000)
-        assert thread.tlb.lookup(0x1000) is not None
-        thread.on_context_switch(next_pid=None)
-        assert thread.tlb.lookup(0x1000) is None
 
     def test_suspend_flushes_both_predictors(self):
         thread = make_thread()

@@ -128,7 +128,7 @@ class TestRobustnessChannel:
         return robustness.run_channel()
 
     def test_one_row_per_preset(self, result):
-        from repro.interference import PRESET_ORDER
+        from repro.interference.profile import PRESET_ORDER
 
         assert [row[0] for row in result.rows] == list(PRESET_ORDER)
 
@@ -140,7 +140,7 @@ class TestRobustnessChannel:
         )
 
     def test_hardened_receiver_recovers_every_preset(self, result):
-        from repro.interference import PRESET_ORDER
+        from repro.interference.profile import PRESET_ORDER
 
         for preset in PRESET_ORDER:
             assert result.metrics[f"{preset}_byte_errors"] == 0

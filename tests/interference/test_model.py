@@ -5,7 +5,8 @@ import pytest
 from repro.cpu.isa import Halt, Load, MovImm, Program
 from repro.cpu.machine import Machine
 from repro.errors import ReproError
-from repro.interference import InterferenceModel, get_profile
+from repro.interference.model import InterferenceModel
+from repro.interference.profile import get_profile
 
 
 def _victim(machine):
@@ -49,13 +50,6 @@ class TestAttachment:
             InterferenceModel(get_profile("quiet")).attach(machine)
         with pytest.raises(ReproError, match="already"):
             model.attach(Machine(seed=2))
-
-    def test_detach_frees_the_machine(self):
-        machine = Machine(seed=1)
-        model = InterferenceModel(get_profile("desktop")).attach(machine)
-        model.detach()
-        assert machine.interference is None
-        InterferenceModel(get_profile("quiet")).attach(machine)
 
 
 class TestQuietNoOp:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.interference import (
+from repro.interference.profile import (
     PRESET_ORDER,
     PRESETS,
     InterferenceProfile,

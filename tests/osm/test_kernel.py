@@ -194,12 +194,6 @@ class TestSchedulingFlushes:
         kernel.schedule(kernel.create_process("attacker"))
         assert thread.unit.ssbp.occupancy == 0
 
-    def test_context_switch_flushes_tlb(self, kernel, process):
-        thread = self._train_both(kernel, process)
-        thread.tlb.fill(5, 42)
-        kernel.schedule(kernel.create_process("attacker"))
-        assert thread.tlb.occupancy == 0
-
     def test_smt_threads_are_partitioned(self, kernel, process):
         """Training on thread 0 must not leak into thread 1's predictors."""
         thread0 = self._train_both(kernel, process)

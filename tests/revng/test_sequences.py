@@ -10,7 +10,6 @@ from repro.revng.sequences import (
     StldToken,
     format_types,
     parse,
-    parse_types,
     to_bools,
 )
 
@@ -67,16 +66,17 @@ class TestFormatting:
         types = [ExecType.H, ExecType.H, ExecType.G]
         assert format_types(types) == "2H, G"
 
-    def test_parse_types(self):
-        assert parse_types("2H, G") == [ExecType.H, ExecType.H, ExecType.G]
-
-    def test_parse_types_rejects_garbage(self):
-        with pytest.raises(SequenceSyntaxError):
-            parse_types("2Z")
-
     def test_types_roundtrip(self):
-        text = "4E, 3H, G, 2D"
-        assert format_types(parse_types(text)) == text
+        types = [ExecType.E] * 4 + [ExecType.H] * 3 + [ExecType.G] + [ExecType.D] * 2
+        assert format_types(types) == "4E, 3H, G, 2D"
+        assert _expand(format_types(types)) == types
+
+
+def _expand(text):
+    """The execution types a run-length string like ``"4E, 3H"`` names."""
+    return [
+        ExecType(run[-1]) for run in text.split(", ") for _ in range(int(run[:-1] or 1))
+    ]
 
 
 sequences = st.lists(
@@ -98,4 +98,8 @@ class TestRoundtrips:
 
     @given(st.lists(st.sampled_from(list(ExecType)), min_size=1, max_size=40))
     def test_types_format_parse_roundtrip(self, types):
-        assert parse_types(format_types(types)) == types
+        text = format_types(types)
+        assert _expand(text) == types
+        runs = text.split(", ")
+        # Each run is maximal: neighbouring runs name different types.
+        assert all(a[-1] != b[-1] for a, b in zip(runs, runs[1:]))

@@ -9,7 +9,6 @@ from repro.core.counters import CounterState
 from repro.core.exec_types import ExecType, TimingClass
 from repro.cpu.machine import Machine
 from repro.revng.probes import PredictorProber
-from repro.revng.sequences import StldToken, parse
 from repro.revng.state_infer import ModelValidator, refine_types
 from repro.revng.stld import StldHarness
 from repro.revng.timing import TimingClassifier

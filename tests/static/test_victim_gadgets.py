@@ -39,9 +39,3 @@ class TestScannerFlagsTheAttackTemplates:
         report = scan_program(spectre_stl_gadget())
         assert "foreign-load" in set(report.sources.values())
 
-
-class TestRenameShim:
-    def test_attacks_package_reexports_from_the_new_home(self):
-        import repro.attacks as attacks
-
-        assert attacks.spectre_stl_gadget is spectre_stl_gadget

@@ -13,6 +13,10 @@ code kept alive for its own tests.  References are matched by name too:
 any ``Name``, ``Attribute`` or identifier inside a string counts, except
 in docstrings, imports and ``__all__``.  :data:`TEST_ONLY` names the
 entry points kept anyway, each with the reason.
+
+A package ``__init__.py`` holds its docstring and the names it defines
+itself: it imports from a ``repro`` module only what its own code uses,
+and has no ``__all__``, so every public name has one import path.
 """
 
 import ast
@@ -41,9 +45,6 @@ ALLOWED = {
 }
 
 
-_PROBE = "a model table unit tests read directly; the pipeline goes through PredictorUnit"
-_RESET = "resets a counter bank between unit-test phases"
-
 TEST_ONLY = {
     "repro.core.config.zen2_model": "the documented Zen 2 (SSB-only) ablation config",
     "repro.baselines.arm_mdu.ArmMdu.predict_bypass": "the baseline MDUs' query",
@@ -51,15 +52,6 @@ TEST_ONLY = {
     "repro.mitigations.secure_timer.SecureTimer": "the documented Section VI timer",
     "repro.revng.report.ReverseEngineeringCampaign": "the documented Section III run",
     "repro.osm.kernel.Kernel.physical_address": "the privileged translation tests check",
-    "repro.core.psfp.Psfp.lookup": _PROBE,
-    "repro.core.ssbp.Ssbp.lookup": _PROBE,
-    "repro.mem.tlb.Tlb.lookup": "the TLB's read; no translation consults the TLB yet",
-    "repro.core.predictor_unit.PredictorUnit.reset": _RESET,
-    "repro.cpu.pmc.Pmc.reset": _RESET,
-    "repro.mem.cache.CacheStats.reset": _RESET,
-    "repro.mem.cache.CacheStats.accesses": "the hit+miss sum the cache-stats tests read",
-    "repro.interference.model.InterferenceModel.detach": "the inverse of attach",
-    "repro.revng.sequences.parse_types": "the inverse of format_types",
 }
 
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
@@ -176,3 +168,32 @@ def test_every_entry_point_has_a_user_outside_tests():
     }
     assert sorted(test_only - TEST_ONLY.keys()) == [], "entry points only tests use"
     assert sorted(TEST_ONLY.keys() - test_only) == [], "stale TEST_ONLY entries"
+
+
+def _reexports(path: Path):
+    """Names ``path`` imports from ``repro`` without using them, and ``__all__``."""
+    tree = ast.parse(path.read_text())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or node.module.split(".")[0] == "repro"
+        ):
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0]
+                         for alias in node.names if alias.name.split(".")[0] == "repro")
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(getattr(target, "id", "") == "__all__" for target in targets):
+                yield "__all__"
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    yield from sorted(bound - used)
+
+
+def test_no_package_reexports():
+    found = [
+        f"{path.relative_to(ROOT)}: {name}"
+        for path in sorted((ROOT / "src").rglob("__init__.py"))
+        for name in _reexports(path)
+    ]
+    assert found == [], "package __init__ names imported but unused, or __all__"
