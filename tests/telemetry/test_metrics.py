@@ -35,6 +35,28 @@ class TestHistogram:
         hist.observe(100)  # bucket 7 (64..127)
         assert sum(hist.buckets) == 2
 
+    @staticmethod
+    def _doubling_bucket(value):
+        """The docstring's rule: the first ``i`` with ``value < 2**i``,
+        capped at the last bucket."""
+        bucket, bound = 0, 1
+        while value >= bound and bucket < Histogram.BUCKET_COUNT - 1:
+            bucket += 1
+            bound <<= 1
+        return bucket
+
+    @pytest.mark.parametrize(
+        "value",
+        sorted({max(0, 2**k + d) for k in range(26) for d in (-1, 0, 1)})
+        + [-1, -2, -(2**30), 0.0, 0.5, 1.0, 1.5, 2.0, 1e6, 2.0**23, 1e9, -0.5],
+    )
+    def test_bucket_follows_the_doubling_bound(self, value):
+        hist = Histogram("h")
+        hist.observe(value)
+        expected = [0] * Histogram.BUCKET_COUNT
+        expected[self._doubling_bucket(value)] = 1
+        assert hist.buckets == expected
+
 
 class TestRegistry:
     def test_acquisition_is_idempotent(self):
