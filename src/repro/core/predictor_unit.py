@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.core.config import CpuModel, default_model
 from repro.core.counters import CounterState
@@ -49,31 +48,40 @@ class AccessResult:
 
 _SSBD_BLOCK = Prediction(aliasing=True, psf_forward=False, sticky=False)
 
-#: Interned :class:`CounterState` values keyed by their counter tuple.
-#: ``state_for`` assembles one state per racing load; interning makes the
-#: repeat assembly a dict probe (and keeps the lru_cache keys below shared
-#: objects).  CounterState is frozen, so sharing is safe; the domain is the
-#: clamped counter product, the same bound the state-machine caches rely on.
-_STATES: dict[tuple[int, int, int, int, int], CounterState] = {}
+#: The SSBD-off prediction of each counter tuple and the outcome of each
+#: ``(counters, aliasing, ssbd)`` triple.  Both are pure in their key, the
+#: clamped counter product bounds them, and plain tuple keys skip hashing
+#: a CounterState through its Python-level ``__hash__``.
+_PREDICTIONS: dict[tuple[int, int, int, int, int], Prediction] = {}
+_OUTCOMES: dict[tuple[tuple[int, int, int, int, int], bool, bool], AccessResult] = {}
 
 
-@lru_cache(maxsize=None)
-def _pair_outcome(before: CounterState, aliasing: bool) -> AccessResult:
-    """The SSBD-off outcome of one pair: pure in ``(before, aliasing)``.
-
-    Prediction, TABLE I transition and the resulting :class:`AccessResult`
-    depend only on the incoming counter state and the ground truth, so the
-    whole bundle is memoized; :meth:`PredictorUnit.access` applies the
-    table writes and bookkeeping around the cached value.
-    """
-    result = transition(before, aliasing)
-    return AccessResult(
-        exec_type=result.exec_type,
-        prediction=predict_state(before),
-        state_name=result.state_name,
-        before=before,
-        after=result.state,
-    )
+def _outcome(
+    counters: tuple[int, int, int, int, int], aliasing: bool, ssbd: bool
+) -> AccessResult:
+    """The outcome of one pair, memoized: prediction, TABLE I transition
+    and the resulting :class:`AccessResult` depend only on the incoming
+    counters, the ground truth and SSBD.  :meth:`PredictorUnit.access`
+    applies the table writes and bookkeeping around it."""
+    key = (counters, aliasing, ssbd)
+    outcome = _OUTCOMES.get(key)
+    if outcome is None:
+        before = CounterState(*counters)
+        if ssbd:
+            # Loads serialize behind stores; the unit is pinned in the
+            # Block state and learns nothing (Section VI-A).
+            exec_type = ExecType.A if aliasing else ExecType.E
+            outcome = AccessResult(
+                exec_type, _SSBD_BLOCK, StateName.BLOCK, before, before
+            )
+        else:
+            result = transition(before, aliasing)
+            outcome = AccessResult(
+                result.exec_type, predict_state(before), result.state_name,
+                before, result.state,
+            )
+        _OUTCOMES[key] = outcome
+    return outcome
 
 
 class PredictorUnit:
@@ -106,29 +114,27 @@ class PredictorUnit:
     # ------------------------------------------------------------------
     # State assembly and prediction
     # ------------------------------------------------------------------
-    def state_for(self, store_hash: int, load_hash: int) -> CounterState:
-        """Assemble the five-counter state for one (store, load) pair.
+    def counters(self, store_hash: int, load_hash: int) -> tuple[int, int, int, int, int]:
+        """The five counters of one (store, load) pair, refreshing the
+        recency of the entries read.
 
         On a core without PSF hardware (Zen 2) there is no PSFP: the
         pair counters read as zero and are never written, leaving only
         the SSBP dynamics (Initialize / Load-From-Cache / S2 states).
         """
         if self.model.psf_supported:
-            c0, c1, c2 = self.psfp.counters(store_hash, load_hash)
-        else:
-            c0 = c1 = c2 = 0
-        c3, c4 = self.ssbp.counters(load_hash)
-        key = (c0, c1, c2, c3, c4)
-        state = _STATES.get(key)
-        if state is None:
-            state = _STATES[key] = CounterState(c0=c0, c1=c1, c2=c2, c3=c3, c4=c4)
-        return state
+            return self.psfp.counters(store_hash, load_hash) + self.ssbp.counters(load_hash)
+        return (0, 0, 0) + self.ssbp.counters(load_hash)
 
     def predict(self, store_hash: int, load_hash: int) -> Prediction:
         """What the unit will do for the next pair at these IPAs."""
         if self.spec_ctrl.ssbd:
             return _SSBD_BLOCK
-        return predict_state(self.state_for(store_hash, load_hash))
+        counters = self.counters(store_hash, load_hash)
+        prediction = _PREDICTIONS.get(counters)
+        if prediction is None:
+            prediction = _PREDICTIONS[counters] = predict_state(CounterState(*counters))
+        return prediction
 
     # ------------------------------------------------------------------
     # Execution
@@ -141,40 +147,25 @@ class PredictorUnit:
         This is called for architectural *and* transient executions alike;
         predictor updates are never rolled back (Vulnerability 4).
         """
-        before = self.state_for(store_hash, load_hash)
-        if self.spec_ctrl.ssbd:
-            # Loads serialize behind stores; the unit is pinned in the
-            # Block state and learns nothing (Section VI-A).
-            exec_type = ExecType.A if aliasing else ExecType.E
-            self.exec_type_counts[exec_type] += 1
-            if self.trace is not None:
-                self._emit_transition(
-                    store_hash, load_hash, aliasing, exec_type,
-                    classify_state(before), StateName.BLOCK, before, before,
+        ssbd = self.spec_ctrl.ssbd
+        outcome = _outcome(self.counters(store_hash, load_hash), aliasing, ssbd)
+        if not ssbd:
+            after = outcome.after
+            # Entries are allocated only by a mispredicted bypass (type G);
+            # other events update live entries but never claim a new slot.
+            allocate = outcome.exec_type is ExecType.G
+            if self.model.psf_supported:
+                self.psfp.update(
+                    store_hash, load_hash, after.c0, after.c1, after.c2,
+                    allocate=allocate,
                 )
-            return AccessResult(
-                exec_type=exec_type,
-                prediction=_SSBD_BLOCK,
-                state_name=StateName.BLOCK,
-                before=before,
-                after=before,
-            )
-
-        outcome = _pair_outcome(before, aliasing)
-        after = outcome.after
-        # Entries are allocated only by a mispredicted bypass (type G);
-        # other events update live entries but never claim a new slot.
-        allocate = outcome.exec_type is ExecType.G
-        if self.model.psf_supported:
-            self.psfp.update(
-                store_hash, load_hash, after.c0, after.c1, after.c2, allocate=allocate
-            )
-        self.ssbp.update(load_hash, after.c3, after.c4, allocate=allocate)
+            self.ssbp.update(load_hash, after.c3, after.c4, allocate=allocate)
         self.exec_type_counts[outcome.exec_type] += 1
         if self.trace is not None:
             self._emit_transition(
                 store_hash, load_hash, aliasing, outcome.exec_type,
-                classify_state(before), outcome.state_name, before, after,
+                classify_state(outcome.before), outcome.state_name,
+                outcome.before, outcome.after,
             )
         return outcome
 

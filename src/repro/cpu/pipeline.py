@@ -38,6 +38,11 @@ Performance notes (docs/performance.md has the full story):
   record, and a squash replays the journal backwards to the rollback
   point's mark (see :class:`_Snapshot`).  Outside speculation the
   journal is empty and writes pay one integer check.
+* A code-sliding attempt is one run of ~6 scheduling steps, so per-run
+  work is kept small: :class:`_ExecState` has ``__slots__`` and unpacks
+  the pipeline's fixed collaborators from one tuple, a load scans the
+  store queue once, and store resolution is only called once a queued
+  store's address can be generated (``_agen_floor``).
 * The equivalence gate (:mod:`repro.bench.equivalence`) pins this
   machinery: any observable divergence from the pre-optimization
   interpreter — registers, memory, cycle counts, trace events — fails
@@ -47,7 +52,7 @@ Performance notes (docs/performance.md has the full story):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.core.exec_types import ExecType
 from repro.core.hashfn import ipa_hash
@@ -84,7 +89,7 @@ from repro.errors import (
     SimulationLimitExceeded,
 )
 from repro.mem.store_queue import StoreEntry
-from repro.osm.address_space import Perm
+from repro.osm.address_space import CowFault, Perm
 from repro.osm.kernel import Kernel
 from repro.osm.process import Process
 from repro.telemetry import current_tracer
@@ -93,6 +98,13 @@ from repro.telemetry.metrics import registry
 __all__ = ["StldEvent", "RunResult", "Pipeline", "FAULT_WINDOW", "CHAOS_HOOKS"]
 
 _U64 = (1 << 64) - 1
+
+# Perm.R is an enum class-attribute lookup (~0.1 us); bind the members once.
+_READ = Perm.R
+_WRITE = Perm.W
+
+#: A cycle later than any simulated one.
+_NEVER = float("inf")
 
 #: Cycles between a faulting load's execution and fault delivery (retire).
 FAULT_WINDOW = 30
@@ -193,9 +205,13 @@ class _TransientWindow:
     fault: SegmentationFault | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class StldEvent:
-    """One resolved store-load interaction (for tests and experiments)."""
+class StldEvent(NamedTuple):
+    """One resolved store-load interaction (for tests and experiments).
+
+    A named tuple, not a frozen dataclass: one is built per store-load
+    pair, and a tuple is built in a third of the time.  Equality and
+    hashing are the same field tuple's.
+    """
 
     exec_type: ExecType
     store_ipa: int
@@ -261,8 +277,16 @@ class Pipeline:
         self.trace = current_tracer()
         if self.trace is not None:
             self.attach_tracer(self.trace)
+        #: The collaborators every run reads, fixed for the pipeline's
+        #: lifetime: an _ExecState unpacks them in one statement.
+        queue = thread.store_queue
+        self._bound = (
+            self, core, thread, kernel, self.lat, thread.thread_id, queue,
+            queue.live_entries(), core.memory, core.hierarchy,
+            thread.pmc.counts, thread.unit,
+        )
         # Run-level metrics: instruments are resolved once here so the
-        # per-run cost is four integer adds and one histogram observe.
+        # per-run cost is five integer adds and one histogram observe.
         metrics = registry()
         self._m_runs = metrics.counter("pipeline.runs")
         self._m_retired = metrics.counter("pipeline.retired")
@@ -326,13 +350,14 @@ class Pipeline:
         counter advanced and the run counted in the ``pipeline.*``
         metrics.  Every run, single-threaded or SMT, ends here."""
         result = state.finalize()
-        self.thread.advance(result.cycles)
-        self._m_runs.inc()
-        self._m_retired.inc(result.retired)
-        self._m_chain_retired.inc(state.chain_retired)
-        self._m_cycles.inc(result.cycles)
-        self._m_rollbacks.inc(result.rollbacks)
-        self._m_run_cycles.observe(result.cycles)
+        cycles = result.cycles
+        self.thread.advance(cycles)
+        self._m_runs.value += 1
+        self._m_retired.value += result.retired
+        self._m_chain_retired.value += state.chain_retired
+        self._m_cycles.value += cycles
+        self._m_rollbacks.value += result.rollbacks
+        self._m_run_cycles.observe(cycles)
         return result
 
     # Branch prediction: 2-bit saturating direction counters.
@@ -348,10 +373,20 @@ class _ExecState:
     """Mutable interpreter state for one program run.
 
     Collaborator attributes (store queue, memory, hierarchy, PMC,
-    predictor unit, hash salt) are bound once at construction — they are
-    stable for the lifetime of a run, and the per-step hot paths below
-    read the locals instead of re-walking ``self.thread.…`` chains.
+    predictor unit) are fixed per pipeline and unpacked from
+    ``Pipeline._bound`` in one statement; the per-step hot paths below
+    read them instead of re-walking ``self.thread.…`` chains.
     """
+
+    __slots__ = (
+        # Fixed per pipeline (Pipeline._bound order).
+        "pipe", "core", "thread", "kernel", "lat", "tid", "sq", "sq_entries",
+        "memory", "hierarchy", "_pmcc", "unit",
+        # Per run.
+        "process", "space", "program", "dec", "n", "regs", "ready", "index",
+        "dispatch", "seq", "retired", "chain_retired", "result", "window",
+        "halted", "trace", "salt", "_journal", "_jlive", "_nrec", "_agen_floor",
+    )
 
     def __init__(
         self,
@@ -360,43 +395,36 @@ class _ExecState:
         program: Program,
         regs: dict[str, int],
     ) -> None:
-        self.pipe = pipeline
-        self.core = pipeline.core
-        self.thread = pipeline.thread
-        self.kernel = pipeline.kernel
-        self.lat = pipeline.lat
+        (
+            self.pipe, self.core, self.thread, self.kernel, self.lat, self.tid,
+            self.sq, self.sq_entries, self.memory, self.hierarchy, self._pmcc,
+            self.unit,
+        ) = pipeline._bound
         self.process = process
+        self.space = process.address_space
         self.program = program
-        self.dec = program.decoded()
-        self.n = len(self.dec.insts)
+        self.dec = dec = program.decoded()
+        self.n = len(dec.insts)
         self.regs = regs
         self.ready: dict[str, int] = {}
-        self.index = 0
-        self.dispatch = 0
-        self.seq = 0
+        self.index = self.dispatch = self.seq = 0
         self.retired = 0
         self.chain_retired = 0  # of retired, through collapsed delay chains
-        self.result = RunResult(regs=self.regs, cycles=0)
+        self.result = RunResult(regs, 0)
         self.window: _TransientWindow | None = None
         self.halted = False
         self.trace = pipeline.trace
-        self.tid = pipeline.thread.thread_id
-        # Hot-path collaborator bindings (stable for the whole run).
-        self.sq = pipeline.thread.store_queue
-        self.sq_entries = self.sq.live_entries()  # identity-stable list
-        self.memory = pipeline.core.memory
-        self.hierarchy = pipeline.core.hierarchy
-        self.pmc = pipeline.thread.pmc
-        # Raw counter bank: the per-dispatch ITLB event is incremented
-        # directly (equivalent to Pmc.add, minus the call overhead).
-        self._pmcc = self.pmc.counts
-        self.unit = pipeline.thread.unit
         self.salt = self.unit.hash_salt
         # Register delta journal (see _Snapshot): undo records appended
         # by _set_reg while any rollback point is live.
         self._journal: list[tuple] = []
         self._jlive = 0      # live _Snapshot objects
         self._nrec = 0       # _SpecLoad records attached to store entries
+        # No queued store's address is generated before this cycle: a
+        # push lowers it, and otherwise stores only leave the queue.  (A
+        # run stopped by the step limit leaves its stores queued.)
+        entries = self.sq_entries
+        self._agen_floor = min(e.addr_ready for e in entries) if entries else _NEVER
 
     # ------------------------------------------------------------------
     # Small helpers
@@ -463,11 +491,16 @@ class _ExecState:
             self.sq.squash_younger(seq)
 
     def _translate(self, vaddr: int, access: Perm) -> int:
-        return self.kernel.translate(self.process, vaddr, access)
+        """The process's page-table walk; the kernel steps in only to
+        break a copy-on-write page, then translates again."""
+        try:
+            return self.space.translate(vaddr, access)
+        except CowFault:
+            return self.kernel.translate(self.process, vaddr, access)
 
     def _ipa_of_instruction(self, index: int) -> int:
         iva = self.program.base_iva + self.dec.offsets[index]
-        paddr = self.process.address_space.translate_nofault(iva)
+        paddr = self.space.translate_nofault(iva)
         if paddr is None:
             raise SegmentationFault(iva, access="execute")
         return paddr
@@ -552,33 +585,20 @@ class _ExecState:
         self._advance(1)
         return not self.halted
 
-    def _advance(self, budget: int) -> int:
-        """One scheduling decision that may count for up to ``budget``
-        steps; returns how many it counted for."""
-        window = self.window
-        if window is not None and (
-            self.dispatch >= window.stop or self.index >= self.n
-        ):
-            self._close_window()
-            return 1
-        # With an empty store queue _resolve_stores is a no-op (nothing to
-        # train, nothing to commit) — skip the call on the ALU-only fast
-        # path.  sq_entries is the live list, so emptiness is current.
-        if self.sq_entries and self._resolve_stores(self.dispatch):
-            return 1  # a squash rewound the state
-        if self.index >= self.n:
-            if not self._quiesce():
-                self.halted = True
-            return 1
-        return self._dispatch_one(self.index, budget)
-
     def finalize(self) -> RunResult:
-        frontier = max([self.dispatch] + list(self.ready.values()) + [self._sq_horizon()])
-        self.sq.drain(self.memory)
-        self.pmc.add(PmcEvent.RETIRED_OPS, self.retired)
-        self.result.cycles = frontier
-        self.result.retired = self.retired
-        return self.result
+        # dispatch, or a later cycle of a queued store or a register.
+        frontier = self._sq_horizon() if self.sq_entries else self.dispatch
+        if self.ready:
+            latest = max(self.ready.values())
+            if latest > frontier:
+                frontier = latest
+        if self.sq_entries:
+            self.sq.drain(self.memory)
+        self._pmcc[PmcEvent.RETIRED_OPS] += self.retired
+        result = self.result
+        result.cycles = frontier
+        result.retired = self.retired
+        return result
 
     def _commit_ceiling(self) -> int | None:
         """Stores younger than an open window's base must never commit."""
@@ -589,24 +609,55 @@ class _ExecState:
 
         Returns True when a squash rewound execution (caller re-loops).
         """
+        if not self.sq_entries:
+            return False  # nothing to resolve, train or commit
         horizon = self._sq_horizon()
         if self._resolve_stores(horizon):
             return True
         if horizon > self.dispatch:
             self.dispatch = horizon
-        self.sq.commit_ready(self.memory, self.dispatch, self._commit_ceiling())
+        if self.sq_entries:
+            self.sq.commit_ready(self.memory, self.dispatch, self._commit_ceiling())
         return False
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _dispatch_one(self, index: int, budget: int) -> int:
-        """Dispatch the instruction at ``index``; returns the steps used.
+    def _advance(self, budget: int) -> int:
+        """One scheduling decision that may count for up to ``budget``
+        steps; returns how many it counted for.
 
-        That is 1, except at a delay-chain link (``dec.chain[index] > 1``)
-        with ``budget > 1``: there :meth:`_dispatch_chain` may dispatch
-        the next links in the same step and count each one.
+        The decision closes a window that reached its resolve point,
+        resolves stores whose address generation completed, halts at
+        the end of the program, or else dispatches the instruction at
+        ``index``.  A dispatch counts as 1 step, except at a delay-chain
+        link (``dec.chain[index] > 1``) with ``budget > 1``: there
+        :meth:`_dispatch_chain` may dispatch the next links in the same
+        step and count each one.
         """
+        window = self.window
+        index = self.index
+        if window is not None and (
+            self.dispatch >= window.stop or index >= self.n
+        ):
+            self._close_window()
+            return 1
+        # _resolve_stores is a no-op while the store queue is empty or no
+        # queued store has its address yet (nothing to train, nothing to
+        # commit): skip the call.  sq_entries is the live list, so its
+        # emptiness is current.
+        if (
+            self.sq_entries
+            and self.dispatch >= self._agen_floor
+            and self._resolve_stores(self.dispatch)
+        ):
+            return 1  # a squash rewound the state
+        if index >= self.n:
+            if not self._quiesce():
+                self.halted = True
+            return 1
+
+        # Dispatch the instruction at index.
         dec = self.dec
         op = dec.ops[index]
         if op == OP_LABEL:
@@ -743,7 +794,7 @@ class _ExecState:
         elif op == OP_CLFLUSH:
             base, offset = args
             vaddr = (self.regs.get(base, 0) + offset) & _U64
-            paddr = self._translate(vaddr, Perm.R)
+            paddr = self._translate(vaddr, _READ)
             self.hierarchy.clflush(paddr)
         else:
             raise InvalidInstruction(f"unhandled instruction {dec.insts[index]!r}")
@@ -853,24 +904,21 @@ class _ExecState:
         regs = self.regs
         ready = self.ready
         vaddr = (regs.get(base, 0) + offset) & _U64
-        paddr = self._translate(vaddr, Perm.W)
+        paddr = self._translate(vaddr, _WRITE)
         rb = ready.get(base, 0)
         addr_ready = (rb if rb > d else d) + self.lat.alu
         rs = ready.get(src, 0)
         data_ready = rs if rs > d else d
         value = regs.get(src, 0)
         self.seq += 1
-        self.sq.push(
-            StoreEntry(
-                seq=self.seq,
-                paddr=paddr,
-                size=width,
-                data=value.to_bytes(8, "little")[:width],
-                addr_ready=addr_ready,
-                data_ready=data_ready,
-                store_ipa=self._ipa_of_instruction(index),
-            )
-        )
+        # Positional, in field order: matching keywords would cost more
+        # than the rest of the construction.
+        self.sq.push(StoreEntry(
+            self.seq, paddr, width, value.to_bytes(8, "little")[:width],
+            addr_ready, data_ready, self._ipa_of_instruction(index),
+        ))
+        if addr_ready < self._agen_floor:
+            self._agen_floor = addr_ready
 
     # ------------------------------------------------------------------
     # Loads
@@ -882,17 +930,38 @@ class _ExecState:
         rb = self.ready.get(base, 0)
         addr_ready = (rb if rb > d else d) + self.lat.alu
         try:
-            paddr = self._translate(vaddr, Perm.R)
+            paddr = self._translate(vaddr, _READ)
         except SegmentationFault as fault:
             self._faulting_load(dst, addr_ready, fault)
             return
 
         self.seq += 1
         load_seq = self.seq
-        pending = self.sq.nearest_unresolved(load_seq, addr_ready)
+        # One store-queue scan.  Every queued store is older than this
+        # load (seq only grows) and uncommitted (commit dequeues it).  Of
+        # the stores whose address is not generated by addr_ready, the
+        # youngest is the predictor's pair (``pending``, the store the
+        # paper's stld races) and the overlapping ones are ``aliasing``;
+        # of the others, the youngest that overlaps or covers the load is
+        # the one a plain load forwards from.
+        end = paddr + width
+        pending = forwarding = None
+        aliasing = []
+        stall_until = addr_ready
+        for entry in self.sq_entries:
+            lo = entry.paddr
+            hi = lo + entry.size
+            if entry.addr_ready > addr_ready:
+                pending = entry
+                if entry.addr_ready > stall_until:
+                    stall_until = entry.addr_ready
+                if lo < end and paddr < hi:
+                    aliasing.append(entry)
+            elif lo < end and paddr < hi or lo <= paddr and end <= hi:
+                forwarding = entry
 
         if pending is None:
-            self._plain_load(dst, width, load_seq, paddr, addr_ready)
+            self._plain_load(dst, width, load_seq, paddr, addr_ready, forwarding)
             return
 
         load_ipa = self._ipa_of_instruction(index)
@@ -901,7 +970,7 @@ class _ExecState:
         store_hash = ipa_hash(pending.store_ipa, self.salt)
         load_hash = ipa_hash(load_ipa, self.salt)
         prediction = self.unit.predict(store_hash, load_hash)
-        truth = pending.overlaps(paddr, width)
+        truth = bool(aliasing) and aliasing[-1] is pending
         covers = pending.covers(paddr, width)
         if self.trace is not None:
             self.trace.emit(
@@ -920,12 +989,7 @@ class _ExecState:
         # Other unresolved older stores the load will read around: if any
         # aliases, the bypass/forward result is wrong no matter what the
         # (nearest-store) prediction said — a memory-ordering violation.
-        unresolved = self.sq.unresolved_older(load_seq, addr_ready)
-        aliasing_others = [
-            entry
-            for entry in unresolved
-            if entry is not pending and entry.overlaps(paddr, width)
-        ]
+        aliasing_others = aliasing[:-1] if truth else aliasing
 
         will_squash = (
             (prediction.aliasing and prediction.psf_forward and not covers)
@@ -939,7 +1003,7 @@ class _ExecState:
             # Predictive store forwarding (type C right / D wrong).
             value = self._forward_value(pending, width)
             complete = max(addr_ready, pending.data_ready) + self.lat.sq_forward
-            self.pmc.add(PmcEvent.STLF)
+            self._pmcc[PmcEvent.STLF] += 1
             if self.trace is not None:
                 self.trace.emit(
                     "stld-forward",
@@ -956,26 +1020,17 @@ class _ExecState:
             # nearest store would read around an older aliasing store
             # whose address resolves later — with no guard to repair it.
             # This wait-for-all is also exactly SSBD's guarantee.
-            stall_until = max(
-                [addr_ready] + [entry.addr_ready for entry in unresolved]
-            )
-            self.pmc.add(
-                PmcEvent.SQ_STALL_TOKENS, max(0, stall_until - addr_ready)
-            )
-            aliasing = [
-                entry
-                for entry in unresolved
-                if entry.overlaps(paddr, width)
-            ]
+            self._pmcc[PmcEvent.SQ_STALL_TOKENS] += stall_until - addr_ready
             if aliasing:
                 value = self._merged_read(
                     load_seq, paddr, width, stall_until, True
                 )
-                complete = (
-                    max([stall_until] + [entry.data_ready for entry in aliasing])
-                    + self.lat.sq_forward
-                )
-                self.pmc.add(PmcEvent.STLF)
+                complete = stall_until
+                for entry in aliasing:
+                    if entry.data_ready > complete:
+                        complete = entry.data_ready
+                complete += self.lat.sq_forward
+                self._pmcc[PmcEvent.STLF] += 1
             else:
                 latency, _ = self.hierarchy.load(paddr)
                 value = self._merged_read(
@@ -1007,18 +1062,10 @@ class _ExecState:
                     correct=not truth,
                 )
 
+        # Positional, in field order, like the StoreEntry of a store.
         record = _SpecLoad(
-            load_seq=load_seq,
-            load_index=index,
-            load_ipa=load_ipa,
-            load_hash=load_hash,
-            store_hash=store_hash,
-            paddr=paddr,
-            width=width,
-            prediction=prediction,
-            truth=truth,
-            covers=covers,
-            snapshot=snapshot,
+            load_seq, index, load_ipa, load_hash, store_hash, paddr, width,
+            prediction, truth, covers, snapshot,
         )
         pending.speculated_loads.append(record)
         self._nrec += 1
@@ -1031,33 +1078,29 @@ class _ExecState:
             # point — one more holder each, not one more copy.
             for entry in aliasing_others:
                 snapshot.refs += 1
-                entry.speculated_loads.append(
-                    _SpecLoad(
-                        load_seq=load_seq,
-                        load_index=index,
-                        load_ipa=load_ipa,
-                        load_hash=load_hash,
-                        store_hash=store_hash,
-                        paddr=paddr,
-                        width=width,
-                        prediction=prediction,
-                        truth=True,
-                        covers=entry.covers(paddr, width),
-                        snapshot=snapshot,
-                        guard=True,
-                    )
-                )
+                entry.speculated_loads.append(_SpecLoad(
+                    load_seq, index, load_ipa, load_hash, store_hash, paddr,
+                    width, prediction, True, entry.covers(paddr, width),
+                    snapshot, True,  # truth, covers, snapshot, guard
+                ))
                 self._nrec += 1
         self._set_reg(dst, value, complete)
 
     def _plain_load(
-        self, dst: str, width: int, load_seq: int, paddr: int, addr_ready: int
+        self,
+        dst: str,
+        width: int,
+        load_seq: int,
+        paddr: int,
+        addr_ready: int,
+        forwarding: StoreEntry | None,
     ) -> None:
-        forwarding = self.sq.forwarding_store(load_seq, paddr, width, addr_ready)
+        """A load no unresolved store races; ``forwarding`` is the
+        youngest older store that overlaps it, if any."""
         value = self._merged_read(load_seq, paddr, width, addr_ready, False)
         if forwarding is not None and forwarding.covers(paddr, width):
             complete = max(addr_ready, forwarding.data_ready) + self.lat.sq_forward
-            self.pmc.add(PmcEvent.STLF)
+            self._pmcc[PmcEvent.STLF] += 1
         else:
             latency, _ = self.hierarchy.load(paddr)
             complete = addr_ready + latency
@@ -1175,12 +1218,7 @@ class _ExecState:
             record.store_hash, record.load_hash, record.truth
         )
         self.result.events.append(
-            StldEvent(
-                exec_type=result.exec_type,
-                store_ipa=entry.store_ipa,
-                load_ipa=record.load_ipa,
-                cycle=now,
-            )
+            StldEvent(result.exec_type, entry.store_ipa, record.load_ipa, now)
         )
         return result.exec_type
 
@@ -1194,7 +1232,7 @@ class _ExecState:
         self._deref(window.snapshot)
         self.dispatch = window.stop + self.lat.rollback
         self.result.rollbacks += 1
-        self.pmc.add(PmcEvent.ROLLBACK)
+        self._pmcc[PmcEvent.ROLLBACK] += 1
         if self.trace is not None:
             self.trace.emit(
                 "squash",
@@ -1295,7 +1333,7 @@ class _ExecState:
             penalty += self.lat.psf_rollback_extra
         self.dispatch = max(now, entry.addr_ready) + penalty
         self.result.rollbacks += 1
-        self.pmc.add(PmcEvent.ROLLBACK)
+        self._pmcc[PmcEvent.ROLLBACK] += 1
         if self.trace is not None:
             self.trace.emit(
                 "squash",

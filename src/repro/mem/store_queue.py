@@ -9,7 +9,8 @@ receive its data predictively (PSF) — decisions taken by the predictors,
 not by this queue.
 
 The queue itself provides only architectural mechanics: ordering,
-overlap/forwarding lookups, and commit to physical memory.
+overlap tests and commit to physical memory.  The load path scans the
+live entry list itself (:meth:`StoreQueue.live_entries`).
 """
 
 from __future__ import annotations
@@ -64,43 +65,6 @@ class StoreQueue:
         if self._entries and entry.seq <= self._entries[-1].seq:
             raise ValueError("stores must be pushed in program order")
         self._entries.append(entry)
-
-    # ------------------------------------------------------------------
-    # Lookups used by the load pipeline
-    # ------------------------------------------------------------------
-    def older_than(self, seq: int) -> list[StoreEntry]:
-        """In-flight stores older than the given load, oldest first."""
-        return [e for e in self._entries if e.seq < seq and not e.committed]
-
-    def unresolved_older(self, seq: int, now: int) -> list[StoreEntry]:
-        """Older stores whose address is not yet generated at cycle ``now``."""
-        return [
-            e
-            for e in self._entries
-            if e.seq < seq and not e.committed and e.addr_ready > now
-        ]
-
-    def nearest_unresolved(self, seq: int, now: int) -> StoreEntry | None:
-        """The youngest older unresolved store (the one the paper's stld
-        microbenchmark races against)."""
-        for entry in reversed(self._entries):
-            if entry.seq < seq and not entry.committed and entry.addr_ready > now:
-                return entry
-        return None
-
-    def forwarding_store(
-        self, seq: int, paddr: int, size: int, now: int
-    ) -> StoreEntry | None:
-        """Youngest older *resolved* store whose data covers the load."""
-        for entry in reversed(self.older_than(seq)):
-            if entry.addr_ready <= now and entry.covers(paddr, size):
-                return entry
-            if entry.addr_ready <= now and entry.overlaps(paddr, size):
-                # Partial overlap cannot forward; the load must wait for
-                # commit.  We model it as a forward from the entry anyway
-                # after commit; callers treat None as "read memory".
-                return entry
-        return None
 
     # ------------------------------------------------------------------
     # Commit

@@ -41,8 +41,6 @@ class PageMapping:
     shared: bool = False
 
 
-#: Memoized ``Perm`` member -> raw bit value (see ``translate``).
-_PERM_BITS: dict[Perm, int] = {perm: perm.value for perm in Perm}
 _W_BIT = Perm.W.value
 
 
@@ -94,18 +92,10 @@ class AddressSpace:
         if entry is None:
             raise SegmentationFault(vaddr, access=_describe(access))
         # The permission check runs once per simulated memory access, so
-        # it works on plain ints: Flag.__and__ / Flag.value resolve
-        # through enum machinery that dominates this function's cost.
-        # _PERM_BITS memoizes member -> value (Flag members, including
-        # combination pseudo-members, are singletons, so identity-keyed
-        # lookups are exact).
-        wanted = _PERM_BITS.get(access)
-        if wanted is None:
-            wanted = _PERM_BITS[access] = access.value
-        granted = _PERM_BITS.get(entry.perms)
-        if granted is None:
-            granted = _PERM_BITS[entry.perms] = entry.perms.value
-        if wanted & ~granted:
+        # it works on the members' raw ints: Flag.__and__, Flag.value and
+        # hashing a member all resolve through Python-level enum code.
+        wanted = access._value_
+        if wanted & ~entry.perms._value_:
             raise ProtectionFault(vaddr, access=_describe(access))
         if wanted & _W_BIT and entry.cow:
             raise CowFault(va_page)

@@ -153,8 +153,12 @@ class CentroidClassifier:
         """Nearest-centroid classification of one measurement."""
         if not self._centroids:
             raise ReproError("classifier is not calibrated; call calibrate()")
-        best = min(self._centroids, key=lambda pair: abs(pair[0] - cycles))
-        return best[1]
+        best_distance = None
+        for center, timing_class in self._centroids:
+            distance = abs(center - cycles)
+            if best_distance is None or distance < best_distance:
+                best, best_distance = timing_class, distance
+        return best
 
     def classify_all(self, measurements: list[int]) -> list[TimingClass]:
         return [self.classify(cycles) for cycles in measurements]

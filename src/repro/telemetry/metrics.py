@@ -77,11 +77,18 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        bucket = 0
-        bound = 1
-        while value >= bound and bucket < self.BUCKET_COUNT - 1:
-            bucket += 1
-            bound <<= 1
+        last = self.BUCKET_COUNT - 1
+        if type(value) is int and value >= 0:
+            # The first i with value < 2**i is value's bit length.
+            bucket = value.bit_length()
+            if bucket > last:
+                bucket = last
+        else:
+            bucket = 0
+            bound = 1
+            while value >= bound and bucket < last:
+                bucket += 1
+                bound <<= 1
         self.buckets[bucket] += 1
 
     @property

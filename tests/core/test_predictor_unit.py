@@ -32,7 +32,7 @@ class TestEquivalenceWithPureStateMachine:
     def test_state_for_reflects_counters(self):
         unit = PredictorUnit()
         run_unit(unit, "7n, a")
-        assert unit.state_for(0, 0) == CounterState(c0=4, c1=16, c2=2, c3=0, c4=1)
+        assert CounterState(*unit.counters(0, 0)) == CounterState(c0=4, c1=16, c2=2, c3=0, c4=1)
 
 
 class TestSelectionKeys:
@@ -40,21 +40,21 @@ class TestSelectionKeys:
         """A different store hash selects a fresh PSFP entry (TABLE II, C0)."""
         unit = PredictorUnit()
         run_unit(unit, "7n, a")  # train (0, 0)
-        state = unit.state_for(store_hash=1, load_hash=0)
+        state = CounterState(*unit.counters(store_hash=1, load_hash=0))
         assert (state.c0, state.c1, state.c2) == (0, 0, 0)
 
     def test_ssbp_keyed_by_load_hash_only(self):
         """C3/C4 are shared across store hashes (TABLE II, C3/C4 rows)."""
         unit = PredictorUnit()
         run_unit(unit, "7n, a, 7n, a, 7n, a")  # charge C3 via load hash 0
-        state = unit.state_for(store_hash=9, load_hash=0)
+        state = CounterState(*unit.counters(store_hash=9, load_hash=0))
         assert state.c3 == 15
         assert state.c4 == 3
 
     def test_different_load_hash_sees_nothing(self):
         unit = PredictorUnit()
         run_unit(unit, "7n, a, 7n, a, 7n, a")
-        state = unit.state_for(store_hash=0, load_hash=1)
+        state = CounterState(*unit.counters(store_hash=0, load_hash=1))
         assert state == CounterState()
 
     def test_c4_accumulates_across_store_hashes(self):
@@ -65,7 +65,7 @@ class TestSelectionKeys:
             run_unit(unit, "7n, a", store=store, load=0)
             run_unit(unit, "39n", store=store, load=0)
         run_unit(unit, "7n, a", store=3, load=0)
-        assert unit.state_for(0, 0).c3 == 15
+        assert CounterState(*unit.counters(0, 0)).c3 == 15
         # and the paper's probe: phi(35n) = (15F, 20H) at yet another store
         types = run_unit(unit, "35n", store=4, load=0)
         from repro.revng.sequences import format_types
@@ -99,7 +99,7 @@ class TestFlushSemantics:
         unit.on_context_switch()
         assert unit.psfp.occupancy == 0
         assert unit.ssbp.occupancy == 1
-        assert unit.state_for(0, 0).c3 == 15
+        assert CounterState(*unit.counters(0, 0)).c3 == 15
 
     def test_context_switch_with_mitigation_flushes_ssbp(self):
         unit = PredictorUnit()

@@ -89,7 +89,7 @@ class TestUnitMatchesSplitModel:
                     *model.psfp.get((store_hash, load_hash), (0, 0, 0)),
                     *model.ssbp.get(load_hash, (0, 0)),
                 )
-                assert unit.state_for(store_hash, load_hash) == expected
+                assert CounterState(*unit.counters(store_hash, load_hash)) == expected
 
     @settings(max_examples=30, deadline=None)
     @given(accesses)

@@ -38,8 +38,8 @@ class TestPerThreadState:
     def test_training_one_sibling_leaves_the_other_cold(self):
         a, b = make_thread(0), make_thread(1)
         train(a)
-        assert a.unit.state_for(_STORE, _LOAD) != CounterState()
-        assert b.unit.state_for(_STORE, _LOAD) == CounterState()
+        assert CounterState(*a.unit.counters(_STORE, _LOAD)) != CounterState()
+        assert CounterState(*b.unit.counters(_STORE, _LOAD)) == CounterState()
 
     def test_smt_siblings_of_one_core_are_isolated(self):
         # The same invariant through the real machine: both siblings see
@@ -48,8 +48,8 @@ class TestPerThreadState:
         t0 = machine.core.thread(0)
         t1 = machine.core.thread(1)
         train(t0)
-        assert t0.unit.state_for(_STORE, _LOAD) != CounterState()
-        assert t1.unit.state_for(_STORE, _LOAD) == CounterState()
+        assert CounterState(*t0.unit.counters(_STORE, _LOAD)) != CounterState()
+        assert CounterState(*t1.unit.counters(_STORE, _LOAD)) == CounterState()
 
     def test_cycles_advance_monotonically(self):
         thread = make_thread()

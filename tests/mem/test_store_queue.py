@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro.core.exec_types import ExecType
+from repro.cpu.isa import AluImm, Halt, ImulImm, Load, Mfence, Mov, MovImm, Program, Store
+from repro.cpu.machine import Machine
+from repro.cpu.pmc import PmcEvent
 from repro.errors import SimulationLimitExceeded
 from repro.mem.physical import PhysicalMemory
 from repro.mem.store_queue import StoreEntry, StoreQueue
@@ -54,42 +58,140 @@ class TestOverlap:
 
 
 class TestLookups:
-    def test_unresolved_older(self):
-        queue = StoreQueue()
-        queue.push(entry(1, 0x100, addr_ready=50))
-        queue.push(entry(2, 0x200, addr_ready=5))
-        unresolved = queue.unresolved_older(seq=3, now=10)
-        assert [e.seq for e in unresolved] == [1]
+    """The load path's store-queue lookups, observed through the pipeline.
 
-    def test_nearest_unresolved_is_youngest(self):
-        queue = StoreQueue()
-        queue.push(entry(1, 0x100, addr_ready=50))
-        queue.push(entry(2, 0x200, addr_ready=60))
-        nearest = queue.nearest_unresolved(seq=3, now=10)
-        assert nearest is not None and nearest.seq == 2
+    The predictor's pair is the youngest older store whose address is
+    not generated yet; the other unresolved stores are read around.  A
+    younger or committed store is no pair, and of the resolved stores
+    the youngest one overlapping the load decides forwarding.
+    """
 
-    def test_nearest_unresolved_ignores_younger(self):
-        queue = StoreQueue()
-        queue.push(entry(5, 0x100, addr_ready=50))
-        assert queue.nearest_unresolved(seq=3, now=0) is None
+    @pytest.fixture()
+    def rig(self):
+        machine = Machine(seed=5)
+        process = machine.kernel.create_process("loads")
+        return machine, process, machine.kernel.map_anonymous(process, pages=1)
 
-    def test_forwarding_store_matches_resolved_cover(self):
-        queue = StoreQueue()
-        queue.push(entry(1, 0x100, data=b"abcdefgh", addr_ready=0))
-        found = queue.forwarding_store(seq=2, paddr=0x102, size=2, now=10)
-        assert found is not None and found.seq == 1
+    @staticmethod
+    def run(machine, process, instructions):
+        program = machine.load_program(process, Program(instructions, name="lookups"))
+        stlf = machine.core.thread(0).pmc.read(PmcEvent.STLF)
+        result = machine.run(process, program)
+        stores = [
+            process.address_space.translate_nofault(program.iva(index))
+            for index, inst in enumerate(program.instructions)
+            if isinstance(inst, Store)
+        ]
+        forwards = machine.core.thread(0).pmc.read(PmcEvent.STLF) - stlf
+        return result, stores, forwards
 
-    def test_forwarding_store_ignores_unresolved(self):
-        queue = StoreQueue()
-        queue.push(entry(1, 0x100, data=b"abcdefgh", addr_ready=99))
-        assert queue.forwarding_store(seq=2, paddr=0x100, size=1, now=10) is None
+    @staticmethod
+    def delayed_stores(buf, load_off, fence=False):
+        """Address-delayed stores to buf and buf+64 (the first resolves
+        later), then a load of buf+load_off."""
+        instructions = [MovImm("base", buf), MovImm("data", 0xDD)]
+        for index, (offset, agen) in enumerate(((0, 20), (64, 10))):
+            instructions.append(AluImm(f"t{index}", "base", offset, "add"))
+            instructions += [ImulImm(f"t{index}", f"t{index}", 1)] * agen
+            instructions.append(Store(base=f"t{index}", src="data", width=8))
+        if fence:
+            instructions.append(Mfence())
+        return instructions + [
+            AluImm("lbase", "base", load_off, "add"),
+            Load("out", base="lbase", width=8),
+            Halt(),
+        ]
 
-    def test_forwarding_prefers_youngest(self):
-        queue = StoreQueue()
-        queue.push(entry(1, 0x100, data=b"old!!!!!"))
-        queue.push(entry(2, 0x100, data=b"new!!!!!"))
-        found = queue.forwarding_store(seq=3, paddr=0x100, size=4, now=10)
-        assert found is not None and found.seq == 2
+    @staticmethod
+    def resolved_stores(buf, offset, width):
+        """Two stores with generated addresses (late data keeps both
+        queued), then a 2-byte load of buf+2."""
+        return [
+            MovImm("base", buf),
+            MovImm("old", 0x11),
+            *[ImulImm("old", "old", 1)] * 6,
+            MovImm("new", 0x22),
+            Store(base="base", src="old", width=8),
+            Store(base="base", src="new", offset=offset, width=width),
+            Load("out", base="base", offset=2, width=2),
+            Halt(),
+        ]
+
+    def test_unresolved_older(self, rig):
+        """An older unresolved store that aliases is read around: a
+        memory-ordering squash, while the younger store is the pair."""
+        machine, process, buf = rig
+        machine.kernel.write(process, buf, (0xCC).to_bytes(8, "little"))
+        result, (_, younger), _ = self.run(machine, process, self.delayed_stores(buf, 0))
+        assert [(e.exec_type, e.store_ipa) for e in result.events] == [
+            (ExecType.H, younger)
+        ]
+        assert result.rollbacks == 1
+        assert result.regs["out"] == 0xDD
+
+    def test_nearest_unresolved_is_youngest(self, rig):
+        machine, process, buf = rig
+        result, (_, younger), _ = self.run(machine, process, self.delayed_stores(buf, 64))
+        assert [(e.exec_type, e.store_ipa) for e in result.events] == [
+            (ExecType.G, younger)
+        ]
+        assert result.regs["out"] == 0xDD
+
+    def test_nearest_unresolved_ignores_younger(self, rig):
+        machine, process, buf = rig
+        machine.kernel.write(process, buf, (0xCC).to_bytes(8, "little"))
+        instructions = [
+            MovImm("base", buf),
+            Load("out", base="base", width=8),
+            Mov("t", "base"),
+            *[ImulImm("t", "t", 1)] * 20,
+            MovImm("data", 0xDD),
+            Store(base="t", src="data", width=8),
+            Halt(),
+        ]
+        result, _, _ = self.run(machine, process, instructions)
+        assert result.events == []
+        assert result.regs["out"] == 0xCC
+
+    def test_committed_stores_are_ignored(self, rig):
+        machine, process, buf = rig
+        instructions = self.delayed_stores(buf, 0, fence=True)
+        result, _, forwards = self.run(machine, process, instructions)
+        assert (result.events, result.rollbacks, forwards) == ([], 0, 0)
+        assert result.regs["out"] == 0xDD  # read from memory
+
+    def test_forwarding_store_matches_resolved_cover(self, rig):
+        machine, process, buf = rig
+        result, _, forwards = self.run(machine, process, self.resolved_stores(buf, 2, 2))
+        assert (result.events, forwards) == ([], 1)
+        assert result.regs["out"] == 0x0022
+
+    def test_forwarding_store_ignores_unresolved(self, rig):
+        """A store without its address is raced through the predictor
+        (a fresh one bypasses it: type G), not forwarded from."""
+        machine, process, buf = rig
+        instructions = [
+            MovImm("base", buf),
+            Mov("t", "base"),
+            *[ImulImm("t", "t", 1)] * 20,
+            MovImm("data", 0xDD),
+            Store(base="t", src="data", width=8),
+            Load("out", base="base", width=8),
+            Halt(),
+        ]
+        result, (store,), _ = self.run(machine, process, instructions)
+        assert [(e.exec_type, e.store_ipa) for e in result.events] == [
+            (ExecType.G, store)
+        ]
+        assert result.rollbacks == 1
+
+    def test_forwarding_prefers_youngest(self, rig):
+        """The youngest overlapping store decides: its partial overlap
+        does not forward, though an older store covers the load."""
+        machine, process, buf = rig
+        result, _, forwards = self.run(machine, process, self.resolved_stores(buf, 3, 1))
+        assert (result.events, forwards) == ([], 0)
+        assert result.regs["out"] == 0x2200
 
 
 class TestCommit:
