@@ -278,10 +278,11 @@ class Pipeline:
         if self.trace is not None:
             self.attach_tracer(self.trace)
         #: The collaborators every run reads, fixed for the pipeline's
-        #: lifetime: an _ExecState unpacks them in one statement.
+        #: lifetime: an _ExecState unpacks them in one statement.  (Not
+        #: the pipeline itself: a cycle would outlive the last reference.)
         queue = thread.store_queue
         self._bound = (
-            self, core, thread, kernel, self.lat, thread.thread_id, queue,
+            core, thread, kernel, self.lat, thread.thread_id, queue,
             queue.live_entries(), core.memory, core.hierarchy,
             thread.pmc.counts, thread.unit,
         )
@@ -395,10 +396,10 @@ class _ExecState:
         program: Program,
         regs: dict[str, int],
     ) -> None:
+        self.pipe = pipeline
         (
-            self.pipe, self.core, self.thread, self.kernel, self.lat, self.tid,
-            self.sq, self.sq_entries, self.memory, self.hierarchy, self._pmcc,
-            self.unit,
+            self.core, self.thread, self.kernel, self.lat, self.tid, self.sq,
+            self.sq_entries, self.memory, self.hierarchy, self._pmcc, self.unit,
         ) = pipeline._bound
         self.process = process
         self.space = process.address_space

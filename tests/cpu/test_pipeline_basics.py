@@ -1,5 +1,8 @@
 """Pipeline tests: architectural semantics (values, ordering, faults)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cpu.isa import (
@@ -337,3 +340,20 @@ class TestTiming:
             ).cycles
 
         assert one_run() == one_run()
+
+
+class TestLifetime:
+    def test_machine_is_freed_without_the_cycle_collector(self):
+        """No reference cycle keeps a run machine alive: run-once
+        workloads build thousands, and each holds its touched frames."""
+        gc.disable()
+        try:
+            machine = Machine(seed=1)
+            process = machine.kernel.create_process("once")
+            buf = machine.kernel.map_anonymous(process, pages=1)
+            run(machine, process, [MovImm("a", buf), Load("b", base="a"), Halt()])
+            alive = weakref.ref(machine.core)  # the memory's owner
+            del machine, process
+            assert alive() is None
+        finally:
+            gc.enable()
