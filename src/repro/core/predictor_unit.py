@@ -48,11 +48,10 @@ class AccessResult:
 
 _SSBD_BLOCK = Prediction(aliasing=True, psf_forward=False, sticky=False)
 
-#: The SSBD-off prediction of each counter tuple and the outcome of each
-#: ``(counters, aliasing, ssbd)`` triple.  Both are pure in their key, the
-#: clamped counter product bounds them, and plain tuple keys skip hashing
-#: a CounterState through its Python-level ``__hash__``.
-_PREDICTIONS: dict[tuple[int, int, int, int, int], Prediction] = {}
+#: The outcome of each ``(counters, aliasing, ssbd)`` triple; its SSBD-off
+#: prediction is also what :meth:`PredictorUnit.predict` returns.  It is
+#: pure in its key, the clamped counter product bounds it, and plain tuple
+#: keys skip hashing a CounterState through its Python-level ``__hash__``.
 _OUTCOMES: dict[tuple[tuple[int, int, int, int, int], bool, bool], AccessResult] = {}
 
 
@@ -130,11 +129,7 @@ class PredictorUnit:
         """What the unit will do for the next pair at these IPAs."""
         if self.spec_ctrl.ssbd:
             return _SSBD_BLOCK
-        counters = self.counters(store_hash, load_hash)
-        prediction = _PREDICTIONS.get(counters)
-        if prediction is None:
-            prediction = _PREDICTIONS[counters] = predict_state(CounterState(*counters))
-        return prediction
+        return _outcome(self.counters(store_hash, load_hash), False, False).prediction
 
     # ------------------------------------------------------------------
     # Execution

@@ -938,18 +938,23 @@ class _ExecState:
 
         self.seq += 1
         load_seq = self.seq
-        # One store-queue scan.  Every queued store is older than this
-        # load (seq only grows) and uncommitted (commit dequeues it).  Of
-        # the stores whose address is not generated by addr_ready, the
-        # youngest is the predictor's pair (``pending``, the store the
-        # paper's stld races) and the overlapping ones are ``aliasing``;
-        # of the others, the youngest that overlaps or covers the load is
-        # the one a plain load forwards from.
+        # One store-queue scan over the stores older than this load.
+        # Queued stores are uncommitted (commit dequeues them) and in seq
+        # order, and seq restarts with each run, so the scan stops at the
+        # first store not older than the load: only stores left queued by
+        # a run stopped at the step limit can be.  Of the older stores
+        # whose address is not generated by addr_ready, the youngest is
+        # the predictor's pair (``pending``, the store the paper's stld
+        # races) and the overlapping ones are ``aliasing``; of the
+        # others, the youngest that overlaps or covers the load is the
+        # one a plain load forwards from.
         end = paddr + width
         pending = forwarding = None
         aliasing = []
         stall_until = addr_ready
         for entry in self.sq_entries:
+            if entry.seq >= load_seq:
+                break
             lo = entry.paddr
             hi = lo + entry.size
             if entry.addr_ready > addr_ready:

@@ -77,18 +77,12 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        last = self.BUCKET_COUNT - 1
-        if type(value) is int and value >= 0:
-            # The first i with value < 2**i is value's bit length.
-            bucket = value.bit_length()
-            if bucket > last:
-                bucket = last
-        else:
-            bucket = 0
-            bound = 1
-            while value >= bound and bucket < last:
-                bucket += 1
-                bound <<= 1
+        bucket = 0
+        if value >= 1:
+            # The first i with value < 2**i is the bit length of
+            # floor(value), capped at the last bucket.
+            last = self.BUCKET_COUNT - 1
+            bucket = last if value >= 1 << last else int(value).bit_length()
         self.buckets[bucket] += 1
 
     @property

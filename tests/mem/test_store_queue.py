@@ -193,6 +193,33 @@ class TestLookups:
         assert (result.events, forwards) == ([], 0)
         assert result.regs["out"] == 0x2200
 
+    def test_stores_left_by_a_stopped_run_are_not_older(self, rig):
+        """A run stopped at the step limit leaves its unresolved store
+        queued.  Sequence numbers restart with the next run, so that
+        store is not older than the next run's first load: no pair, and
+        the load reads memory.  The store commits when that run ends."""
+        machine, process, buf = rig
+        machine.kernel.write(process, buf, (0xCC).to_bytes(8, "little"))
+        stopped = [
+            MovImm("base", buf),
+            Mov("t", "base"),
+            *[ImulImm("t", "t", 1)] * 20,
+            MovImm("data", 0xDD),
+            Store(base="t", src="data", width=8),
+            *[AluImm("x", "x", 1, "add")] * 10,
+            Halt(),
+        ]
+        program = machine.load_program(process, Program(stopped, name="stopped"))
+        with pytest.raises(SimulationLimitExceeded):
+            machine.run(process, program, max_steps=26)
+        assert len(machine.core.thread(0).store_queue) == 1
+        load = [MovImm("base", buf), Load("out", base="base", width=8), Halt()]
+        result, _, forwards = self.run(machine, process, load)
+        assert (result.events, result.rollbacks, forwards) == ([], 0, 0)
+        assert result.regs["out"] == 0xCC
+        assert len(machine.core.thread(0).store_queue) == 0
+        assert machine.kernel.read(process, buf, 1) == b"\xdd"
+
 
 class TestCommit:
     def test_commit_ready_writes_memory(self):
