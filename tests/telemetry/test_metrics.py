@@ -1,5 +1,7 @@
 """Metrics registry: counters, histograms, snapshots, deltas, merging."""
 
+import math
+
 import pytest
 
 from repro.telemetry.metrics import (
@@ -56,6 +58,14 @@ class TestHistogram:
         expected = [0] * Histogram.BUCKET_COUNT
         expected[self._doubling_bucket(value)] = 1
         assert hist.buckets == expected
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, True, False, 2.0**23 - 0.5]
+    )
+    def test_bucket_of_nan_inf_and_bools(self, value):
+        hist = Histogram("h")
+        hist.observe(value)
+        assert hist.buckets.index(1) == self._doubling_bucket(value)
 
 
 class TestRegistry:
